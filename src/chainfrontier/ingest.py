@@ -96,16 +96,13 @@ class TokenLedger:
     """Full reconstructed entry stream for one token plus a query index.
 
     ``entries`` keep event order: sorted by (block, log_index), debit
-    before credit within an event. ``minted``/``burned`` total the
-    zero-account flows, so minted - burned equals the sum of all live
-    balances at the head of the chain.
+    before credit within an event. A mint keeps only its credit and a burn
+    only its debit, so the deltas sum to the net minted supply.
     """
 
     token_id: str
     decimals: int
     entries: tuple[LedgerEntry, ...]
-    minted: int
-    burned: int
     # per account: parallel (blocks, cumulative balances), one point per
     # block that touched the account, used for O(log n) balance queries
     _index: dict[str, tuple[list[int], list[int]]] = field(
@@ -229,8 +226,6 @@ def build_ledger(
         raise ValueError("decimals must be >= 0")
 
     entries: list[LedgerEntry] = []
-    minted = 0
-    burned = 0
     token_id: str | None = None
     prev_key: tuple[int, int] | None = None
     index: dict[str, tuple[list[int], list[int]]] = {}
@@ -255,16 +250,12 @@ def build_ledger(
         to_zero = ev.recipient == zero_account
         if from_zero and to_zero:
             continue  # degenerate zero-to-zero event moves nothing
-        if from_zero:
-            minted += ev.amount
-        else:
+        if not from_zero:
             entries.append(
                 LedgerEntry(token_id, ev.sender, ev.block, ev.log_index, -ev.amount)
             )
             _index_add(index, ev.sender, ev.block, -ev.amount)
-        if to_zero:
-            burned += ev.amount
-        else:
+        if not to_zero:
             entries.append(
                 LedgerEntry(token_id, ev.recipient, ev.block, ev.log_index, ev.amount)
             )
@@ -274,8 +265,6 @@ def build_ledger(
         token_id=token_id if token_id is not None else "",
         decimals=decimals,
         entries=tuple(entries),
-        minted=minted,
-        burned=burned,
         _index=index,
     )
 
@@ -292,9 +281,7 @@ def _index_add(
         cums.append(total)
 
 
-def ledger_from_entries(
-    entries: Sequence[LedgerEntry], decimals: int, minted: int = 0, burned: int = 0
-) -> TokenLedger:
+def ledger_from_entries(entries: Sequence[LedgerEntry], decimals: int) -> TokenLedger:
     """Rehydrate a TokenLedger from stored entries (already expanded).
 
     Entries must be in non-decreasing (block, log_index) order, the order
@@ -311,7 +298,7 @@ def ledger_from_entries(
             raise LedgerOrderError("ledger entries not sorted by (block, log_index)")
         prev = key
         _index_add(index, e.account, e.block, e.delta)
-    return TokenLedger(token_id, decimals, tuple(entries), minted, burned, index)
+    return TokenLedger(token_id, decimals, tuple(entries), index)
 
 
 def balance_at(ledger: TokenLedger, account: str, block: int) -> int:

@@ -10,14 +10,21 @@ Every stage writes its outputs partition by partition (per token or per
 snapshot month) through atomic renames, and a manifest records a content
 hash of each stage's inputs and outputs. A rerun with unchanged inputs
 skips completed partitions; deleting one partition file regenerates just
-that partition. Partitions are computed independently from on-disk inputs
-only, so the worker count changes wall time and nothing else.
+that partition.
+
+The inputs that all of a stage's partitions share (filled prices, and for
+snapshot the passed tokens' ledgers) are loaded once per stage, and only
+when some partition is stale: once in-process at ``workers = 1``, or once
+per pool worker otherwise. Each partition is a pure function of those
+loaded inputs and its own on-disk files, so the worker count changes wall
+time and nothing else.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import functools
 import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -199,14 +206,36 @@ class _Task:
     args: tuple
 
 
+# a pool worker's loaded stage inputs, set by its initializer; they live as
+# long as the worker, and the pool ends with the stage
+_worker_inputs: tuple = ()
+
+
+def _load_worker(load: Callable | None) -> None:
+    global _worker_inputs
+    _worker_inputs = () if load is None else (load(),)
+
+
+def _run_in_worker(fn: Callable, args: tuple) -> None:
+    fn(*_worker_inputs, *args)
+
+
 def _run_tasks(
-    ws: Path, stage: str, input_hash: str, tasks: Sequence[_Task], workers: int
+    ws: Path,
+    stage: str,
+    input_hash: str,
+    tasks: Sequence[_Task],
+    workers: int,
+    load: Callable | None = None,
 ) -> list[str]:
     """Run the stale partitions of one stage and update the manifest.
 
     A partition is fresh when the stage's input hash matches the manifest
-    and every output file still matches its recorded hash. Returns the
-    names of partitions that were (re)computed.
+    and every output file still matches its recorded hash. When ``load``
+    is given and some partition is stale, it runs once in-process, or once
+    per pool worker, and its result is passed to every partition function
+    ahead of the task's own arguments. Returns the names of partitions that
+    were (re)computed.
     """
     manifest = storage.read_manifest(manifest_path(ws))
     entry = manifest.get(stage, {})
@@ -227,13 +256,21 @@ def _run_tasks(
 
     if todo:
         if workers > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(task.fn, *task.args) for task in todo]
+            # every worker pays for one load, so start no more than have work
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(todo)),
+                initializer=_load_worker,
+                initargs=(load,),
+            ) as pool:
+                futures = [
+                    pool.submit(_run_in_worker, task.fn, task.args) for task in todo
+                ]
                 for future in futures:
                     future.result()
         else:
+            inputs = () if load is None else (load(),)
             for task in todo:
-                task.fn(*task.args)
+                task.fn(*inputs, *task.args)
         for task in todo:
             recorded[task.name] = _files_hash(task.out_paths)
 
@@ -409,16 +446,29 @@ def _passed_tokens(ws: Path) -> list[str]:
     return [r.token_id for r in storage.read_filters(filters_path(ws)) if r.passed]
 
 
-def _filled_prices(ws: Path) -> tuple[dict[str, PriceSeries], dict[str, dict]]:
-    series, mcaps = storage.read_prices(prices_path(ws))
+def _filled_prices(
+    ws: Path, series: dict[str, PriceSeries] | None = None
+) -> dict[str, PriceSeries]:
+    """Every token's closes, forward-filled through the last priced day.
+
+    ``series`` is an already parsed ``prices.csv``; it is read when absent.
+    """
+    if series is None:
+        series, _ = storage.read_prices(prices_path(ws))
     last = max(s.end for s in series.values())
-    return {tid: forward_fill(s, through=last) for tid, s in series.items()}, mcaps
+    return {tid: forward_fill(s, through=last) for tid, s in series.items()}
 
 
-def snapshot_calendar(cfg: PipelineConfig) -> list[Snapshot]:
-    """First-of-month snapshots with a full lookback and forward window."""
+def snapshot_calendar(
+    cfg: PipelineConfig, series: dict[str, PriceSeries] | None = None
+) -> list[Snapshot]:
+    """First-of-month snapshots with a full lookback and forward window.
+
+    ``series`` is an already parsed ``prices.csv``; it is read when absent.
+    """
     ws = cfg.workspace
-    series, _ = storage.read_prices(_require(prices_path(ws), "synth"))
+    if series is None:
+        series, _ = storage.read_prices(_require(prices_path(ws), "synth"))
     block_map = storage.read_block_map(_require(blockmap_path(ws), "synth"))
     first_day = min(s.start for s in series.values())
     last_day = max(s.end for s in series.values())
@@ -431,20 +481,42 @@ def snapshot_calendar(cfg: PipelineConfig) -> list[Snapshot]:
     return monthly_snapshots(start, end, block_map)
 
 
-def _snapshot_month(cfg: PipelineConfig, snapshot: Snapshot) -> None:
+@dataclasses.dataclass(frozen=True)
+class _Holdings:
+    """What every snapshot month reads: the passed tokens' ledgers, the
+    accounts they touch and the filled prices."""
+
+    ledgers: dict[str, TokenLedger]
+    accounts: list[str]
+    prices: dict[str, PriceSeries]
+
+
+def _load_holdings(
+    cfg: PipelineConfig, series: dict[str, PriceSeries] | None
+) -> _Holdings:
     ws = cfg.workspace
+    # prices first: parsing them is the larger transient, so it should not
+    # overlap the ledgers
+    prices = _filled_prices(ws, series)
     decimals = _token_decimals(ws)
-    prices, _ = _filled_prices(ws)
     ledgers: dict[str, TokenLedger] = {}
     for tid in _passed_tokens(ws):
         ledger = _load_ledger(ws, tid, decimals[tid])
         if ledger is not None:
             ledgers[tid] = ledger
-
     accounts = sorted({a for lg in ledgers.values() for a in lg.accounts})
+    return _Holdings(ledgers, accounts, prices)
+
+
+def _snapshot_month(
+    holdings: _Holdings, cfg: PipelineConfig, snapshot: Snapshot
+) -> None:
+    ws = cfg.workspace
     rows = []
-    for account in accounts:
-        portfolio = reconstruct_snapshot(ledgers, prices, account, snapshot)
+    for account in holdings.accounts:
+        portfolio = reconstruct_snapshot(
+            holdings.ledgers, holdings.prices, account, snapshot
+        )
         if portfolio is None:
             continue
         for pos in portfolio.positions:
@@ -468,12 +540,19 @@ def stage_snapshot(cfg: PipelineConfig) -> list[str]:
     ws = cfg.workspace
     _require(filters_path(ws), "ingest")
     _require(ledgers_dir(ws), "ingest")
-    calendar = snapshot_calendar(cfg)
+    series = storage.read_prices(_require(prices_path(ws), "synth"))[0]
+    calendar = snapshot_calendar(cfg, series)
+    # in-process, the load reuses the calendar's parse of prices.csv; pool
+    # workers parse their own, so the forked pool inherits no copy of it
+    load = functools.partial(_load_holdings, cfg, series if cfg.workers == 1 else None)
+    del series
+    # everything the calendar and _load_holdings read, token decimals included
     input_hash = _input_hash(
         cfg,
         "snapshot",
         ledgers_dir(ws),
         filters_path(ws),
+        meta_path(ws),
         prices_path(ws),
         blockmap_path(ws),
     )
@@ -486,7 +565,7 @@ def stage_snapshot(cfg: PipelineConfig) -> list[str]:
         )
         for snap in calendar
     ]
-    return _run_tasks(ws, "snapshot", input_hash, tasks, cfg.workers)
+    return _run_tasks(ws, "snapshot", input_hash, tasks, cfg.workers, load)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +582,9 @@ def _window_cache(
     return {tid: log_returns(s, end, window) for tid, s in prices.items()}
 
 
-def _optimize_month(cfg: PipelineConfig, month: str) -> None:
+def _optimize_month(
+    prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
+) -> None:
     ws = cfg.workspace
     positions = storage.read_positions(snapshots_dir(ws) / f"{month}.csv")
     out_path = solutions_dir(ws) / f"{month}.csv"
@@ -512,7 +593,6 @@ def _optimize_month(cfg: PipelineConfig, month: str) -> None:
         return
 
     snapshot_day = positions[0]["snapshot_date"]
-    prices, _ = _filled_prices(ws)
     windows = _window_cache(prices, snapshot_day, cfg.lookback_days)
 
     by_account: dict[str, list[dict]] = {}
@@ -597,14 +677,17 @@ def stage_optimize(cfg: PipelineConfig) -> list[str]:
         )
         for path in months
     ]
-    return _run_tasks(ws, "optimize", input_hash, tasks, cfg.workers)
+    load = functools.partial(_filled_prices, ws)
+    return _run_tasks(ws, "optimize", input_hash, tasks, cfg.workers, load)
 
 
 # ---------------------------------------------------------------------------
 # metrics stage
 
 
-def _metrics_month(cfg: PipelineConfig, month: str) -> None:
+def _metrics_month(
+    prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
+) -> None:
     ws = cfg.workspace
     solutions = storage.read_solutions(solutions_dir(ws) / f"{month}.csv")
     out_path = perf_dir(ws) / f"{month}.csv"
@@ -613,7 +696,6 @@ def _metrics_month(cfg: PipelineConfig, month: str) -> None:
         return
 
     snapshot_day = solutions[0]["snapshot_date"]
-    prices, _ = _filled_prices(ws)
     weth, wbtc = cfg.market_tokens
     lookback_market = market_index(
         log_returns(prices[weth], snapshot_day, cfg.lookback_days),
@@ -675,7 +757,8 @@ def stage_metrics(cfg: PipelineConfig) -> list[str]:
         )
         for path in months
     ]
-    return _run_tasks(cfg.workspace, "metrics", input_hash, tasks, cfg.workers)
+    load = functools.partial(_filled_prices, ws)
+    return _run_tasks(ws, "metrics", input_hash, tasks, cfg.workers, load)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def lipschitz_bound(strategy, mu, cov, rf_daily, sigma_floor) -> float:
     return (l_mu + l_sigma * 2.0) / max(sigma_floor, 1e-9)
 
 
+def net_minted(events) -> int:
+    """Mints minus burns of an event stream: what its balances must sum to."""
+    minted = sum(e.amount for e in events if e.sender == ZERO_ACCOUNT)
+    burned = sum(e.amount for e in events if e.recipient == ZERO_ACCOUNT)
+    return minted - burned
+
+
 def random_stream(
     rng: random.Random,
     token_id: str,

@@ -2,9 +2,10 @@
 
 The properties under test: every stage writes its declared partitions, a
 rerun with unchanged inputs touches nothing, a deleted or corrupted
-partition is rebuilt byte-identically, stages fail loudly when their
-upstream outputs are missing, and the worker count changes wall time
-only, never bytes.
+partition is rebuilt byte-identically, an edited input reaches every file
+that depends on it, a stage parses its shared inputs once rather than once
+per partition, stages fail loudly when their upstream outputs are missing,
+and the worker count changes wall time only, never bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import shutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +184,32 @@ def test_config_change_invalidates_only_dependent_stage(copied):
     assert ran["report"] == ["bundle"]
 
 
+def test_decimals_edit_matches_fresh_build(copied, tmp_path):
+    """Snapshot quantities scale by token decimals, which live in meta.csv."""
+    ws = copied.workspace
+    first_month = sorted((ws / "snapshots").glob("*.csv"))[0]
+    held = storage.read_positions(first_month)[0]["token_id"]
+    meta = ws / "input" / "meta.csv"
+    storage.write_meta(
+        meta,
+        [
+            dataclasses.replace(m, decimals=m.decimals + 2) if m.token_id == held else m
+            for m in storage.read_meta(meta)
+        ],
+    )
+    ran = run_pipeline(copied, PIPELINE_STAGES[1:])
+    assert len(ran["snapshot"]) == copied.synth_months
+
+    fresh = dataclasses.replace(copied, workspace=tmp_path / "fresh")
+    shutil.copytree(ws / "input", fresh.workspace / "input")
+    run_pipeline(fresh, PIPELINE_STAGES[1:])
+    rerun, rebuilt = bundle(ws), bundle(fresh.workspace)
+    # the rerun's manifest also holds the synth entry of the original build
+    rerun.pop("manifest.json")
+    rebuilt.pop("manifest.json")
+    assert rerun == rebuilt
+
+
 def test_seed_change_rebuilds_everything(copied):
     reseeded = dataclasses.replace(copied, seed=copied.seed + 1)
     ran = run_pipeline(reseeded)
@@ -204,6 +233,49 @@ def test_same_seed_reproduces_bundle(built, tmp_path):
     again = dataclasses.replace(cfg, workspace=tmp_path / "ws3")
     run_pipeline(again)
     assert bundle(again.workspace) == bundle(cfg.workspace)
+
+
+def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(small_config(tmp_path / "ws"), workers=1)
+    run_pipeline(cfg, ["synth"])
+    prices: list[str] = []
+    ledgers: list[str] = []
+
+    def counted(reader, calls):
+        def read(path):
+            calls.append(Path(path).name)
+            return reader(path)
+
+        return read
+
+    monkeypatch.setattr(storage, "read_prices", counted(storage.read_prices, prices))
+    monkeypatch.setattr(
+        storage,
+        "read_ledger_entries",
+        counted(storage.read_ledger_entries, ledgers),
+    )
+
+    for name in (*PIPELINE_STAGES[1:], "validate"):
+        prices.clear()
+        ledgers.clear()
+        if name == "validate":
+            validate_workspace(cfg)
+        else:
+            run_pipeline(cfg, [name])
+        # snapshot's calendar shares the one parse of prices.csv
+        expected = 1 if name in ("snapshot", "optimize", "metrics") else 0
+        assert len(prices) == expected, name
+        assert max(Counter(ledgers).values(), default=0) <= 1, (name, ledgers)
+        if name == "snapshot":
+            assert ledgers
+
+    # a no-op rerun loads nothing; only the snapshot calendar reads prices
+    prices.clear()
+    ledgers.clear()
+    ran = run_pipeline(cfg)
+    assert not any(ran.values())
+    assert prices == ["prices.csv"]
+    assert ledgers == []
 
 
 # ---------------------------------------------------------------------------

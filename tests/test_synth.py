@@ -10,6 +10,8 @@ from chainfrontier.synth import (
     simulate_log_returns,
 )
 
+from helpers import net_minted
+
 
 def small_config(**overrides):
     defaults = dict(
@@ -130,7 +132,7 @@ def test_events_build_clean_ledgers():
             a: balance_at(ledger, a, ledger.max_block) for a in ledger.accounts
         }
         assert all(v >= 0 for v in balances.values())
-        assert sum(balances.values()) == ledger.minted - ledger.burned
+        assert sum(balances.values()) == net_minted(events)
     assert saw_transfer
 
 
