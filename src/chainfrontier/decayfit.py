@@ -23,6 +23,9 @@ __all__ = ["DecayFit", "SizeBin", "bin_by_size", "fit_power_decay", "weighted_ss
 # parameters move through unconstrained space; cap the exponentials so a
 # wild trust-region step cannot overflow to inf mid-iteration
 _EXP_CAP = 60.0
+# an asymptote this close to 100 percent sits on the logistic cap: the data
+# asked for more, so the fit is not a stationary point of the model
+_PINNED_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,9 @@ class DecayFit:
     """Fitted decay curve for one strategy with goodness-of-fit numbers.
 
     ``mae`` is the unweighted mean absolute error against bin means, in
-    percent points. A fit that hit the iteration cap is returned with
-    ``converged`` False and the best parameters found.
+    percent points. A fit that hit the iteration cap, or whose asymptote is
+    pinned at the 100 percent cap, is returned with ``converged`` False and
+    the best parameters found.
     """
 
     strategy: str
@@ -182,6 +186,6 @@ def fit_power_decay(
         gamma=gamma,
         r_squared=1.0 - ss_res / ss_tot,
         mae=float(np.mean(np.abs(means - pred))),
-        converged=bool(result.status > 0),
+        converged=bool(result.status > 0) and delta_inf < 100.0 - _PINNED_TOL,
         n_bins=len(bins),
     )

@@ -4,25 +4,55 @@ Three projections are solved per account: the minimum-variance book at the
 account's expected return, the maximum-return book at the account's risk,
 and the maximum-Sharpe book. All share the same constraint set: fully
 invested, long-only, a per-asset cap, and support restricted to the assets
-the account already holds. A brute-force simplex-grid oracle provides an
-independent check on the smooth solver.
+the account already holds.
+
+Books hold a handful of assets, so every projection is a small dense QP
+solved exactly by one primal active-set routine, ``minimize``, started from
+a feasible book (a vertex of the capped simplex, a mix of two, or equal
+weights):
+
+* min-variance solves the QP at the return anchor, or the global
+  minimum-variance (GMV) QP when every feasible book meets the anchor;
+* max-return solves the GMV QP, then the min-variance QP at the highest
+  reachable return, and when that breaks the risk budget finds the return
+  at which the frontier variance equals the budget, stepping along the
+  variance's quadratic pieces inside a bisection bracket;
+* max-Sharpe solves the homogenised QP when some book beats the risk-free
+  rate, and otherwise scans the vertices of the capped simplex.
+
+A solution's ``iterations`` is the number of active-set iterations summed
+over the QPs of its projection (0 for the vertex scan). A brute-force
+simplex-grid oracle provides an independent check on the solver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .marketdata import MomentEstimates
 from .metrics import l1_distance
 
 DAYS_PER_YEAR = 365.0
+
+# feasibility and anchor tolerance of a converged row
+SOLVER_TOL = 1e-8
+# cap on active-set iterations per QP, and on root-search steps per max_ret
+MAX_ITER = 200
+
+# kernel tolerances, relative to normalised rows and the iterate's scale
+_EPS = 1e-12  # blocking, ratio ties and null steps
+# a row counts as active at the start only when it holds to rounding; a
+# looser test would freeze a small slack into the answer
+_ACTIVE_TOL = 1e-15
+_INDEPENDENT_TOL = 1e-9  # residual norm of a row against the working rows
+_MULT_TOL = 1e-10  # negative multiplier, relative to the gradient
+_BUDGET_TOL = 1e-11  # |V - V0| / V0 at which the risk budget binds
 
 
 class Strategy(Enum):
@@ -83,50 +113,10 @@ def sharpe(mu: float, sigma: float, rf_daily: float = 0.0) -> float:
     return 0.0
 
 
-def project_capped_simplex(v, cap: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= w <= cap, sum w = 1}.
-
-    Solved by bisection on the shift tau in w_i = clip(v_i - tau, 0, cap);
-    the constrained mass is monotone in tau.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    if n * cap < 1.0 - 1e-12:
-        raise ValueError(f"cap {cap} with {n} assets cannot reach full investment")
-    lo = float(v.min()) - cap - 1.0
-    hi = float(v.max())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        mass = float(np.clip(v - mid, 0.0, cap).sum())
-        if mass > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    w = np.clip(v - 0.5 * (lo + hi), 0.0, cap)
-    total = w.sum()
-    if total > 0:
-        w = w / total
-    return np.minimum(w, cap)
-
-
 def _moments_of(w: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     m = float(w @ mu)
     var = float(w @ cov @ w)
     return m, math.sqrt(max(var, 0.0))
-
-
-def _mu_extreme(mu: np.ndarray, cap: float, maximize: bool) -> float:
-    """Exact extreme of w·mu over the capped simplex, by greedy filling."""
-    order = np.argsort(-mu, kind="stable") if maximize else np.argsort(mu, kind="stable")
-    left = 1.0
-    total = 0.0
-    for i in order:
-        take = min(cap, left)
-        total += take * float(mu[i])
-        left -= take
-        if left <= 1e-15:
-            break
-    return total
 
 
 @dataclass(frozen=True)
@@ -201,10 +191,13 @@ def _finish(
     ok: bool,
     iterations: int,
     reason: str,
-    anchor_check,
-    solver_tol: float,
+    anchor_check=None,
 ) -> FrontierSolution:
-    """Clean up solver output, verify constraints, embed into full space."""
+    """Clean up solver output, verify constraints, embed into full space.
+
+    Weights that fail the feasibility check come back as a non-converged
+    row carrying the observed book, like every other non-converged branch.
+    """
     w = np.array(w_sub, dtype=float)
     w[(w < 0.0) & (w > -1e-10)] = 0.0
     w = w + 0.0  # normalize -0.0
@@ -213,20 +206,18 @@ def _finish(
         w = w / total
 
     feasible = (
-        abs(float(w.sum()) - 1.0) <= solver_tol
-        and float(w.min()) >= -solver_tol
-        and float(w.max()) <= inst.cap + solver_tol
+        abs(float(w.sum()) - 1.0) <= SOLVER_TOL
+        and float(w.min()) >= -SOLVER_TOL
+        and float(w.max()) <= inst.cap + SOLVER_TOL
     )
+    if not feasible:
+        w, ok, anchor_check = inst.w0, False, None
+        reason = reason or "constraint violation above tolerance"
     mu_p, sigma_p = _moments_of(w, inst.mu, inst.cov)
     anchored = anchor_check(mu_p, sigma_p) if anchor_check is not None else True
-    converged = bool(ok and feasible and anchored)
+    converged = bool(ok and anchored)
     if not converged and not reason:
-        if not feasible:
-            reason = "constraint violation above tolerance"
-        elif not anchored:
-            reason = "anchor violation above tolerance"
-        else:
-            reason = "solver did not converge"
+        reason = "anchor violation above tolerance" if not anchored else "solver did not converge"
     full = _embed(inst, w)
     full_w0 = _embed(inst, inst.w0)
     return FrontierSolution(
@@ -241,23 +232,204 @@ def _finish(
     )
 
 
-def _slsqp(objective, jac, start, constraints, bounds, max_iter):
-    with warnings.catch_warnings():
-        # the line search routinely probes outside the box and clips;
-        # convergence is judged from the result status, not this chatter
-        warnings.filterwarnings(
-            "ignore", message="Values in x were outside bounds"
-        )
-        res = minimize(
-            objective,
-            start,
-            jac=jac,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": max_iter, "ftol": 1e-12},
-        )
-    return res
+# ---------------------------------------------------------------------------
+# the QP kernel
+
+
+@dataclass(frozen=True)
+class QPResult:
+    """Outcome of one active-set QP.
+
+    ``working`` lists the inequality rows held active at ``x``.
+    """
+
+    x: np.ndarray
+    working: tuple[int, ...]
+    iterations: int
+    converged: bool
+
+
+def minimize(H, A, C, d, x0, hint: Sequence[int] = ()) -> QPResult:
+    """Minimise ½xᵀHx subject to Ax = A·x0 and Cx <= d, from a feasible x0.
+
+    A primal active-set method (Nocedal & Wright, *Numerical Optimization*,
+    Algorithm 16.3) for a positive semidefinite H. Every iterate stays
+    feasible: each step minimises over the null space of the equality rows
+    and a linearly independent working set of active inequality rows, then
+    moves as far toward that minimiser as the other rows allow.
+    Rows are normalised, so the blocking and multiplier tolerances are
+    relative, and Bland's smallest-index rule picks the row to add or drop,
+    which keeps degenerate vertices from cycling. Where more rows are active
+    than there are free variables, the working set holds only an independent
+    subset of them, so the KKT system never goes singular on that account.
+
+    ``hint`` names inequality rows to try first when the working set is
+    seeded from the rows active at x0, e.g. the previous solve's working
+    set. Iterations count factorisations of the working rows, at most
+    ``MAX_ITER``.
+    """
+    H = np.asarray(H, dtype=float)
+    A = np.asarray(A, dtype=float)
+    C = np.asarray(C, dtype=float)
+    x = np.array(x0, dtype=float)
+    n, k = x.size, A.shape[0]
+    A = A / np.linalg.norm(A, axis=1)[:, None]
+    c_norm = np.linalg.norm(C, axis=1)
+    C = C / c_norm[:, None]
+    d = np.asarray(d, dtype=float) / c_norm
+    H = H / max(float(np.abs(H).max()), 1e-300)
+
+    # seed the working set with active rows that are independent of the
+    # equality rows and of each other (Gram-Schmidt on the fly)
+    basis = np.linalg.qr(A.T)[0]
+    active = np.flatnonzero(d - C @ x <= _ACTIVE_TOL * max(1.0, float(np.abs(x).max())))
+    working: list[int] = []
+    for i in dict.fromkeys([*(h for h in hint if h in active), *active]):
+        if basis.shape[1] == n:
+            break
+        r = C[i] - basis @ (basis.T @ C[i])
+        norm = math.sqrt(float(r @ r))
+        if norm > _INDEPENDENT_TOL:
+            basis = np.column_stack([basis, r / norm])
+            working.append(int(i))
+    outside = np.ones(C.shape[0], dtype=bool)
+    outside[working] = False
+
+    # null-space steps: p = Z u with Z spanning the rows' null space, so a
+    # row that depends on the working rows never reads as blocking
+    for it in range(1, MAX_ITER + 1):
+        M = np.concatenate((A, C[working]))
+        m = M.shape[0]
+        Q, R = np.linalg.qr(M.T, mode="complete")
+        g = H @ x
+        if m < n:
+            Z = Q[:, m:]
+            reduced = Z.T @ H @ Z
+            try:
+                u = np.linalg.solve(reduced, -(Z.T @ g))
+            except np.linalg.LinAlgError:
+                u = np.linalg.lstsq(reduced, -(Z.T @ g), rcond=None)[0]
+            p = Z @ u
+            step = float(np.abs(p).max())
+            if step > _EPS * max(1.0, float(np.abs(x).max())):
+                # ratio test over the rows outside the working set
+                cp = C @ p
+                blocking = np.flatnonzero(outside & (cp > _EPS * step))
+                if blocking.size:
+                    slack = np.maximum(d[blocking] - C[blocking] @ x, 0.0)
+                    ratios = slack / cp[blocking]
+                    least = float(ratios.min())
+                    if least < 1.0:
+                        block = int(blocking[np.flatnonzero(ratios <= least + _EPS)[0]])
+                        x = x + least * p
+                        working.append(block)
+                        outside[block] = False
+                        continue
+                x = x + p
+                g = H @ x
+        # x minimises over the working rows' null space: test the multipliers
+        lam = np.linalg.solve(R[:m], -(Q[:, :m].T @ g))
+        grad = max(float(np.abs(g).max()), 1e-300)
+        negative = [working[j] for j in np.flatnonzero(lam[k:] < -_MULT_TOL * grad)]
+        if not negative:
+            return QPResult(x, tuple(sorted(working)), it, True)
+        drop = min(negative)
+        working.remove(drop)
+        outside[drop] = True
+    return QPResult(x, tuple(sorted(working)), MAX_ITER, False)
+
+
+# ---------------------------------------------------------------------------
+# the capped simplex and its three projections
+
+
+def _greedy_vertex(mu: np.ndarray, cap: float, maximize: bool) -> np.ndarray:
+    """The capped-simplex vertex with extreme w·mu, by greedy filling."""
+    order = np.argsort(-mu, kind="stable") if maximize else np.argsort(mu, kind="stable")
+    w = np.zeros(mu.size)
+    left = 1.0
+    for i in order:
+        w[i] = min(cap, left)
+        left -= w[i]
+        if left <= 1e-15:
+            break
+    return w
+
+
+@dataclass(frozen=True)
+class _Simplex:
+    """The capped simplex on the support, with its return extremes.
+
+    Inequality rows are -w <= 0 then w <= cap, so Bland's rule prefers
+    lower bounds. ``ret`` is the return row rescaled to
+    (mu - mu_lo) / (mu_hi - mu_lo), so the anchor t runs over [0, 1];
+    it is None when the return is the same for every feasible book.
+    """
+
+    cov: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
+    w_lo: np.ndarray
+    w_hi: np.ndarray
+    mu_lo: float
+    mu_hi: float
+    ret: np.ndarray | None
+
+    @classmethod
+    def of(cls, inst: _Instance) -> "_Simplex":
+        n = inst.mu.size
+        w_lo = _greedy_vertex(inst.mu, inst.cap, maximize=False)
+        w_hi = _greedy_vertex(inst.mu, inst.cap, maximize=True)
+        mu_lo, mu_hi = float(w_lo @ inst.mu), float(w_hi @ inst.mu)
+        span = mu_hi - mu_lo
+        # a flat mean vector makes the return row redundant with full
+        # investment and would degenerate the constraint system
+        ret = (inst.mu - mu_lo) / span if span > 1e-12 else None
+        C = np.vstack([-np.eye(n), np.eye(n)])
+        d = np.concatenate([np.zeros(n), np.full(n, inst.cap)])
+        return cls(inst.cov, C, d, w_lo, w_hi, mu_lo, mu_hi, ret)
+
+    def gmv(self) -> QPResult:
+        """The global minimum-variance book, started from equal weights."""
+        n = self.w_lo.size
+        return minimize(self.cov, np.ones((1, n)), self.C, self.d, np.full(n, 1.0 / n))
+
+    def min_var(self, t: float, start=None, hint: Sequence[int] = ()) -> QPResult:
+        """The minimum-variance book at scaled return t.
+
+        Needs a return row. The default start is the convex combination of
+        w_lo and w_hi at t.
+        """
+        if start is None:
+            start = (1.0 - t) * self.w_lo + t * self.w_hi
+        A = np.vstack([np.ones(self.w_lo.size), self.ret])
+        return minimize(self.cov, A, self.C, self.d, start, hint)
+
+    def tangent(self, x: np.ndarray, working: Sequence[int]) -> np.ndarray | None:
+        """d x / d t of the min-variance book while ``working`` stays active.
+
+        None when fewer than two weights are free, so the working set
+        admits no move along t.
+        """
+        n = x.size
+        free = np.ones(n, dtype=bool)
+        free[[i % n for i in working]] = False
+        f = int(free.sum())
+        if f < 2:
+            return None
+        kkt = np.zeros((f + 2, f + 2))
+        kkt[:f, :f] = self.cov[np.ix_(free, free)]
+        kkt[f, :f] = kkt[:f, f] = 1.0
+        kkt[f + 1, :f] = kkt[:f, f + 1] = self.ret[free]
+        rhs = np.zeros(f + 2)
+        rhs[-1] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        dx = np.zeros(n)
+        dx[free] = sol[:f]
+        return dx
 
 
 def solve(
@@ -266,9 +438,6 @@ def solve(
     m: MomentEstimates,
     constraints: ConstraintSet | None = None,
     rf_annual: float = 0.0,
-    *,
-    solver_tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> FrontierSolution:
     """Project an observed weight vector onto one frontier strategy.
 
@@ -278,173 +447,156 @@ def solve(
     return is reachable under the cap and relaxes to at-least-as-much when
     the observed book itself violates the cap; the risk anchor is an
     at-most budget, which the optimum exhausts whenever doing so pays. The
-    max-Sharpe projection ignores the anchors entirely and is started
-    independently of ``w0``, so identical moments give identical tangency
-    books no matter the observed weights.
+    max-Sharpe projection ignores the anchors entirely and never looks at
+    ``w0``, so identical moments give identical tangency books no matter
+    the observed weights.
 
     Infeasible anchors come back as non-converged solutions with a reason
     rather than exceptions; malformed inputs raise ValueError.
     """
     inst, reason = _unpack(w0, m, constraints)
     if reason:
-        return _finish(strategy, inst, inst.w0, False, 0, reason, None, solver_tol)
-
-    n = inst.support.size
-    bounds = [(0.0, inst.cap)] * n
-    ones = np.ones(n)
-    sum_con = {"type": "eq", "fun": lambda w: float(w.sum()) - 1.0, "jac": lambda w: ones}
-
+        return _finish(strategy, inst, inst.w0, False, 0, reason)
     if strategy is Strategy.MIN_VAR:
-        return _solve_min_var(inst, bounds, sum_con, solver_tol, max_iter)
+        return _solve_min_var(inst)
     if strategy is Strategy.MAX_RET:
-        return _solve_max_ret(inst, bounds, sum_con, solver_tol, max_iter)
+        return _solve_max_ret(inst)
     if strategy is Strategy.MAX_SR:
-        return _solve_max_sr(inst, bounds, sum_con, rf_annual, solver_tol, max_iter)
+        return _solve_max_sr(inst, rf_annual / DAYS_PER_YEAR)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _solve_min_var(inst, bounds, sum_con, solver_tol, max_iter):
-    mu, cov = inst.mu, inst.cov
-    mu_lo = _mu_extreme(mu, inst.cap, maximize=False)
-    mu_hi = _mu_extreme(mu, inst.cap, maximize=True)
-    if inst.anchor_mu > mu_hi + solver_tol:
+def _solve_min_var(inst: _Instance) -> FrontierSolution:
+    box = _Simplex.of(inst)
+    if inst.anchor_mu > box.mu_hi + SOLVER_TOL:
         return _finish(
             Strategy.MIN_VAR, inst, inst.w0, False, 0,
-            "anchor return unreachable under the cap", None, solver_tol,
+            "anchor return unreachable under the cap",
         )
-    # reachable anchors bind exactly; an anchor below the reachable range
-    # (cap-violating observed book) relaxes to an at-least constraint; a
-    # flat mean vector makes the anchor redundant with full investment and
-    # would degenerate the constraint system, so it is dropped
-    cons = [sum_con]
-    if float(mu.max() - mu.min()) > 1e-12:
-        kind = "eq" if inst.anchor_mu >= mu_lo - solver_tol else "ineq"
-        cons.append(
-            {
-                "type": kind,
-                "fun": lambda w: float(w @ mu) - inst.anchor_mu,
-                "jac": lambda w: mu,
-            }
-        )
-    start = project_capped_simplex(inst.w0, inst.cap)
-    res = _slsqp(
-        lambda w: float(w @ cov @ w),
-        lambda w: 2.0 * (cov @ w),
-        start,
-        cons,
-        bounds,
-        max_iter,
-    )
-    check = lambda mu_p, sigma_p: mu_p >= inst.anchor_mu - solver_tol
+    # an anchor below the reachable range (cap-violating observed book) is
+    # met by every feasible book, so the at-least anchor leaves the GMV;
+    # so does a flat return
+    if box.ret is None or inst.anchor_mu < box.mu_lo - SOLVER_TOL:
+        res = box.gmv()
+    else:
+        t = (inst.anchor_mu - box.mu_lo) / (box.mu_hi - box.mu_lo)
+        res = box.min_var(min(max(t, 0.0), 1.0))
+    check = lambda mu_p, sigma_p: mu_p >= inst.anchor_mu - SOLVER_TOL
     return _finish(
-        Strategy.MIN_VAR, inst, res.x, res.success, res.nit, "", check, solver_tol
+        Strategy.MIN_VAR, inst, res.x, res.converged, res.iterations, "", check
     )
 
 
-def _solve_max_ret(inst, bounds, sum_con, solver_tol, max_iter):
-    mu, cov = inst.mu, inst.cov
-    target_var = inst.anchor_sigma**2
-    anchor_con = {
-        "type": "ineq",
-        "fun": lambda w: target_var - float(w @ cov @ w),
-        "jac": lambda w: -2.0 * (cov @ w),
-    }
-    start = project_capped_simplex(inst.w0, inst.cap)
-    res = _slsqp(
-        lambda w: -float(w @ mu),
-        lambda w: -mu,
-        start,
-        [sum_con, anchor_con],
-        bounds,
-        max_iter,
-    )
-    check = lambda mu_p, sigma_p: sigma_p <= inst.anchor_sigma + solver_tol
-    out = _finish(
-        Strategy.MAX_RET, inst, res.x, res.success, res.nit, "", check, solver_tol
-    )
-    if out.converged:
-        return out
-    # distinguish an infeasible risk budget from a solver failure: compare
-    # the anchor against the smallest reachable variance
-    aux = _slsqp(
-        lambda w: float(w @ cov @ w),
-        lambda w: 2.0 * (cov @ w),
-        project_capped_simplex(np.full(inst.support.size, 1.0 / inst.support.size), inst.cap),
-        [sum_con],
-        bounds,
-        max_iter,
-    )
-    if aux.success and float(aux.x @ cov @ aux.x) > target_var + solver_tol:
-        return _finish(
-            Strategy.MAX_RET, inst, inst.w0, False, res.nit + aux.nit,
-            "risk budget below the feasible minimum", None, solver_tol,
-        )
-    return out
+def _solve_max_ret(inst: _Instance) -> FrontierSolution:
+    """Max return at variance <= V0, as the frontier point at the budget.
 
-
-def _stationary_enough(x, grad, cap, rel_tol=1e-6) -> bool:
-    """Projected KKT residual test for min f over the capped simplex.
-
-    SLSQP can stall in its line search right at the optimum when the
-    objective leaves no float headroom below ``ftol`` (status 8). A small
-    projected-gradient residual certifies such a point rather than
-    discarding a correct answer.
+    The frontier variance V(t) of the min-variance book at scaled return t
+    is convex in t and increasing on [t_gmv, 1]. While the working set
+    holds, the book moves linearly in t and V is quadratic, so each step
+    goes to the root of that quadratic and starts the next QP at the book
+    it predicts; a bisection guard keeps the steps inside the bracket.
     """
-    free = (x > 1e-9) & (x < cap - 1e-9)
-    lam = float(grad[free].mean()) if free.any() else float(np.median(grad))
-    r = grad - lam
-    viol = 0.0
-    for xi, ri, is_free in zip(x, r, free):
-        if is_free:
-            viol = max(viol, abs(ri))
-        elif xi <= 1e-9:
-            viol = max(viol, -ri if ri < 0.0 else 0.0)  # lower bound: r >= 0
+    box = _Simplex.of(inst)
+    budget = inst.anchor_sigma**2
+    check = lambda mu_p, sigma_p: sigma_p <= inst.anchor_sigma + SOLVER_TOL
+    gmv = box.gmv()
+    iterations = gmv.iterations
+    var_gmv = float(gmv.x @ inst.cov @ gmv.x)
+    if gmv.converged and math.sqrt(var_gmv) > inst.anchor_sigma + SOLVER_TOL:
+        return _finish(
+            Strategy.MAX_RET, inst, inst.w0, False, iterations,
+            "risk budget below the feasible minimum",
+        )
+    if not gmv.converged or box.ret is None or var_gmv >= budget:
+        return _finish(Strategy.MAX_RET, inst, gmv.x, gmv.converged, iterations, "", check)
+
+    res = box.min_var(1.0)
+    iterations += res.iterations
+    var = float(res.x @ inst.cov @ res.x)
+    if not res.converged or var <= budget:
+        return _finish(Strategy.MAX_RET, inst, res.x, res.converged, iterations, "", check)
+
+    # bracket V(lo_t) <= V0 < V(hi_t), with a feasible book at each end
+    lo_t, lo_x = float(gmv.x @ box.ret), gmv.x
+    hi_t, hi_x = 1.0, res.x
+    t = 1.0
+    for _ in range(MAX_ITER):
+        gap = budget - var
+        if abs(gap) <= _BUDGET_TOL * budget or hi_t - lo_t <= 4e-16:
+            break
+        dx = box.tangent(res.x, res.working)
+        step, start = math.nan, None
+        if dx is not None:
+            slope = 2.0 * float(res.x @ inst.cov @ dx)
+            curvature = 2.0 * float(dx @ inst.cov @ dx)
+            denom = slope + math.sqrt(max(slope * slope + 2.0 * curvature * gap, 0.0))
+            if denom > 0.0:
+                step = t + 2.0 * gap / denom
+        if lo_t < step < hi_t:
+            start = res.x + (step - t) * dx
+            t = step
         else:
-            viol = max(viol, ri if ri > 0.0 else 0.0)  # at cap: r <= 0
-    return viol <= rel_tol * max(1.0, float(np.abs(grad).max()))
+            t = 0.5 * (lo_t + hi_t)
+        if start is None or start.min() < 0.0 or start.max() > inst.cap:
+            start = lo_x + (t - lo_t) / (hi_t - lo_t) * (hi_x - lo_x)
+        res = box.min_var(t, start, res.working)
+        iterations += res.iterations
+        if not res.converged:
+            break
+        var = float(res.x @ inst.cov @ res.x)
+        if var > budget:
+            hi_t, hi_x = t, res.x
+        else:
+            lo_t, lo_x = t, res.x
+    # converge only where the budget binds; an interior stop loses return
+    binds = res.converged and abs(var - budget) <= _BUDGET_TOL * budget
+    return _finish(Strategy.MAX_RET, inst, res.x, binds, iterations, "", check)
 
 
-def _solve_max_sr(inst, bounds, sum_con, rf_annual, solver_tol, max_iter):
-    mu, cov = inst.mu, inst.cov
-    n = inst.support.size
-    rf_daily = rf_annual / DAYS_PER_YEAR
-    eps = 1e-12
+def _solve_max_sr(inst: _Instance, rf_daily: float) -> FrontierSolution:
+    """Max Sharpe over the capped simplex, independent of the observed book.
 
-    def objective(w):
-        excess = float(w @ mu) - rf_daily
-        sig = max(math.sqrt(max(float(w @ cov @ w), 0.0)), eps)
-        return -excess / sig
-
-    def jac(w):
-        excess = float(w @ mu) - rf_daily
-        var = max(float(w @ cov @ w), 0.0)
-        sig = max(math.sqrt(var), eps)
-        grad_sigma = (cov @ w) / sig if sig > eps else np.zeros(n)
-        return -(mu * sig - excess * grad_sigma) / (sig * sig)
-
-    # w0-independent starts: uniform plus a tilt toward the single asset
-    # with the best standalone Sharpe, so the solver sees each likely basin
-    single = np.array(
-        [sharpe(float(mu[i]), math.sqrt(max(float(cov[i, i]), 0.0)), rf_daily) for i in range(n)]
+    With some book above r_f this is the homogenised QP (Cornuéjols &
+    Tütüncü, *Optimization Methods in Finance*, §8.2): min yᵀΣy subject to
+    (mu - r_f)ᵀy = 1, y >= 0 and y_i <= cap·Σy, then w = y / Σy. Otherwise
+    every excess return is <= 0, the Sharpe ratio is a convex function on
+    the perspective image of the capped simplex, and its maximum sits at a
+    vertex, so the vertices are scanned exactly.
+    """
+    n = inst.mu.size
+    w_hi = _greedy_vertex(inst.mu, inst.cap, maximize=True)
+    excess_hi = float(w_hi @ inst.mu) - rf_daily
+    if excess_hi <= 0.0:
+        return _finish(Strategy.MAX_SR, inst, _best_vertex(inst, rf_daily), True, 0, "")
+    C = np.vstack([-np.eye(n), np.eye(n) - inst.cap])
+    res = minimize(
+        inst.cov, ((inst.mu - rf_daily) / excess_hi)[None, :], C, np.zeros(2 * n), w_hi
     )
-    best_single = int(np.argmax(single))
-    tilt = np.full(n, (1.0 - inst.cap) / (n - 1))
-    tilt[best_single] = inst.cap
-    starts = [np.full(n, 1.0 / n), project_capped_simplex(tilt, inst.cap)]
-
-    best = None
-    best_key = None
-    iterations = 0
-    for start in starts:
-        res = _slsqp(objective, jac, start, [sum_con], bounds, max_iter)
-        iterations += res.nit
-        key = (not res.success, objective(res.x))  # prefer success, then value
-        if best is None or key < best_key:
-            best, best_key = res, key
-    converged = best.success or _stationary_enough(best.x, jac(best.x), inst.cap)
     return _finish(
-        Strategy.MAX_SR, inst, best.x, converged, iterations, "", None, solver_tol
+        Strategy.MAX_SR, inst, res.x / res.x.sum(), res.converged, res.iterations, ""
     )
+
+
+def _best_vertex(inst: _Instance, rf_daily: float) -> np.ndarray:
+    """The capped-simplex vertex with the highest Sharpe ratio.
+
+    A vertex holds k = floor(1/cap) assets at the cap, at most one asset at
+    the remainder and the rest at zero. Ties go to the first vertex in
+    enumeration order.
+    """
+    n, cap = inst.mu.size, inst.cap
+    full = min(int(math.floor(1.0 / cap + 1e-12)), n)
+    rest = 1.0 - full * cap
+    vertices = []
+    for capped in itertools.combinations(range(n), full):
+        partial = [i for i in range(n) if i not in capped] if rest > 1e-12 else [None]
+        for j in partial:
+            w = np.zeros(n)
+            w[list(capped)] = cap
+            if j is not None:
+                w[j] = rest
+            vertices.append(w)
+    return max(vertices, key=lambda w: sharpe(*_moments_of(w, inst.mu, inst.cov), rf_daily))
 
 
 def naive_weights(

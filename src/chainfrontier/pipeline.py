@@ -10,7 +10,9 @@ Every stage writes its outputs partition by partition (per token or per
 snapshot month) through atomic renames, and a manifest records a content
 hash of each stage's inputs and outputs. A rerun with unchanged inputs
 skips completed partitions; deleting one partition file regenerates just
-that partition.
+that partition. The month-partitioned stages (snapshot, optimize, metrics)
+also delete the month files that are no longer among their partitions, so
+a calendar change leaves the same files as a fresh build.
 
 The inputs that all of a stage's partitions share (filled prices, and for
 snapshot the passed tokens' ledgers) are loaded once per stage, and only
@@ -277,6 +279,22 @@ def _run_tasks(
     manifest[stage] = {"inputs": input_hash, "partitions": recorded}
     storage.write_manifest(manifest_path(ws), manifest)
     return [task.name for task in todo]
+
+
+def _month_files(directory: Path) -> list[Path]:
+    return sorted(Path(directory).glob("*.csv"))
+
+
+def _drop_stale_months(directory: Path, tasks: Sequence[_Task]) -> None:
+    """Delete the month files in ``directory`` that no task writes.
+
+    Downstream stages take their months from the files on disk, so a month
+    the calendar no longer holds must not outlive the change.
+    """
+    current = {path for task in tasks for path in task.out_paths}
+    for path in _month_files(directory):
+        if path not in current:
+            path.unlink()
 
 
 def _require(path: Path, produced_by: str) -> Path:
@@ -565,15 +583,12 @@ def stage_snapshot(cfg: PipelineConfig) -> list[str]:
         )
         for snap in calendar
     ]
+    _drop_stale_months(snapshots_dir(ws), tasks)
     return _run_tasks(ws, "snapshot", input_hash, tasks, cfg.workers, load)
 
 
 # ---------------------------------------------------------------------------
 # optimize stage
-
-
-def _month_files(directory: Path) -> list[Path]:
-    return sorted(Path(directory).glob("*.csv"))
 
 
 def _window_cache(
@@ -677,6 +692,7 @@ def stage_optimize(cfg: PipelineConfig) -> list[str]:
         )
         for path in months
     ]
+    _drop_stale_months(solutions_dir(ws), tasks)
     load = functools.partial(_filled_prices, ws)
     return _run_tasks(ws, "optimize", input_hash, tasks, cfg.workers, load)
 
@@ -757,6 +773,7 @@ def stage_metrics(cfg: PipelineConfig) -> list[str]:
         )
         for path in months
     ]
+    _drop_stale_months(perf_dir(ws), tasks)
     load = functools.partial(_filled_prices, ws)
     return _run_tasks(ws, "metrics", input_hash, tasks, cfg.workers, load)
 

@@ -137,6 +137,14 @@ def test_fit_caps_asymptote_at_100():
     assert fit.gamma > 0.0
 
 
+def test_fit_pinned_at_the_cap_is_not_converged():
+    # means still rising linearly at n = 40 ask for an asymptote above 100
+    bins = tuple(SizeBin(n=n, mean_d=2.0 * n, count=50) for n in range(2, 41))
+    fit = fit_power_decay(bins)
+    assert fit.delta_inf == pytest.approx(100.0, abs=1e-6)
+    assert not fit.converged
+
+
 def test_weighted_sse_quadruple_count_doubles_weight():
     b = SizeBin(n=4, mean_d=30.0, count=25)
     b4 = SizeBin(n=4, mean_d=30.0, count=100)

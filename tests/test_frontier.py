@@ -3,26 +3,27 @@
 Analytic expectations are derived by hand: unconstrained two-asset
 minimum-variance and tangency books have closed forms, and the equal-risk
 max-return case reduces to a quadratic in one weight. The grid oracle then
-cross-checks the smooth solver on random instances without sharing any
-code with it.
+cross-checks the solver on random instances without sharing any code with
+it, and a test-only SciPy SLSQP reference does the same for books of five
+to eight assets, beyond the oracle's reach.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 from chainfrontier.frontier import (
+    DAYS_PER_YEAR,
     ConstraintSet,
     NaiveStrategy,
     Strategy,
     grid_oracle,
     naive_weights,
-    project_capped_simplex,
     sharpe,
     solve,
 )
@@ -31,43 +32,6 @@ from helpers import lipschitz_bound, moments
 
 def two_asset(means, cov):
     return moments(["A", "B"], means, cov)
-
-
-# ---------------------------------------------------------------------------
-# projection onto the capped simplex
-# ---------------------------------------------------------------------------
-
-
-def test_projection_feasible_point_is_fixed():
-    w = np.array([0.3, 0.7])
-    got = project_capped_simplex(w, cap=0.9)
-    assert np.allclose(got, w, atol=1e-12)
-
-
-def test_projection_caps_heavy_weight():
-    got = project_capped_simplex(np.array([0.95, 0.05]), cap=0.9)
-    assert got[0] == pytest.approx(0.9, abs=1e-9)
-    assert got.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_projection_infeasible_cap_raises():
-    with pytest.raises(ValueError):
-        project_capped_simplex(np.array([1.0]), cap=0.9)
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    n=st.integers(2, 6),
-    seed=st.integers(0, 10_000),
-    cap=st.sampled_from([0.6, 0.9, 1.0]),
-)
-def test_projection_lands_in_feasible_set(n, seed, cap):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(0, 1, n)
-    w = project_capped_simplex(v, cap)
-    assert w.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(w >= -1e-12)
-    assert np.all(w <= cap + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +165,86 @@ def test_max_ret_infeasible_risk_budget_is_flagged():
     sol = solve(Strategy.MAX_RET, [0.95, 0.05], m)
     assert not sol.converged
     assert "risk budget" in sol.reason
+
+
+def test_max_ret_budget_below_minimum_on_cap_violating_book():
+    # the observed book breaks the cap; its variance sits below the capped
+    # minimum, which once made a best-effort row fail the weight checks
+    m = two_asset(
+        [-0.0020525992592274243, -0.002554938605083095],
+        [
+            [0.001261803523892537, 0.00020171526303697292],
+            [0.00020171526303697292, 0.00018405945132404382],
+        ],
+    )
+    sol = solve(Strategy.MAX_RET, [0.005635010312728259, 0.9943649896872717], m)
+    assert not sol.converged
+    assert sol.reason == "risk budget below the feasible minimum"
+
+
+def test_max_ret_spends_its_budget():
+    # a converged row either sits on the risk budget or is the max-return
+    # point itself; stopping inside the budget would give up return
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        mu = rng.normal(0.001, 0.01, n)
+        A = rng.normal(0, 0.02, (n, n))
+        cov = A @ A.T + np.eye(n) * 1e-6
+        w0 = rng.dirichlet(np.ones(n))
+        if w0.max() > 0.9:
+            continue
+        sol = solve(Strategy.MAX_RET, w0, moments([f"T{i}" for i in range(n)], mu, cov))
+        assert sol.converged
+        top = np.sort(mu)[::-1]
+        mu_hi = 0.9 * top[0] + 0.1 * top[1]
+        sigma0 = math.sqrt(float(w0 @ cov @ w0))
+        assert abs(sol.sigma - sigma0) <= 1e-8 or sol.mu >= mu_hi - 1e-12
+
+
+def test_max_return_vertex_over_budget():
+    # cap 0.5 makes the max-return face the single vertex (0.5, 0.5, 0):
+    # three active bounds and two equality rows on three weights
+    mu = np.array([0.03, 0.02, 0.01])
+    cov = np.array([[0.04, 0.03, 0.0], [0.03, 0.04, 0.0], [0.0, 0.0, 0.001]])
+    m = moments(["A", "B", "C"], mu, cov)
+    cons = ConstraintSet(w_max=0.5, support=(0, 1, 2))
+    w0 = np.array([0.1, 0.4, 0.5])
+    sigma0 = math.sqrt(float(w0 @ cov @ w0))
+    sol = solve(Strategy.MAX_RET, w0, m, cons)
+    assert sol.converged
+    assert sol.sigma == pytest.approx(sigma0, abs=1e-8)
+    assert float(w0 @ mu) < sol.mu < 0.025
+    ora = grid_oracle(Strategy.MAX_RET, w0, m, cons, step=0.01)
+    assert sol.mu >= ora.mu - 1e-12
+    # anchored at the vertex, min-variance has one feasible point: the vertex
+    sol = solve(Strategy.MIN_VAR, [0.5, 0.5, 0.0], m, cons)
+    assert sol.converged
+    assert sol.weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+
+
+def test_means_tied_at_the_cap_boundary():
+    # B and C tie for the last 0.1 of the max-return book, so the face is a
+    # segment; max-return takes its least risky point, which favours C
+    mu = np.array([0.02, 0.01, 0.01])
+    cov = np.diag([0.01, 0.04, 0.0025])
+    m = moments(["A", "B", "C"], mu, cov)
+    w0 = np.array([0.1, 0.8, 0.1])
+    sol = solve(Strategy.MAX_RET, w0, m)
+    assert sol.converged
+    assert sol.mu == pytest.approx(0.019, abs=1e-12)
+    assert sol.weights[0] == pytest.approx(0.9, abs=1e-9)
+    assert sol.weights[2] > sol.weights[1]
+    for strategy in Strategy:
+        sol = solve(strategy, w0, m)
+        ora = grid_oracle(strategy, w0, m, step=0.01)
+        assert sol.converged
+        if strategy is Strategy.MIN_VAR:
+            assert sol.sigma <= ora.sigma + 1e-12
+        elif strategy is Strategy.MAX_RET:
+            assert sol.mu >= ora.mu - 1e-12
+        else:
+            assert sharpe(sol.mu, sol.sigma) >= sharpe(ora.mu, ora.sigma) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +407,9 @@ def test_grid_oracle_rejects_bad_inputs():
 
 
 def test_solver_matches_grid_oracle():
-    # spot check; the acceptance suite runs the full 200-instance sweep
+    # spot check; the acceptance suite runs the full 200-instance sweep.
+    # Max-Sharpe also runs with r_f above every mean, where no book has
+    # positive excess return.
     rng = np.random.default_rng(2024)
     step = 0.01
     for _ in range(15):
@@ -375,9 +421,11 @@ def test_solver_matches_grid_oracle():
         if w0.max() > 0.9:
             continue
         m = moments([f"T{i}" for i in range(n)], mu, cov)
-        for strategy in Strategy:
-            sol = solve(strategy, w0, m)
-            ora = grid_oracle(strategy, w0, m, step=step)
+        cases = [(s, 0.0) for s in Strategy] + [(Strategy.MAX_SR, float(mu.max()) + 0.001)]
+        for strategy, rf_daily in cases:
+            rf_annual = rf_daily * DAYS_PER_YEAR
+            sol = solve(strategy, w0, m, rf_annual=rf_annual)
+            ora = grid_oracle(strategy, w0, m, step=step, rf_annual=rf_annual)
             assert sol.converged
             if strategy is Strategy.MIN_VAR:
                 got, ref = -sol.sigma, -ora.sigma
@@ -386,7 +434,85 @@ def test_solver_matches_grid_oracle():
                 got, ref = sol.mu, ora.mu
                 sigma_floor = ora.sigma
             else:
-                got, ref = sharpe(sol.mu, sol.sigma), sharpe(ora.mu, ora.sigma)
+                got = sharpe(sol.mu, sol.sigma, rf_daily)
+                ref = sharpe(ora.mu, ora.sigma, rf_daily)
                 sigma_floor = min(sol.sigma, ora.sigma)
-            lip = lipschitz_bound(strategy, mu, cov, 0.0, sigma_floor)
-            assert got >= ref - 2.0 * step * lip, (strategy, got, ref)
+            lip = lipschitz_bound(strategy, mu, cov, rf_daily, sigma_floor)
+            assert got >= ref - 2.0 * step * lip, (strategy, rf_daily, got, ref)
+
+
+# ---------------------------------------------------------------------------
+# SLSQP reference beyond the grid oracle's four assets
+
+
+def _slsqp_reference(strategy, w0, mu, cov, rf_daily, cap=0.9):
+    """Best converged, feasible SLSQP answer from two starts, or None."""
+    n = mu.size
+    cons = [{"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(n)}]
+    anchor_mu, budget = float(w0 @ mu), float(w0 @ cov @ w0)
+    if strategy is Strategy.MIN_VAR:
+        cons.append({"type": "eq", "fun": lambda w: w @ mu - anchor_mu, "jac": lambda w: mu})
+        f, jac = (lambda w: w @ cov @ w), (lambda w: 2.0 * cov @ w)
+    elif strategy is Strategy.MAX_RET:
+        cons.append(
+            {"type": "ineq", "fun": lambda w: budget - w @ cov @ w, "jac": lambda w: -2.0 * cov @ w}
+        )
+        f, jac = (lambda w: -(w @ mu)), (lambda w: -mu)
+    else:
+        def f(w):
+            return -(w @ mu - rf_daily) / math.sqrt(w @ cov @ w)
+
+        def jac(w):
+            sig = math.sqrt(w @ cov @ w)
+            return -(mu * sig - (w @ mu - rf_daily) * (cov @ w) / sig) / sig**2
+
+    best = None
+    for start in (w0, np.full(n, 1.0 / n)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = scipy_minimize(
+                f, start, jac=jac, method="SLSQP", bounds=[(0.0, cap)] * n,
+                constraints=cons, options={"maxiter": 500, "ftol": 1e-14},
+            )
+        w = res.x
+        feasible = (
+            abs(w.sum() - 1.0) <= 1e-8 and w.min() >= -1e-8 and w.max() <= cap + 1e-8
+        )
+        if strategy is Strategy.MIN_VAR:
+            feasible = feasible and w @ mu >= anchor_mu - 1e-8
+        if strategy is Strategy.MAX_RET:
+            feasible = feasible and math.sqrt(w @ cov @ w) <= math.sqrt(budget) + 1e-8
+        if res.success and feasible and (best is None or f(w) < f(best)):
+            best = w
+    return best
+
+
+def test_solver_matches_slsqp_reference_on_larger_books():
+    # wherever the reference converges, the kernel converges too, with an
+    # objective no worse than 1e-7 relative
+    rng = np.random.default_rng(8)
+    rf_daily = 0.05 / DAYS_PER_YEAR
+    checked = 0
+    for i in range(16):
+        n = 5 + i % 4
+        mu = rng.normal(0.001, 0.01, n)
+        F = rng.normal(0.0, 0.02, (n, 2))
+        cov = F @ F.T + np.diag(rng.uniform(1e-5, 1e-3, n))
+        w0 = rng.dirichlet(np.ones(n))
+        m = moments([f"T{j}" for j in range(n)], mu, cov)
+        for strategy in Strategy:
+            ref = _slsqp_reference(strategy, w0, mu, cov, rf_daily)
+            if ref is None:
+                continue
+            checked += 1
+            sol = solve(strategy, w0, m, rf_annual=0.05)
+            assert sol.converged, (i, strategy, sol.reason)
+            r_mu, r_sigma = float(ref @ mu), math.sqrt(float(ref @ cov @ ref))
+            if strategy is Strategy.MIN_VAR:
+                got, want = -sol.sigma, -r_sigma
+            elif strategy is Strategy.MAX_RET:
+                got, want = sol.mu, r_mu
+            else:
+                got, want = sharpe(sol.mu, sol.sigma, rf_daily), sharpe(r_mu, r_sigma, rf_daily)
+            assert got >= want - 1e-7 * abs(want), (i, strategy, got, want)
+    assert checked >= 40

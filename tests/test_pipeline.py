@@ -11,6 +11,7 @@ and the worker count changes wall time only, never bytes.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import shutil
 from collections import Counter
@@ -207,6 +208,23 @@ def test_decimals_edit_matches_fresh_build(copied, tmp_path):
     # the rerun's manifest also holds the synth entry of the original build
     rerun.pop("manifest.json")
     rebuilt.pop("manifest.json")
+    assert rerun == rebuilt
+
+
+def test_lookback_edit_matches_fresh_build(copied, tmp_path):
+    """A longer lookback drops early months, and their files must go too."""
+    longer = dataclasses.replace(copied, lookback_days=copied.lookback_days + 40)
+    assert 0 < len(snapshot_calendar(longer)) < len(snapshot_calendar(copied))
+    run_pipeline(longer)
+
+    fresh = dataclasses.replace(longer, workspace=tmp_path / "fresh")
+    shutil.copytree(longer.workspace / "input", fresh.workspace / "input")
+    run_pipeline(fresh, PIPELINE_STAGES[1:])
+    rerun, rebuilt = bundle(longer.workspace), bundle(fresh.workspace)
+    # the rerun's manifest also holds the synth entry of the original build
+    manifests = [json.loads(b.pop("manifest.json")) for b in (rerun, rebuilt)]
+    manifests[0].pop("synth")
+    assert manifests[0] == manifests[1]
     assert rerun == rebuilt
 
 
