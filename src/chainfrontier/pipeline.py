@@ -10,9 +10,10 @@ Every stage writes its outputs partition by partition (per token or per
 snapshot month) through atomic renames, and a manifest records a content
 hash of each stage's inputs and outputs. A rerun with unchanged inputs
 skips completed partitions; deleting one partition file regenerates just
-that partition. The month-partitioned stages (snapshot, optimize, metrics)
-also delete the month files that are no longer among their partitions, so
-a calendar change leaves the same files as a fresh build.
+that partition. Synth's event files, ingest's ledgers and the month files
+of snapshot, optimize and metrics that are no longer among a stage's
+partitions are deleted, so a token-count or calendar change leaves the
+same files as a fresh build.
 
 The inputs that all of a stage's partitions share (filled prices, and for
 snapshot the passed tokens' ledgers) are loaded once per stage, and only
@@ -29,7 +30,6 @@ import datetime as dt
 import functools
 import hashlib
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -258,6 +258,9 @@ def _run_tasks(
 
     if todo:
         if workers > 1 and len(todo) > 1:
+            # imported here so that a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # every worker pays for one load, so start no more than have work
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(todo)),
@@ -285,14 +288,15 @@ def _month_files(directory: Path) -> list[Path]:
     return sorted(Path(directory).glob("*.csv"))
 
 
-def _drop_stale_months(directory: Path, tasks: Sequence[_Task]) -> None:
-    """Delete the month files in ``directory`` that no task writes.
+def _drop_stale(directory: Path, tasks: Sequence[_Task]) -> None:
+    """Delete the CSV files in ``directory`` that no task writes.
 
-    Downstream stages take their months from the files on disk, so a month
-    the calendar no longer holds must not outlive the change.
+    Downstream stages hash whole directories and take their months from the
+    files on disk, so a token or month the config no longer holds must not
+    outlive the change.
     """
     current = {path for task in tasks for path in task.out_paths}
-    for path in _month_files(directory):
+    for path in Path(directory).glob("*.csv"):
         if path not in current:
             path.unlink()
 
@@ -366,6 +370,7 @@ def _synth_all(cfg: PipelineConfig) -> None:
 def stage_synth(cfg: PipelineConfig) -> list[str]:
     ws = cfg.workspace
     task = _Task("all", _synth_outputs(ws, cfg), _synth_all, (cfg,))
+    _drop_stale(events_dir(ws), [task])
     return _run_tasks(ws, "synth", _input_hash(cfg, "synth"), [task], workers=1)
 
 
@@ -447,6 +452,7 @@ def stage_ingest(cfg: PipelineConfig) -> list[str]:
         )
         for tid in sorted(decimals)
     ]
+    _drop_stale(ledgers_dir(ws), tasks)
     ran = _run_tasks(ws, "ingest", input_hash, tasks, cfg.workers)
 
     # the screening report depends on every ledger, so it runs serially
@@ -472,7 +478,7 @@ def _filled_prices(
     ``series`` is an already parsed ``prices.csv``; it is read when absent.
     """
     if series is None:
-        series, _ = storage.read_prices(prices_path(ws))
+        series = storage.read_prices(prices_path(ws))
     last = max(s.end for s in series.values())
     return {tid: forward_fill(s, through=last) for tid, s in series.items()}
 
@@ -486,7 +492,7 @@ def snapshot_calendar(
     """
     ws = cfg.workspace
     if series is None:
-        series, _ = storage.read_prices(_require(prices_path(ws), "synth"))
+        series = storage.read_prices(_require(prices_path(ws), "synth"))
     block_map = storage.read_block_map(_require(blockmap_path(ws), "synth"))
     first_day = min(s.start for s in series.values())
     last_day = max(s.end for s in series.values())
@@ -558,7 +564,7 @@ def stage_snapshot(cfg: PipelineConfig) -> list[str]:
     ws = cfg.workspace
     _require(filters_path(ws), "ingest")
     _require(ledgers_dir(ws), "ingest")
-    series = storage.read_prices(_require(prices_path(ws), "synth"))[0]
+    series = storage.read_prices(_require(prices_path(ws), "synth"))
     calendar = snapshot_calendar(cfg, series)
     # in-process, the load reuses the calendar's parse of prices.csv; pool
     # workers parse their own, so the forked pool inherits no copy of it
@@ -583,7 +589,7 @@ def stage_snapshot(cfg: PipelineConfig) -> list[str]:
         )
         for snap in calendar
     ]
-    _drop_stale_months(snapshots_dir(ws), tasks)
+    _drop_stale(snapshots_dir(ws), tasks)
     return _run_tasks(ws, "snapshot", input_hash, tasks, cfg.workers, load)
 
 
@@ -692,7 +698,7 @@ def stage_optimize(cfg: PipelineConfig) -> list[str]:
         )
         for path in months
     ]
-    _drop_stale_months(solutions_dir(ws), tasks)
+    _drop_stale(solutions_dir(ws), tasks)
     load = functools.partial(_filled_prices, ws)
     return _run_tasks(ws, "optimize", input_hash, tasks, cfg.workers, load)
 
@@ -773,7 +779,7 @@ def stage_metrics(cfg: PipelineConfig) -> list[str]:
         )
         for path in months
     ]
-    _drop_stale_months(perf_dir(ws), tasks)
+    _drop_stale(perf_dir(ws), tasks)
     load = functools.partial(_filled_prices, ws)
     return _run_tasks(ws, "metrics", input_hash, tasks, cfg.workers, load)
 

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .concentration import ConcentrationRow
 from .decayfit import DecayFit
+from .errors import InputError
 from .ingest import (
     ZERO_ACCOUNT,
     FilterReport,
@@ -208,24 +209,20 @@ def write_prices(
     write_csv(path, PRICE_HEADER, rows())
 
 
-def read_prices(
-    path: Path,
-) -> tuple[dict[str, PriceSeries], dict[str, dict[dt.date, float]]]:
-    """Load price series plus per-day market caps keyed by token."""
+def read_prices(path: Path) -> dict[str, PriceSeries]:
+    """Load each token's daily closes as a gapped price series."""
     observations: dict[str, dict[dt.date, float]] = {}
-    mcaps: dict[str, dict[dt.date, float]] = {}
-    for r in read_rows(path):
-        tid = r["token_id"]
-        day = dt.date.fromisoformat(r["date"])
-        observations.setdefault(tid, {})[day] = float(r["close_usd"])
-        cap = _opt_float(r["market_cap_usd"])
-        if cap is not None:
-            mcaps.setdefault(tid, {})[day] = cap
-    series = {
+    with Path(path).open(newline="") as fh:
+        rows = csv.reader(fh)
+        header = tuple(next(rows, ()))
+        if header != PRICE_HEADER:
+            raise InputError(f"{path}: expected columns {PRICE_HEADER}, got {header}")
+        for tid, day, close, *_ in rows:
+            observations.setdefault(tid, {})[dt.date.fromisoformat(day)] = float(close)
+    return {
         tid: PriceSeries.from_observations(tid, obs)
         for tid, obs in observations.items()
     }
-    return series, mcaps
 
 
 # ---------------------------------------------------------------------------

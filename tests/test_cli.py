@@ -6,11 +6,14 @@ unexpected failures. Everything here drives ``main`` in-process.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chainfrontier
 from chainfrontier.cli import main
 
 SMALL_CFG = """
@@ -109,3 +112,42 @@ def test_console_script_help():
     )
     assert result.returncode == 0
     assert "run the synth stage" in result.stdout
+
+
+# a no-op run, a report-only config change and validate, in one process
+SERIAL_CALLS = """
+import sys
+from pathlib import Path
+
+from chainfrontier.cli import main
+
+cfg = Path(sys.argv[1])
+assert main(["--config", str(cfg), "run"]) == 0
+cfg.write_text(cfg.read_text().replace("min_bin_count = 2", "min_bin_count = 3"))
+assert main(["--config", str(cfg), "run"]) == 0
+assert main(["--config", str(cfg), "validate"]) == 0
+print(" ".join(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+def test_serial_calls_load_neither_scipy_nor_the_process_pool(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # books of up to six tokens give the four size bins a decay fit needs
+    six = SMALL_CFG.replace("synth_max_size = 4", "synth_max_size = 6")
+    cfg.write_text(six + "workers = 1\nmin_bin_count = 2\n")
+    assert main(["--config", str(cfg), "run"]) == 0
+    src = str(Path(chainfrontier.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    result = subprocess.run(
+        [sys.executable, "-c", SERIAL_CALLS, str(cfg)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+    )
+    assert result.returncode == 0, result.stderr
+    *calls, loaded = result.stdout.splitlines()
+    assert "report: 1 partitions computed" in calls
+    # the report change refits the decay curves
+    fits = (tmp_path / "ws" / "report" / "decay_fit.csv").read_text().splitlines()
+    assert len(fits) > 1
+    assert loaded == ""

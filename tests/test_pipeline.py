@@ -228,6 +228,16 @@ def test_lookback_edit_matches_fresh_build(copied, tmp_path):
     assert rerun == rebuilt
 
 
+def test_token_count_edit_matches_fresh_build(copied, tmp_path):
+    """Fewer synthetic tokens drop event files and ledgers, which must go too."""
+    fewer = dataclasses.replace(copied, synth_tokens=copied.synth_tokens - 2)
+    run_pipeline(fewer)
+
+    fresh = dataclasses.replace(fewer, workspace=tmp_path / "fresh")
+    run_pipeline(fresh)
+    assert bundle(fewer.workspace) == bundle(fresh.workspace)
+
+
 def test_seed_change_rebuilds_everything(copied):
     reseeded = dataclasses.replace(copied, seed=copied.seed + 1)
     ran = run_pipeline(reseeded)

@@ -14,6 +14,7 @@ import pytest
 from chainfrontier import storage
 from chainfrontier.concentration import ConcentrationRow
 from chainfrontier.decayfit import DecayFit
+from chainfrontier.errors import InputError
 from chainfrontier.ingest import (
     ZERO_ACCOUNT,
     FilterReport,
@@ -108,10 +109,16 @@ def test_prices_round_trip_with_gap(tmp_path):
     volumes = {"X": (5.0, None, 7.0)}
     path = tmp_path / "prices.csv"
     storage.write_prices(path, series, mcaps, volumes)
-    back, caps = storage.read_prices(path)
+    back = storage.read_prices(path)
     assert back["X"].closes == (1.0, None, 3.0)
     assert back["X"].start == D(2021, 1, 1)
-    assert caps["X"] == {D(2021, 1, 1): 10.0, D(2021, 1, 3): 30.0}
+
+
+def test_read_prices_rejects_unexpected_columns(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("date,token_id,close_usd\n2021-01-01,X,1.0\n")
+    with pytest.raises(InputError, match="expected columns"):
+        storage.read_prices(path)
 
 
 def test_block_map_round_trip(tmp_path):
