@@ -6,23 +6,22 @@ and the maximum-Sharpe book. All share the same constraint set: fully
 invested, long-only, a per-asset cap, and support restricted to the assets
 the account already holds.
 
-Books hold a handful of assets, so every projection is a small dense QP
-solved exactly by one primal active-set routine, ``minimize``, started from
-a feasible book (a vertex of the capped simplex, a mix of two, or equal
-weights):
+All three lie on one piecewise-linear path, the minimiser w(λ) of
+½wᵀΣw − λμᵀw over that set, which ``Frontier`` traces once per book by
+Markowitz's critical-line algorithm. One active-set QP, ``minimize``, gives
+the global minimum-variance (GMV) book at λ = 0; the walk goes up from
+there along the efficient branch, or down when a min-variance anchor lies
+below the GMV's return. Each segment costs one KKT solve, and on it
+μ(λ) = m0 + m1·λ and V(λ) = K + m1·λ², so each projection is closed-form:
 
-* min-variance solves the QP at the return anchor, or the global
-  minimum-variance (GMV) QP when every feasible book meets the anchor;
-* max-return solves the GMV QP, then the min-variance QP at the highest
-  reachable return, and when that breaks the risk budget finds the return
-  at which the frontier variance equals the budget, stepping along the
-  variance's quadratic pieces inside a bisection bracket;
-* max-Sharpe solves the homogenised QP when some book beats the risk-free
-  rate, and otherwise scans the vertices of the capped simplex.
+* min-variance: λ = (μ_a − m0)/m1, or the GMV when every book meets μ_a;
+* max-return: λ² = (V0 − K)/m1, or the GMV when it spends the budget;
+* max-Sharpe: λ = K/(m0 − r_f), or a scan of the capped simplex's
+  vertices when no book beats the risk-free rate.
 
-A solution's ``iterations`` is the number of active-set iterations summed
-over the QPs of its projection (0 for the vertex scan). A brute-force
-simplex-grid oracle provides an independent check on the solver.
+A solution's ``iterations`` is the GMV's active-set iterations plus the
+segments walked to reach the projection (0 for the vertex scan). A
+brute-force simplex-grid oracle provides an independent check on the solver.
 """
 
 from __future__ import annotations
@@ -42,15 +41,14 @@ DAYS_PER_YEAR = 365.0
 
 # feasibility and anchor tolerance of a converged row
 SOLVER_TOL = 1e-8
-# cap on active-set iterations per QP, and on root-search steps per max_ret
+# cap on active-set iterations per QP, and on segments per walk
 MAX_ITER = 200
 
 # kernel tolerances, relative to normalised rows and the iterate's scale
-_EPS = 1e-12  # blocking, ratio ties and null steps
+_EPS = 1e-12  # blocking, ratio and event ties, null steps, flat means
 # a row counts as active at the start only when it holds to rounding; a
 # looser test would freeze a small slack into the answer
 _ACTIVE_TOL = 1e-15
-_INDEPENDENT_TOL = 1e-9  # residual norm of a row against the working rows
 _MULT_TOL = 1e-10  # negative multiplier, relative to the gradient
 _BUDGET_TOL = 1e-11  # |V - V0| / V0 at which the risk budget binds
 
@@ -233,15 +231,13 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# the QP kernel
+# the GMV kernel
 
 
 @dataclass(frozen=True)
 class QPResult:
-    """Outcome of one active-set QP.
-
-    ``working`` lists the inequality rows held active at ``x``.
-    """
+    """Outcome of one active-set QP. ``working`` lists the bound rows
+    held active at ``x``: row i is -x_i <= 0 and row n + i is x_i <= cap."""
 
     x: np.ndarray
     working: tuple[int, ...]
@@ -249,98 +245,85 @@ class QPResult:
     converged: bool
 
 
-def minimize(H, A, C, d, x0, hint: Sequence[int] = ()) -> QPResult:
-    """Minimise ½xᵀHx subject to Ax = A·x0 and Cx <= d, from a feasible x0.
+def _kkt(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve [[H, 1], [1ᵀ, 0]] x = rhs: a quadratic on the free weights
+    under the budget row, for one or more right-hand sides."""
+    f = H.shape[0]
+    kkt = np.ones((f + 1, f + 1))
+    kkt[:f, :f] = H
+    kkt[f, f] = 0.0
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        # a singular H on the budget's null space: the minimum-norm solution
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+
+
+def minimize(H, cap: float, x0) -> QPResult:
+    """Minimise ½xᵀHx subject to Σx = Σx0 and 0 <= x <= cap, from a feasible x0.
 
     A primal active-set method (Nocedal & Wright, *Numerical Optimization*,
-    Algorithm 16.3) for a positive semidefinite H. Every iterate stays
-    feasible: each step minimises over the null space of the equality rows
-    and a linearly independent working set of active inequality rows, then
-    moves as far toward that minimiser as the other rows allow.
-    Rows are normalised, so the blocking and multiplier tolerances are
-    relative, and Bland's smallest-index rule picks the row to add or drop,
-    which keeps degenerate vertices from cycling. Where more rows are active
-    than there are free variables, the working set holds only an independent
-    subset of them, so the KKT system never goes singular on that account.
-
-    ``hint`` names inequality rows to try first when the working set is
-    seeded from the rows active at x0, e.g. the previous solve's working
-    set. Iterations count factorisations of the working rows, at most
+    Algorithm 16.3) for a positive semidefinite H on the capped simplex.
+    Each step minimises over the weights that the working rows leave free
+    under the budget row, then moves as far as their bounds allow. A working
+    row fixes one weight, and at most n - 1 are held, so a vertex never makes
+    the system singular. Bland's smallest-index rule picks the row to add or
+    drop, which keeps degenerate vertices from cycling; H is normalised, so
+    the tolerances are relative. Iterations count factorisations, at most
     ``MAX_ITER``.
     """
-    H = np.asarray(H, dtype=float)
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
     x = np.array(x0, dtype=float)
-    n, k = x.size, A.shape[0]
-    A = A / np.linalg.norm(A, axis=1)[:, None]
-    c_norm = np.linalg.norm(C, axis=1)
-    C = C / c_norm[:, None]
-    d = np.asarray(d, dtype=float) / c_norm
+    n = x.size
+    H = np.asarray(H, dtype=float)
     H = H / max(float(np.abs(H).max()), 1e-300)
+    slack = np.concatenate((x, cap - x))
+    active = np.flatnonzero(slack <= _ACTIVE_TOL * max(1.0, float(np.abs(x).max())))
+    working = [int(i) for i in active[: n - 1]]
+    free = np.ones(n, dtype=bool)
+    free[[i % n for i in working]] = False
 
-    # seed the working set with active rows that are independent of the
-    # equality rows and of each other (Gram-Schmidt on the fly)
-    basis = np.linalg.qr(A.T)[0]
-    active = np.flatnonzero(d - C @ x <= _ACTIVE_TOL * max(1.0, float(np.abs(x).max())))
-    working: list[int] = []
-    for i in dict.fromkeys([*(h for h in hint if h in active), *active]):
-        if basis.shape[1] == n:
-            break
-        r = C[i] - basis @ (basis.T @ C[i])
-        norm = math.sqrt(float(r @ r))
-        if norm > _INDEPENDENT_TOL:
-            basis = np.column_stack([basis, r / norm])
-            working.append(int(i))
-    outside = np.ones(C.shape[0], dtype=bool)
-    outside[working] = False
-
-    # null-space steps: p = Z u with Z spanning the rows' null space, so a
-    # row that depends on the working rows never reads as blocking
     for it in range(1, MAX_ITER + 1):
-        M = np.concatenate((A, C[working]))
-        m = M.shape[0]
-        Q, R = np.linalg.qr(M.T, mode="complete")
         g = H @ x
-        if m < n:
-            Z = Q[:, m:]
-            reduced = Z.T @ H @ Z
-            try:
-                u = np.linalg.solve(reduced, -(Z.T @ g))
-            except np.linalg.LinAlgError:
-                u = np.linalg.lstsq(reduced, -(Z.T @ g), rcond=None)[0]
-            p = Z @ u
+        if len(working) < n - 1:
+            F = np.flatnonzero(free)
+            rhs = np.zeros(F.size + 1)
+            rhs[:-1] = -g[F]
+            p = np.zeros(n)
+            p[F] = _kkt(H[F][:, F], rhs)[:-1]
             step = float(np.abs(p).max())
             if step > _EPS * max(1.0, float(np.abs(x).max())):
-                # ratio test over the rows outside the working set
-                cp = C @ p
-                blocking = np.flatnonzero(outside & (cp > _EPS * step))
-                if blocking.size:
-                    slack = np.maximum(d[blocking] - C[blocking] @ x, 0.0)
-                    ratios = slack / cp[blocking]
+                # ratio test over the free weights' bounds, lower rows first
+                moving = free & (np.abs(p) > _EPS * step)
+                rows = np.flatnonzero(np.concatenate((moving & (p < 0.0), moving & (p > 0.0))))
+                if rows.size:
+                    room = np.concatenate((x, cap - x))[rows]
+                    ratios = np.maximum(room, 0.0) / np.concatenate((-p, p))[rows]
                     least = float(ratios.min())
                     if least < 1.0:
-                        block = int(blocking[np.flatnonzero(ratios <= least + _EPS)[0]])
+                        block = int(rows[np.flatnonzero(ratios <= least + _EPS)[0]])
                         x = x + least * p
                         working.append(block)
-                        outside[block] = False
+                        free[block % n] = False
                         continue
                 x = x + p
                 g = H @ x
-        # x minimises over the working rows' null space: test the multipliers
-        lam = np.linalg.solve(R[:m], -(Q[:, :m].T @ g))
+        # x minimises over the free weights: g + ν·1 = 0 on them, and each
+        # working row's multiplier is what is left of its weight's gradient
+        nu = -float(g[free].mean())
+        rows = np.array(working, dtype=int)
+        mult = np.where(rows < n, g[rows % n] + nu, -(g[rows % n] + nu))
         grad = max(float(np.abs(g).max()), 1e-300)
-        negative = [working[j] for j in np.flatnonzero(lam[k:] < -_MULT_TOL * grad)]
-        if not negative:
+        negative = rows[mult < -_MULT_TOL * grad]
+        if not negative.size:
             return QPResult(x, tuple(sorted(working)), it, True)
-        drop = min(negative)
+        drop = int(negative.min())
         working.remove(drop)
-        outside[drop] = True
+        free[drop % n] = True
     return QPResult(x, tuple(sorted(working)), MAX_ITER, False)
 
 
 # ---------------------------------------------------------------------------
-# the capped simplex and its three projections
+# the critical line
 
 
 def _greedy_vertex(mu: np.ndarray, cap: float, maximize: bool) -> np.ndarray:
@@ -357,79 +340,132 @@ def _greedy_vertex(mu: np.ndarray, cap: float, maximize: bool) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Simplex:
-    """The capped simplex on the support, with its return extremes.
+class _Segment:
+    """One linear piece w(λ) = wa + λ·wb of the critical line, λ in [start, end].
 
-    Inequality rows are -w <= 0 then w <= cap, so Bland's rule prefers
-    lower bounds. ``ret`` is the return row rescaled to
-    (mu - mu_lo) / (mu_hi - mu_lo), so the anchor t runs over [0, 1];
-    it is None when the return is the same for every feasible book.
+    Along the walk's mean vector, μ(λ) = m0 + m1·λ and V(λ) = K + m1·λ²,
+    because V′(λ) = 2λ·μ′(λ). The last segment has end = inf and wb = 0.
     """
 
-    cov: np.ndarray
-    C: np.ndarray
-    d: np.ndarray
-    w_lo: np.ndarray
-    w_hi: np.ndarray
-    mu_lo: float
-    mu_hi: float
-    ret: np.ndarray | None
+    start: float
+    end: float
+    wa: np.ndarray
+    wb: np.ndarray
+    m0: float
+    m1: float
+    K: float
 
-    @classmethod
-    def of(cls, inst: _Instance) -> "_Simplex":
+    def at(self, lam: float) -> np.ndarray:
+        lam = min(max(lam, self.start), self.end)
+        return self.wa if lam == math.inf else self.wa + lam * self.wb
+
+
+class _Walk:
+    """The critical line of ½wᵀΣw − λ·sign·μᵀw for λ >= 0, from the GMV.
+
+    Each weight is free, or fixed at 0 or at the cap. On each segment one
+    KKT solve on the free weights gives the book and the budget multiplier
+    as linear functions of λ, and with them the fixed weights' multipliers.
+    The segment ends at the first event: a free weight reaches 0 or the cap,
+    or a fixed weight's multiplier changes sign. Ties go to the smallest
+    index; the weight that just changed cannot change back at the same λ.
+    """
+
+    def __init__(self, inst: _Instance, sign: float, gmv: QPResult) -> None:
         n = inst.mu.size
-        w_lo = _greedy_vertex(inst.mu, inst.cap, maximize=False)
-        w_hi = _greedy_vertex(inst.mu, inst.cap, maximize=True)
-        mu_lo, mu_hi = float(w_lo @ inst.mu), float(w_hi @ inst.mu)
-        span = mu_hi - mu_lo
-        # a flat mean vector makes the return row redundant with full
-        # investment and would degenerate the constraint system
-        ret = (inst.mu - mu_lo) / span if span > 1e-12 else None
-        C = np.vstack([-np.eye(n), np.eye(n)])
-        d = np.concatenate([np.zeros(n), np.full(n, inst.cap)])
-        return cls(inst.cov, C, d, w_lo, w_hi, mu_lo, mu_hi, ret)
+        self.inst = inst
+        self.mu = sign * inst.mu
+        # free weights with flat means stop moving, and multipliers with a
+        # slope below the same tolerance never change sign
+        self.tol = _EPS * float(np.abs(inst.mu).max())
+        self.state = np.zeros(n, dtype=int)  # 0 free, -1 at zero, 1 at the cap
+        for row in gmv.working:
+            self.state[row % n] = -1 if row < n else 1
+        self.lam = 0.0
+        self.last = -1
+        self.segments: list[_Segment] = []
+
+    def find(self, reached) -> tuple[_Segment, int, bool]:
+        """The first segment where ``reached`` holds or the walk ends, and
+        its 1-based index; False when ``MAX_ITER`` segments fall short."""
+        k = 0
+        while True:
+            if k == len(self.segments):
+                if k == MAX_ITER:
+                    return self.segments[-1], k, False
+                self._extend()
+            seg = self.segments[k]
+            k += 1
+            if seg.end == math.inf or reached(seg):
+                return seg, k, True
+
+    def _extend(self) -> None:
+        inst, mu, state = self.inst, self.mu, self.state
+        free = state == 0
+        F = np.flatnonzero(free)
+        wa = np.where(state > 0, inst.cap, 0.0)
+        rhs = np.zeros((F.size + 1, 2))
+        rhs[:-1, 0] = -(inst.cov[F] @ wa)
+        rhs[-1, 0] = 1.0 - wa.sum()
+        rhs[:-1, 1] = mu[F]
+        sol = _kkt(inst.cov[F][:, F], rhs)
+        wa[F] = sol[:-1, 0]
+        wb = np.zeros(mu.size)
+        gamma0, gamma1 = sol[-1]
+        if float(np.ptp(mu[F])) > self.tol:
+            wb[F] = sol[:-1, 1]
+        else:
+            gamma1 = float(mu[F].mean())
+        cov_wa = inst.cov @ wa
+        # a fixed weight's multiplier is -state·(c + λ·d), its gradient's
+        # sign flipped at the cap
+        c = cov_wa + gamma0
+        d = inst.cov @ wb - mu + gamma1
+        num = np.where(free, np.where(wb < 0.0, 0.0, inst.cap) - wa, -c)
+        den = np.where(free, wb, d)
+        falls = np.where(free, wb != 0.0, state * d > self.tol)
+        hit = np.divide(num, den, out=np.full(mu.size, math.inf), where=falls)
+        np.maximum(hit, self.lam, out=hit)
+        if self.last >= 0 and hit[self.last] <= self.lam:
+            hit[self.last] = math.inf
+        end = float(hit.min())
+        self.segments.append(
+            _Segment(self.lam, end, wa, wb, float(mu @ wa), float(mu @ wb), float(wa @ cov_wa))
+        )
+        if end < math.inf:
+            j = int(np.flatnonzero(hit <= end + _EPS * end)[0])
+            state[j] = 0 if state[j] else (-1 if wb[j] < 0.0 else 1)
+            self.lam, self.last = end, j
+
+
+class Frontier:
+    """One book's constrained frontier, shared by its three projections.
+
+    Built from the inputs ``solve`` takes. The GMV book and the walks are
+    computed on first use and kept, so the projections of a book cost one
+    QP and one walk between them, in any order.
+    """
+
+    def __init__(self, w0, m: MomentEstimates, constraints: ConstraintSet | None = None):
+        self.inst, self.reason = _unpack(w0, m, constraints)
+        mu, cap = self.inst.mu, self.inst.cap
+        self.mu_lo = float(_greedy_vertex(mu, cap, maximize=False) @ mu)
+        self.mu_hi = float(_greedy_vertex(mu, cap, maximize=True) @ mu)
+        self._gmv: QPResult | None = None
+        self._walks: dict[float, _Walk] = {}
 
     def gmv(self) -> QPResult:
         """The global minimum-variance book, started from equal weights."""
-        n = self.w_lo.size
-        return minimize(self.cov, np.ones((1, n)), self.C, self.d, np.full(n, 1.0 / n))
+        if self._gmv is None:
+            n = self.inst.mu.size
+            self._gmv = minimize(self.inst.cov, self.inst.cap, np.full(n, 1.0 / n))
+        return self._gmv
 
-    def min_var(self, t: float, start=None, hint: Sequence[int] = ()) -> QPResult:
-        """The minimum-variance book at scaled return t.
-
-        Needs a return row. The default start is the convex combination of
-        w_lo and w_hi at t.
-        """
-        if start is None:
-            start = (1.0 - t) * self.w_lo + t * self.w_hi
-        A = np.vstack([np.ones(self.w_lo.size), self.ret])
-        return minimize(self.cov, A, self.C, self.d, start, hint)
-
-    def tangent(self, x: np.ndarray, working: Sequence[int]) -> np.ndarray | None:
-        """d x / d t of the min-variance book while ``working`` stays active.
-
-        None when fewer than two weights are free, so the working set
-        admits no move along t.
-        """
-        n = x.size
-        free = np.ones(n, dtype=bool)
-        free[[i % n for i in working]] = False
-        f = int(free.sum())
-        if f < 2:
-            return None
-        kkt = np.zeros((f + 2, f + 2))
-        kkt[:f, :f] = self.cov[np.ix_(free, free)]
-        kkt[f, :f] = kkt[:f, f] = 1.0
-        kkt[f + 1, :f] = kkt[:f, f + 1] = self.ret[free]
-        rhs = np.zeros(f + 2)
-        rhs[-1] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        dx = np.zeros(n)
-        dx[free] = sol[:f]
-        return dx
+    def walk(self, sign: float) -> _Walk:
+        """The walk up (sign 1) or down (sign -1) the return from the GMV."""
+        if sign not in self._walks:
+            self._walks[sign] = _Walk(self.inst, sign, self.gmv())
+        return self._walks[sign]
 
 
 def solve(
@@ -438,6 +474,7 @@ def solve(
     m: MomentEstimates,
     constraints: ConstraintSet | None = None,
     rf_annual: float = 0.0,
+    frontier: Frontier | None = None,
 ) -> FrontierSolution:
     """Project an observed weight vector onto one frontier strategy.
 
@@ -451,130 +488,92 @@ def solve(
     ``w0``, so identical moments give identical tangency books no matter
     the observed weights.
 
+    A ``frontier`` built from the same inputs lets a book's projections
+    share one GMV solve and one walk; without it the call builds its own.
+
     Infeasible anchors come back as non-converged solutions with a reason
     rather than exceptions; malformed inputs raise ValueError.
     """
-    inst, reason = _unpack(w0, m, constraints)
-    if reason:
-        return _finish(strategy, inst, inst.w0, False, 0, reason)
+    if frontier is None:
+        frontier = Frontier(w0, m, constraints)
+    inst = frontier.inst
+    if frontier.reason:
+        return _finish(strategy, inst, inst.w0, False, 0, frontier.reason)
     if strategy is Strategy.MIN_VAR:
-        return _solve_min_var(inst)
+        return _solve_min_var(frontier)
     if strategy is Strategy.MAX_RET:
-        return _solve_max_ret(inst)
+        return _solve_max_ret(frontier)
     if strategy is Strategy.MAX_SR:
-        return _solve_max_sr(inst, rf_annual / DAYS_PER_YEAR)
+        return _solve_max_sr(frontier, rf_annual / DAYS_PER_YEAR)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _solve_min_var(inst: _Instance) -> FrontierSolution:
-    box = _Simplex.of(inst)
-    if inst.anchor_mu > box.mu_hi + SOLVER_TOL:
+def _solve_min_var(fr: Frontier) -> FrontierSolution:
+    """Min variance at the anchor return, λ = (μ_a − m0)/m1 on its segment.
+
+    An anchor below the reachable range (cap-violating observed book) is
+    met by every feasible book, so the at-least anchor leaves the GMV; one
+    below the GMV's return is met on the inefficient branch, walking down.
+    """
+    inst = fr.inst
+    if inst.anchor_mu > fr.mu_hi + SOLVER_TOL:
         return _finish(
             Strategy.MIN_VAR, inst, inst.w0, False, 0,
             "anchor return unreachable under the cap",
         )
-    # an anchor below the reachable range (cap-violating observed book) is
-    # met by every feasible book, so the at-least anchor leaves the GMV;
-    # so does a flat return
-    if box.ret is None or inst.anchor_mu < box.mu_lo - SOLVER_TOL:
-        res = box.gmv()
-    else:
-        t = (inst.anchor_mu - box.mu_lo) / (box.mu_hi - box.mu_lo)
-        res = box.min_var(min(max(t, 0.0), 1.0))
+    gmv = fr.gmv()
     check = lambda mu_p, sigma_p: mu_p >= inst.anchor_mu - SOLVER_TOL
-    return _finish(
-        Strategy.MIN_VAR, inst, res.x, res.converged, res.iterations, "", check
-    )
+    if not gmv.converged or inst.anchor_mu < fr.mu_lo - SOLVER_TOL:
+        return _finish(Strategy.MIN_VAR, inst, gmv.x, gmv.converged, gmv.iterations, "", check)
+    sign = 1.0 if inst.anchor_mu >= float(gmv.x @ inst.mu) else -1.0
+    target = sign * inst.anchor_mu
+    seg, walked, ok = fr.walk(sign).find(lambda s: s.m0 + s.m1 * s.end >= target)
+    w = seg.at((target - seg.m0) / seg.m1 if seg.m1 > 0.0 else seg.start)
+    return _finish(Strategy.MIN_VAR, inst, w, ok, gmv.iterations + walked, "", check)
 
 
-def _solve_max_ret(inst: _Instance) -> FrontierSolution:
-    """Max return at variance <= V0, as the frontier point at the budget.
-
-    The frontier variance V(t) of the min-variance book at scaled return t
-    is convex in t and increasing on [t_gmv, 1]. While the working set
-    holds, the book moves linearly in t and V is quadratic, so each step
-    goes to the root of that quadratic and starts the next QP at the book
-    it predicts; a bisection guard keeps the steps inside the bracket.
-    """
-    box = _Simplex.of(inst)
+def _solve_max_ret(fr: Frontier) -> FrontierSolution:
+    """Max return at variance <= V0: the efficient book whose variance
+    meets the budget, at λ² = (V0 − K)/m1, or the frontier's top inside it."""
+    inst = fr.inst
     budget = inst.anchor_sigma**2
     check = lambda mu_p, sigma_p: sigma_p <= inst.anchor_sigma + SOLVER_TOL
-    gmv = box.gmv()
-    iterations = gmv.iterations
+    gmv = fr.gmv()
     var_gmv = float(gmv.x @ inst.cov @ gmv.x)
     if gmv.converged and math.sqrt(var_gmv) > inst.anchor_sigma + SOLVER_TOL:
         return _finish(
-            Strategy.MAX_RET, inst, inst.w0, False, iterations,
+            Strategy.MAX_RET, inst, inst.w0, False, gmv.iterations,
             "risk budget below the feasible minimum",
         )
-    if not gmv.converged or box.ret is None or var_gmv >= budget:
-        return _finish(Strategy.MAX_RET, inst, gmv.x, gmv.converged, iterations, "", check)
-
-    res = box.min_var(1.0)
-    iterations += res.iterations
-    var = float(res.x @ inst.cov @ res.x)
-    if not res.converged or var <= budget:
-        return _finish(Strategy.MAX_RET, inst, res.x, res.converged, iterations, "", check)
-
-    # bracket V(lo_t) <= V0 < V(hi_t), with a feasible book at each end
-    lo_t, lo_x = float(gmv.x @ box.ret), gmv.x
-    hi_t, hi_x = 1.0, res.x
-    t = 1.0
-    for _ in range(MAX_ITER):
-        gap = budget - var
-        if abs(gap) <= _BUDGET_TOL * budget or hi_t - lo_t <= 4e-16:
-            break
-        dx = box.tangent(res.x, res.working)
-        step, start = math.nan, None
-        if dx is not None:
-            slope = 2.0 * float(res.x @ inst.cov @ dx)
-            curvature = 2.0 * float(dx @ inst.cov @ dx)
-            denom = slope + math.sqrt(max(slope * slope + 2.0 * curvature * gap, 0.0))
-            if denom > 0.0:
-                step = t + 2.0 * gap / denom
-        if lo_t < step < hi_t:
-            start = res.x + (step - t) * dx
-            t = step
-        else:
-            t = 0.5 * (lo_t + hi_t)
-        if start is None or start.min() < 0.0 or start.max() > inst.cap:
-            start = lo_x + (t - lo_t) / (hi_t - lo_t) * (hi_x - lo_x)
-        res = box.min_var(t, start, res.working)
-        iterations += res.iterations
-        if not res.converged:
-            break
-        var = float(res.x @ inst.cov @ res.x)
-        if var > budget:
-            hi_t, hi_x = t, res.x
-        else:
-            lo_t, lo_x = t, res.x
+    if not gmv.converged or var_gmv >= budget:
+        return _finish(Strategy.MAX_RET, inst, gmv.x, gmv.converged, gmv.iterations, "", check)
+    seg, walked, ok = fr.walk(1.0).find(lambda s: s.K + s.m1 * s.end**2 >= budget)
+    w = seg.at(math.sqrt(max(budget - seg.K, 0.0) / seg.m1) if seg.m1 > 0.0 else seg.start)
     # converge only where the budget binds; an interior stop loses return
-    binds = res.converged and abs(var - budget) <= _BUDGET_TOL * budget
-    return _finish(Strategy.MAX_RET, inst, res.x, binds, iterations, "", check)
+    var = float(w @ inst.cov @ w)
+    ok = ok and (seg.end == math.inf or abs(var - budget) <= _BUDGET_TOL * budget)
+    return _finish(Strategy.MAX_RET, inst, w, ok, gmv.iterations + walked, "", check)
 
 
-def _solve_max_sr(inst: _Instance, rf_daily: float) -> FrontierSolution:
+def _solve_max_sr(fr: Frontier, rf_daily: float) -> FrontierSolution:
     """Max Sharpe over the capped simplex, independent of the observed book.
 
-    With some book above r_f this is the homogenised QP (Cornuéjols &
-    Tütüncü, *Optimization Methods in Finance*, §8.2): min yᵀΣy subject to
-    (mu - r_f)ᵀy = 1, y >= 0 and y_i <= cap·Σy, then w = y / Σy. Otherwise
-    every excess return is <= 0, the Sharpe ratio is a convex function on
-    the perspective image of the capped simplex, and its maximum sits at a
-    vertex, so the vertices are scanned exactly.
+    With some book above r_f this is the tangency point. The tangent at λ
+    meets σ = 0 at m0 − K/λ, which rises along the walk, so the tangency
+    is at λ = K/(m0 − r_f) on the first segment that reaches r_f there.
+    Otherwise every excess return is <= 0, the Sharpe ratio is a convex
+    function on the perspective image of the capped simplex, and its
+    maximum sits at a vertex, so the vertices are scanned exactly.
     """
-    n = inst.mu.size
-    w_hi = _greedy_vertex(inst.mu, inst.cap, maximize=True)
-    excess_hi = float(w_hi @ inst.mu) - rf_daily
-    if excess_hi <= 0.0:
+    inst = fr.inst
+    if fr.mu_hi - rf_daily <= 0.0:
         return _finish(Strategy.MAX_SR, inst, _best_vertex(inst, rf_daily), True, 0, "")
-    C = np.vstack([-np.eye(n), np.eye(n) - inst.cap])
-    res = minimize(
-        inst.cov, ((inst.mu - rf_daily) / excess_hi)[None, :], C, np.zeros(2 * n), w_hi
-    )
-    return _finish(
-        Strategy.MAX_SR, inst, res.x / res.x.sum(), res.converged, res.iterations, ""
-    )
+    gmv = fr.gmv()
+    if not gmv.converged:
+        return _finish(Strategy.MAX_SR, inst, gmv.x, False, gmv.iterations, "")
+    seg, walked, ok = fr.walk(1.0).find(lambda s: (s.m0 - rf_daily) * s.end >= s.K)
+    w = seg.at(seg.K / (seg.m0 - rf_daily) if seg.m0 > rf_daily else seg.start)
+    return _finish(Strategy.MAX_SR, inst, w, ok, gmv.iterations + walked, "")
 
 
 def _best_vertex(inst: _Instance, rf_daily: float) -> np.ndarray:

@@ -21,6 +21,10 @@ log = logging.getLogger(__name__)
 
 DistanceDelta = Literal["closer", "farther", "unchanged"]
 
+# a hit must beat the baseline's return by more than this; a projection
+# equal to the observed book otherwise wins or loses on rounding
+HIT_TOL = 1e-12
+
 
 def _check_weights(w: np.ndarray, name: str, tol: float = 1e-6) -> None:
     if np.any(w < -1e-9):
@@ -141,8 +145,9 @@ def aggregate(
     Accounts are aggregated by the median within each snapshot, and
     snapshots then weigh equally: the reported median return is the median
     of within-snapshot medians, the hit rate averages the per-snapshot
-    fraction of accounts whose return strictly exceeds the baseline
-    account's own return, and the excess curve is the running sum of
+    fraction of accounts whose return exceeds the baseline account's own
+    return by more than ``HIT_TOL`` (so a book equal to the observed one
+    up to rounding is no hit), and the excess curve is the running sum of
     median strategy return minus median market return per snapshot.
     """
     by_strategy: dict[str, dict[dt.date, list[PerfRecord]]] = {}
@@ -188,7 +193,7 @@ def aggregate(
                 matched = [r for r in recs if r.account in base]
                 if matched:
                     hits = sum(
-                        1 for r in matched if r.fwd_return > base[r.account]
+                        1 for r in matched if r.fwd_return > base[r.account] + HIT_TOL
                     )
                     hit_fracs.append(hits / len(matched))
                 else:

@@ -40,7 +40,7 @@ from .concentration import ConcentrationRow, concentration_row
 from .config import PipelineConfig
 from .decayfit import bin_by_size, fit_power_decay
 from .errors import DependencyError, InputError, UnidentifiableFitError
-from .frontier import ConstraintSet, Strategy, solve
+from .frontier import ConstraintSet, Frontier, Strategy, solve
 from .ingest import (
     FilterReport,
     FilterStage,
@@ -660,8 +660,10 @@ def _optimize_month(
                 "",
             )
         )
+        # the book's projections share one GMV solve and one critical-line walk
+        book = Frontier(w0, m, constraints)
         for strategy in FRONTIER_STRATEGIES:
-            sol = solve(strategy, w0, m, constraints, rf_annual=cfg.rf_annual)
+            sol = solve(strategy, w0, m, constraints, rf_annual=cfg.rf_annual, frontier=book)
             rows.append(
                 (
                     snapshot_day,

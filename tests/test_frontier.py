@@ -5,21 +5,24 @@ minimum-variance and tangency books have closed forms, and the equal-risk
 max-return case reduces to a quadratic in one weight. The grid oracle then
 cross-checks the solver on random instances without sharing any code with
 it, and a test-only SciPy SLSQP reference does the same for books of five
-to eight assets, beyond the oracle's reach.
+to eight assets, beyond the oracle's reach. A book's projections share
+one traced frontier; sharing must not change a single bit of any answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize as scipy_minimize
 
 from chainfrontier.frontier import (
     DAYS_PER_YEAR,
+    SOLVER_TOL,
     ConstraintSet,
+    Frontier,
     NaiveStrategy,
     Strategy,
     grid_oracle,
@@ -447,6 +450,7 @@ def test_solver_matches_grid_oracle():
 
 def _slsqp_reference(strategy, w0, mu, cov, rf_daily, cap=0.9):
     """Best converged, feasible SLSQP answer from two starts, or None."""
+    scipy_minimize = pytest.importorskip("scipy.optimize").minimize
     n = mu.size
     cons = [{"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(n)}]
     anchor_mu, budget = float(w0 @ mu), float(w0 @ cov @ w0)
@@ -487,6 +491,14 @@ def _slsqp_reference(strategy, w0, mu, cov, rf_daily, cap=0.9):
     return best
 
 
+def _factor_book(rng, n):
+    """A random n-asset book with a two-factor covariance."""
+    mu = rng.normal(0.001, 0.01, n)
+    F = rng.normal(0.0, 0.02, (n, 2))
+    cov = F @ F.T + np.diag(rng.uniform(1e-5, 1e-3, n))
+    return mu, cov, moments([f"T{j}" for j in range(n)], mu, cov)
+
+
 def test_solver_matches_slsqp_reference_on_larger_books():
     # wherever the reference converges, the kernel converges too, with an
     # objective no worse than 1e-7 relative
@@ -495,11 +507,8 @@ def test_solver_matches_slsqp_reference_on_larger_books():
     checked = 0
     for i in range(16):
         n = 5 + i % 4
-        mu = rng.normal(0.001, 0.01, n)
-        F = rng.normal(0.0, 0.02, (n, 2))
-        cov = F @ F.T + np.diag(rng.uniform(1e-5, 1e-3, n))
+        mu, cov, m = _factor_book(rng, n)
         w0 = rng.dirichlet(np.ones(n))
-        m = moments([f"T{j}" for j in range(n)], mu, cov)
         for strategy in Strategy:
             ref = _slsqp_reference(strategy, w0, mu, cov, rf_daily)
             if ref is None:
@@ -516,3 +525,76 @@ def test_solver_matches_slsqp_reference_on_larger_books():
                 got, want = sharpe(sol.mu, sol.sigma, rf_daily), sharpe(r_mu, r_sigma, rf_daily)
             assert got >= want - 1e-7 * abs(want), (i, strategy, got, want)
     assert checked >= 40
+
+
+def test_min_var_below_the_gmv_return_walks_down():
+    # an anchor between the lowest reachable return and the GMV's return
+    # is met on the inefficient branch, as an equality
+    rng = np.random.default_rng(21)
+    checked = 0
+    for i in range(12):
+        n = 5 + i % 4
+        mu, cov, m = _factor_book(rng, n)
+        gmv = Frontier(np.full(n, 1.0 / n), m).gmv().x
+        w0 = 0.6 * np.eye(n)[int(np.argmin(mu))] + 0.2 * gmv + 0.2 / n
+        anchor = float(w0 @ mu)
+        low = 0.9 * np.sort(mu)[0] + 0.1 * np.sort(mu)[1]
+        assert low < anchor < float(gmv @ mu)
+        sol = solve(Strategy.MIN_VAR, w0, m)
+        assert sol.converged, (i, sol.reason)
+        assert abs(sol.mu - anchor) <= SOLVER_TOL
+        ref = _slsqp_reference(Strategy.MIN_VAR, w0, mu, cov, 0.0)
+        if ref is None:
+            continue
+        checked += 1
+        r_sigma = math.sqrt(float(ref @ cov @ ref))
+        assert sol.sigma <= r_sigma * (1.0 + 1e-7), (i, sol.sigma, r_sigma)
+    assert checked >= 8
+
+
+def test_projections_on_three_segments_match_grid_oracle():
+    # min-variance, max-return and max-Sharpe land on the first, second and
+    # last segment of this book's walk, so their iteration counts differ
+    mu = np.array([0.0026, -0.0049, -0.0124, -0.013])
+    cov = np.array(
+        [
+            [0.0035, -0.00137, -0.00074, 0.00089],
+            [-0.00137, 0.00435, -0.00211, -0.00132],
+            [-0.00074, -0.00211, 0.00682, -0.00019],
+            [0.00089, -0.00132, -0.00019, 0.00218],
+        ]
+    )
+    w0 = np.array([0.37, 0.07, 0.23, 0.33])
+    m = moments(["A", "B", "C", "D"], mu, cov)
+    book = Frontier(w0, m)
+    iterations = set()
+    for strategy in Strategy:
+        sol = solve(strategy, w0, m, frontier=book)
+        ora = grid_oracle(strategy, w0, m, step=0.01)
+        assert sol.converged
+        iterations.add(sol.iterations)
+        if strategy is Strategy.MIN_VAR:
+            assert sol.sigma <= ora.sigma + 1e-12
+        elif strategy is Strategy.MAX_RET:
+            assert sol.mu >= ora.mu - 1e-12
+        else:
+            assert sharpe(sol.mu, sol.sigma) >= sharpe(ora.mu, ora.sigma) - 1e-12
+    assert len(iterations) == 3
+
+
+def test_shared_frontier_matches_fresh_solves_in_any_order():
+    rng = np.random.default_rng(31)
+    fields = ("strategy", "mu", "sigma", "distance", "converged", "iterations", "reason")
+    for i in range(12):
+        n = 3 + i % 6
+        mu, cov, m = _factor_book(rng, n)
+        w0 = rng.dirichlet(np.ones(n))
+        cons = ConstraintSet(w_max=0.9 if i % 3 else 0.5)
+        fresh = {s: solve(s, w0, m, cons, rf_annual=0.05) for s in Strategy}
+        for order in itertools.permutations(Strategy):
+            book = Frontier(w0, m, cons)
+            for strategy in order:
+                sol = solve(strategy, w0, m, cons, rf_annual=0.05, frontier=book)
+                ref = fresh[strategy]
+                assert np.array_equal(sol.weights, ref.weights), (i, order, strategy)
+                assert [getattr(sol, f) for f in fields] == [getattr(ref, f) for f in fields]

@@ -181,6 +181,20 @@ def test_aggregate_hit_rate_counts_strict_wins():
     assert by_name["baseline"].hit_rate is None
 
 
+def test_hit_rate_ignores_rounding_ties():
+    # a return one ulp above the baseline is the same book up to rounding;
+    # one 1e-6 above is a real win
+    base = 0.0123
+    recs = [
+        _rec(SNAP1, "a", "min_var", math.nextafter(base, 1.0)),
+        _rec(SNAP1, "b", "min_var", base + 1e-6),
+        _rec(SNAP1, "a", "baseline", base),
+        _rec(SNAP1, "b", "baseline", base),
+    ]
+    by_name = {s.strategy: s for s in aggregate(recs).summaries}
+    assert by_name["min_var"].hit_rate == pytest.approx(0.5)
+
+
 def test_aggregate_median_of_snapshot_medians():
     # snapshot medians 0.02 and 0.10; the report takes their median, not
     # the pooled median over all six records

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from chainfrontier import storage
+from chainfrontier import frontier, storage
 from chainfrontier.config import PipelineConfig
 from chainfrontier.errors import DependencyError, InputError
 from chainfrontier.pipeline import (
@@ -304,6 +304,27 @@ def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
     assert not any(ran.values())
     assert prices == ["prices.csv"]
     assert ledgers == []
+
+
+def test_optimize_solves_one_gmv_per_book(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(small_config(tmp_path / "ws"), workers=1)
+    run_pipeline(cfg, ["synth", "ingest", "snapshot"])
+    calls = []
+    minimize = frontier.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, "minimize", counted)
+    run_pipeline(cfg, ["optimize"])
+    books = sum(
+        row["strategy"] == "baseline"
+        for path in sorted((cfg.workspace / "solutions").glob("*.csv"))
+        for row in storage.read_solutions(path)
+    )
+    assert books > 0
+    assert 0 < len(calls) <= books
 
 
 # ---------------------------------------------------------------------------
