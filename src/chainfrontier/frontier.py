@@ -540,7 +540,7 @@ def _solve_max_ret(fr: Frontier) -> FrontierSolution:
     check = lambda mu_p, sigma_p: sigma_p <= inst.anchor_sigma + SOLVER_TOL
     gmv = fr.gmv()
     var_gmv = float(gmv.x @ inst.cov @ gmv.x)
-    if gmv.converged and math.sqrt(var_gmv) > inst.anchor_sigma + SOLVER_TOL:
+    if gmv.converged and math.sqrt(max(var_gmv, 0.0)) > inst.anchor_sigma + SOLVER_TOL:
         return _finish(
             Strategy.MAX_RET, inst, inst.w0, False, gmv.iterations,
             "risk budget below the feasible minimum",

@@ -6,30 +6,41 @@ reconstructs monthly account portfolios, optimize projects each book onto
 the frontier strategies, metrics realises forward performance, and report
 collapses everything into five summary tables.
 
-Every stage writes its outputs partition by partition (per token or per
-snapshot month) through atomic renames, and a manifest records a content
-hash of each stage's inputs and outputs. A rerun with unchanged inputs
-skips completed partitions; deleting one partition file regenerates just
-that partition. Synth's event files, ingest's ledgers and the month files
-of snapshot, optimize and metrics that are no longer among a stage's
-partitions are deleted, so a token-count or calendar change leaves the
-same files as a fresh build.
+One table, ``STAGES``, wires them. Each row names the config keys its
+results depend on, the workspace files or directories all of its
+partitions read, the globs of the files it writes, and a plan that lists
+its partitions (per token or per snapshot month), each with its own reads,
+writes and arguments, plus an optional once-per-stage load. Everything the
+cache does follows from the rows:
 
-The inputs that all of a stage's partitions share (filled prices, and for
-snapshot the passed tokens' ledgers) are loaded once per stage, and only
-when some partition is stale: once in-process at ``workers = 1``, or once
-per pool worker otherwise. Each partition is a pure function of those
-loaded inputs and its own on-disk files, so the worker count changes wall
-time and nothing else.
+- a partition's input hash covers the row's config keys, the shared reads,
+  and its own reads and arguments, so an edit reaches exactly the
+  partitions that read it;
+- a partition is recomputed when its input hash or the hash of its output
+  files differs from ``manifest.json``, which records both per partition;
+- a file matching a row's write globs that no partition writes any more
+  (a token or month the config dropped) is deleted, so such a rerun leaves
+  the same workspace as a fresh build;
+- a missing read names the stage whose row writes it.
+
+Each file is read for hashing at most once per run, and a partition's
+writes replace the digests of what it rewrote.
+
+The load runs only when some partition is stale: once in-process at
+``workers = 1``, or once per pool worker otherwise. Each partition is a
+pure function of the loaded inputs and its own files, so the worker count
+changes wall time and nothing else.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import fnmatch
 import functools
 import hashlib
 import logging
+import posixpath
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -67,145 +78,130 @@ from .synth import BENCHMARK_TOKENS, SynthConfig, generate_market
 
 log = logging.getLogger(__name__)
 
-PIPELINE_STAGES = ("synth", "ingest", "snapshot", "optimize", "metrics", "report")
-
 BASELINE = "baseline"
 FRONTIER_STRATEGIES = (Strategy.MIN_VAR, Strategy.MAX_RET, Strategy.MAX_SR)
 
-# config fields each stage's results depend on; changing anything else
-# (worker count, report knobs vs. solver knobs, ...) must not invalidate
-# the stage's completed partitions
-_STAGE_FIELDS = {
-    "synth": (
-        "seed",
-        "synth_tokens",
-        "synth_accounts",
-        "synth_months",
-        "synth_start",
-        "transfers_per_account_month",
-        "synth_min_size",
-        "synth_max_size",
-        "validation_samples",
-    ),
-    "ingest": ("min_price_days", "min_volume"),
-    "snapshot": ("lookback_days", "forward_days"),
-    "optimize": (
-        "lookback_days",
-        "min_obs",
-        "mean_shrink_lambda",
-        "w_max",
-        "rf_annual",
-    ),
-    "metrics": ("lookback_days", "forward_days", "market_tokens"),
-    "report": (
-        "dust_threshold",
-        "top_k_pcts",
-        "min_holders",
-        "distance_bin_edges",
-        "size_bin_min",
-        "size_bin_max",
-        "min_bin_count",
-    ),
-}
+# workspace layout, relative to the workspace root
+EVENTS = "input/events"
+META = "input/meta.csv"
+PRICES = "input/prices.csv"
+BLOCKMAP = "input/blockmap.csv"
+PROBES = "input/probes.csv"
+LEDGERS = "ledgers"
+FILTERS = "filters.csv"
+SNAPSHOTS = "snapshots"
+SOLUTIONS = "solutions"
+PERF = "perf"
+REPORT = "report"
+MANIFEST = "manifest.json"
+
+REPORT_FILES = (
+    "summary.csv",
+    "excess_curve.csv",
+    "distance_hist.csv",
+    "decay_fit.csv",
+    "concentration.csv",
+)
 
 
 # ---------------------------------------------------------------------------
-# workspace layout
+# the stage table's row types
 
 
-def input_dir(ws: Path) -> Path:
-    return Path(ws) / "input"
+@dataclasses.dataclass(frozen=True)
+class Part:
+    """One partition: the files it alone reads and writes (relative to the
+    workspace) and the arguments its stage's body takes after ``cfg``."""
+
+    name: str
+    writes: tuple[str, ...]
+    reads: tuple[str, ...] = ()
+    args: tuple = ()
 
 
-def events_dir(ws: Path) -> Path:
-    return input_dir(ws) / "events"
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.
 
+    ``keys`` are the config fields the results depend on; changing any
+    other field (worker count, another stage's knobs) must not invalidate
+    the row's partitions. ``shared`` are the files or directories every
+    partition reads; they are hashed once per run of the row. ``index`` is
+    what ``plan`` reads beyond ``shared`` to list the partitions; it is
+    not hashed, since each partition's own reads and arguments carry what
+    it takes from there. ``writes`` are globs of every file the row
+    writes. ``plan(cfg)`` returns the partitions and an optional load,
+    whose result goes to every call of ``body`` ahead of ``cfg`` and the
+    partition's arguments. Rows run in table order; a dotted name is a
+    later step of the stage named before the dot.
+    """
 
-def meta_path(ws: Path) -> Path:
-    return input_dir(ws) / "meta.csv"
+    name: str
+    keys: tuple[str, ...]
+    shared: tuple[str, ...]
+    index: tuple[str, ...]
+    writes: tuple[str, ...]
+    plan: Callable[[PipelineConfig], tuple[list[Part], Callable | None]]
+    body: Callable
 
-
-def prices_path(ws: Path) -> Path:
-    return input_dir(ws) / "prices.csv"
-
-
-def blockmap_path(ws: Path) -> Path:
-    return input_dir(ws) / "blockmap.csv"
-
-
-def probes_path(ws: Path) -> Path:
-    return input_dir(ws) / "probes.csv"
-
-
-def ledgers_dir(ws: Path) -> Path:
-    return Path(ws) / "ledgers"
-
-
-def filters_path(ws: Path) -> Path:
-    return Path(ws) / "filters.csv"
-
-
-def snapshots_dir(ws: Path) -> Path:
-    return Path(ws) / "snapshots"
-
-
-def solutions_dir(ws: Path) -> Path:
-    return Path(ws) / "solutions"
-
-
-def perf_dir(ws: Path) -> Path:
-    return Path(ws) / "perf"
-
-
-def report_dir(ws: Path) -> Path:
-    return Path(ws) / "report"
-
-
-def manifest_path(ws: Path) -> Path:
-    return Path(ws) / "manifest.json"
+    @property
+    def stage(self) -> str:
+        return self.name.partition(".")[0]
 
 
 # ---------------------------------------------------------------------------
 # content hashing and the partition driver
 
 
-def _files_hash(paths: Sequence[Path]) -> str:
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(Path(path).name.encode())
-        digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+def _digest(ws: Path, rels: Sequence[str], digests: dict[Path, str]) -> str:
+    """Hash of the relative paths and contents of every file under ``rels``.
+
+    ``digests`` holds the run's file digests, so each file is read once.
+    """
+    out = hashlib.sha256()
+    for rel in rels:
+        root = ws / rel
+        files = sorted(p for p in root.rglob("*") if p.is_file()) if root.is_dir() else [root]
+        for path in files:
+            if path not in digests:
+                digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
+            out.update(f"{path.relative_to(ws).as_posix()}={digests[path]};".encode())
+    return out.hexdigest()
 
 
-def _tree_paths(*roots: Path) -> list[Path]:
-    out: list[Path] = []
-    for root in roots:
-        root = Path(root)
-        if root.is_file():
-            out.append(root)
-        elif root.is_dir():
-            out.extend(p for p in sorted(root.rglob("*")) if p.is_file())
-    return out
+def _producer(rel: str) -> str:
+    """The stage whose row writes ``rel``, a file or a directory of files."""
+    for row in STAGES:
+        for pattern in row.writes:
+            if fnmatch.fnmatchcase(rel, pattern) or posixpath.dirname(pattern) == rel:
+                return row.stage
+    raise KeyError(f"no stage writes {rel}")
 
 
-def _input_hash(cfg: PipelineConfig, stage: str, *roots: Path) -> str:
-    digest = hashlib.sha256()
-    for name in _STAGE_FIELDS[stage]:
-        digest.update(f"{name}={getattr(cfg, name)!r};".encode())
-    for path in _tree_paths(*roots):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+def _require(ws: Path, rel: str) -> Path:
+    path = Path(ws) / rel
+    if not (path.is_file() or (path.is_dir() and any(path.iterdir()))):
+        raise DependencyError(
+            f"missing {path}; run the {_producer(rel)!r} stage first"
+        )
+    return path
 
 
-@dataclasses.dataclass(frozen=True)
-class _Task:
-    """One partition: a picklable callable plus the files it writes."""
+def _drop_stale(
+    ws: Path, row: Stage, parts: Sequence[Part], digests: dict[Path, str]
+) -> None:
+    """Delete the files matching the row's write globs that no part writes.
 
-    name: str
-    out_paths: tuple[Path, ...]
-    fn: Callable
-    args: tuple
+    Downstream stages hash whole directories and take their months from the
+    files on disk, so a token or month the config no longer holds must not
+    outlive the change.
+    """
+    current = {ws / rel for part in parts for rel in part.writes}
+    for pattern in row.writes:
+        for path in ws.glob(pattern):
+            if path not in current:
+                path.unlink()
+                digests.pop(path, None)
 
 
 # a pool worker's loaded stage inputs, set by its initializer; they live as
@@ -223,90 +219,82 @@ def _run_in_worker(fn: Callable, args: tuple) -> None:
 
 
 def _run_tasks(
-    ws: Path,
-    stage: str,
-    input_hash: str,
-    tasks: Sequence[_Task],
-    workers: int,
-    load: Callable | None = None,
-) -> list[str]:
-    """Run the stale partitions of one stage and update the manifest.
+    fn: Callable, arglists: Sequence[tuple], workers: int, load: Callable | None
+) -> None:
+    """Call ``fn`` once per argument tuple, in a pool when ``workers > 1``.
 
-    A partition is fresh when the stage's input hash matches the manifest
-    and every output file still matches its recorded hash. When ``load``
-    is given and some partition is stale, it runs once in-process, or once
-    per pool worker, and its result is passed to every partition function
-    ahead of the task's own arguments. Returns the names of partitions that
-    were (re)computed.
+    When ``load`` is given, it runs once in-process, or once per pool
+    worker, and its result is passed to every call ahead of the arguments.
     """
-    manifest = storage.read_manifest(manifest_path(ws))
-    entry = manifest.get(stage, {})
-    prior = entry.get("partitions", {}) if entry.get("inputs") == input_hash else {}
+    if workers > 1 and len(arglists) > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    recorded: dict[str, str] = {}
-    todo: list[_Task] = []
-    for task in tasks:
-        known = prior.get(task.name)
+        # every worker pays for one load, so start no more than have work
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(arglists)),
+            initializer=_load_worker,
+            initargs=(load,),
+        ) as pool:
+            futures = [pool.submit(_run_in_worker, fn, args) for args in arglists]
+            for future in futures:
+                future.result()
+    else:
+        inputs = () if load is None else (load(),)
+        for args in arglists:
+            fn(*inputs, *args)
+
+
+def _run_stage(cfg: PipelineConfig, row: Stage, digests: dict[Path, str]) -> list[str]:
+    """Run the stale partitions of one row and update the manifest.
+
+    Returns the names of the partitions that were (re)computed.
+    """
+    ws = Path(cfg.workspace)
+    for rel in row.index + row.shared:
+        _require(ws, rel)
+    parts, load = row.plan(cfg)
+    for part in parts:
+        for rel in part.reads:
+            _require(ws, rel)
+    _drop_stale(ws, row, parts, digests)
+
+    shared = hashlib.sha256()
+    for key in row.keys:
+        shared.update(f"{key}={getattr(cfg, key)!r};".encode())
+    shared.update(_digest(ws, row.shared, digests).encode())
+
+    manifest = storage.read_manifest(ws / MANIFEST)
+    prior = manifest.get(row.name, {})
+    recorded: dict[str, dict] = {}
+    todo: list[tuple[Part, str]] = []
+    for part in parts:
+        digest = shared.copy()
+        digest.update(_digest(ws, part.reads, digests).encode())
+        digest.update(repr(part.args).encode())
+        inputs = digest.hexdigest()
+        known = prior.get(part.name)
         if (
             known is not None
-            and all(p.exists() for p in task.out_paths)
-            and _files_hash(task.out_paths) == known
+            and known["inputs"] == inputs
+            and all((ws / rel).exists() for rel in part.writes)
+            and _digest(ws, part.writes, digests) == known["outputs"]
         ):
-            recorded[task.name] = known
+            recorded[part.name] = known
         else:
-            todo.append(task)
+            todo.append((part, inputs))
 
     if todo:
-        if workers > 1 and len(todo) > 1:
-            # imported here so that a serial run never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+        _run_tasks(row.body, [(cfg, *part.args) for part, _ in todo], cfg.workers, load)
+        for part, inputs in todo:
+            for rel in part.writes:
+                digests.pop(ws / rel, None)
+            outputs = _digest(ws, part.writes, digests)
+            recorded[part.name] = {"inputs": inputs, "outputs": outputs}
 
-            # every worker pays for one load, so start no more than have work
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo)),
-                initializer=_load_worker,
-                initargs=(load,),
-            ) as pool:
-                futures = [
-                    pool.submit(_run_in_worker, task.fn, task.args) for task in todo
-                ]
-                for future in futures:
-                    future.result()
-        else:
-            inputs = () if load is None else (load(),)
-            for task in todo:
-                task.fn(*inputs, *task.args)
-        for task in todo:
-            recorded[task.name] = _files_hash(task.out_paths)
-
-    manifest[stage] = {"inputs": input_hash, "partitions": recorded}
-    storage.write_manifest(manifest_path(ws), manifest)
-    return [task.name for task in todo]
-
-
-def _month_files(directory: Path) -> list[Path]:
-    return sorted(Path(directory).glob("*.csv"))
-
-
-def _drop_stale(directory: Path, tasks: Sequence[_Task]) -> None:
-    """Delete the CSV files in ``directory`` that no task writes.
-
-    Downstream stages hash whole directories and take their months from the
-    files on disk, so a token or month the config no longer holds must not
-    outlive the change.
-    """
-    current = {path for task in tasks for path in task.out_paths}
-    for path in Path(directory).glob("*.csv"):
-        if path not in current:
-            path.unlink()
-
-
-def _require(path: Path, produced_by: str) -> Path:
-    if not Path(path).exists():
-        raise DependencyError(
-            f"missing {path}; run the {produced_by!r} stage first"
-        )
-    return Path(path)
+    manifest[row.name] = recorded
+    storage.write_manifest(ws / MANIFEST, manifest)
+    return [part.name for part, _ in todo]
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +314,14 @@ def _synth_config(cfg: PipelineConfig) -> SynthConfig:
     )
 
 
-def _synth_outputs(ws: Path, cfg: PipelineConfig) -> tuple[Path, ...]:
-    scfg = _synth_config(cfg)
+def _synth_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
     token_ids = BENCHMARK_TOKENS + tuple(
-        f"TOK{i:03d}" for i in range(2, scfg.n_tokens)
+        f"TOK{i:03d}" for i in range(2, cfg.synth_tokens)
     )
-    return (
-        meta_path(ws),
-        prices_path(ws),
-        blockmap_path(ws),
-        probes_path(ws),
-    ) + tuple(events_dir(ws) / f"{tid}.csv" for tid in token_ids)
+    writes = (META, PRICES, BLOCKMAP, PROBES) + tuple(
+        f"{EVENTS}/{tid}.csv" for tid in token_ids
+    )
+    return [Part("all", writes)], None
 
 
 def _synth_all(cfg: PipelineConfig) -> None:
@@ -347,11 +332,11 @@ def _synth_all(cfg: PipelineConfig) -> None:
     for event in market.events:
         by_token[event.token_id].append(event)
     for tid, events in by_token.items():
-        storage.write_events(events_dir(ws) / f"{tid}.csv", events)
+        storage.write_events(ws / EVENTS / f"{tid}.csv", events)
 
-    storage.write_meta(meta_path(ws), market.metas)
-    storage.write_prices(prices_path(ws), market.prices, market.mcaps, market.volumes)
-    storage.write_block_map(blockmap_path(ws), market.block_map)
+    storage.write_meta(ws / META, market.metas)
+    storage.write_prices(ws / PRICES, market.prices, market.mcaps, market.volumes)
+    storage.write_block_map(ws / BLOCKMAP, market.block_map)
 
     # ground-truth probes drawn from a stream independent of generation
     rng = np.random.default_rng([cfg.seed, 9041])
@@ -364,14 +349,7 @@ def _synth_all(cfg: PipelineConfig) -> None:
             account = accounts[int(rng.integers(0, len(accounts)))]
             block = int(rng.integers(0, market.max_block + 1))
             probes.append((tid, account, block, market.oracle(tid, account, block)))
-    storage.write_probes(probes_path(ws), probes)
-
-
-def stage_synth(cfg: PipelineConfig) -> list[str]:
-    ws = cfg.workspace
-    task = _Task("all", _synth_outputs(ws, cfg), _synth_all, (cfg,))
-    _drop_stale(events_dir(ws), [task])
-    return _run_tasks(ws, "synth", _input_hash(cfg, "synth"), [task], workers=1)
+    storage.write_probes(ws / PROBES, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +357,37 @@ def stage_synth(cfg: PipelineConfig) -> list[str]:
 
 
 def _token_decimals(ws: Path) -> dict[str, int]:
-    return {m.token_id: m.decimals for m in storage.read_meta(meta_path(ws))}
+    return {m.token_id: m.decimals for m in storage.read_meta(Path(ws) / META)}
+
+
+def _ingest_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
+    decimals = _token_decimals(cfg.workspace)
+    parts = [
+        Part(
+            tid,
+            (f"{LEDGERS}/{tid}.csv",),
+            (f"{EVENTS}/{tid}.csv",),
+            (tid, decimals[tid]),
+        )
+        for tid in sorted(decimals)
+    ]
+    return parts, None
 
 
 def _ingest_token(cfg: PipelineConfig, token_id: str, decimals: int) -> None:
     ws = cfg.workspace
-    records = storage.read_rows(events_dir(ws) / f"{token_id}.csv")
+    records = storage.read_rows(ws / EVENTS / f"{token_id}.csv")
     events = parse_events(records)
     if events:
         ledger = build_ledger(events, decimals)
         entries = ledger.entries
     else:
         entries = ()
-    storage.write_ledger_entries(ledgers_dir(ws) / f"{token_id}.csv", entries)
+    storage.write_ledger_entries(ws / LEDGERS / f"{token_id}.csv", entries)
 
 
 def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger | None:
-    entries = storage.read_ledger_entries(ledgers_dir(ws) / f"{token_id}.csv")
+    entries = storage.read_ledger_entries(Path(ws) / LEDGERS / f"{token_id}.csv")
     return ledger_from_entries(entries, decimals) if entries else None
 
 
@@ -410,14 +402,18 @@ def _probe_check(ledger: TokenLedger | None, probes) -> str:
     return ""
 
 
+def _filters_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
+    return [Part("filters", (FILTERS,))], None
+
+
 def _ingest_filters(cfg: PipelineConfig) -> None:
     ws = cfg.workspace
-    metas = storage.read_meta(meta_path(ws))
+    metas = storage.read_meta(ws / META)
     reports = filter_tokens(
         metas, min_price_days=cfg.min_price_days, min_volume=cfg.min_volume
     )
     probes_by_token: dict[str, list] = {}
-    for probe in storage.read_probes(probes_path(ws)):
+    for probe in storage.read_probes(ws / PROBES):
         probes_by_token.setdefault(probe[0], []).append(probe)
 
     decimals = {m.token_id: m.decimals for m in metas}
@@ -432,34 +428,7 @@ def _ingest_filters(cfg: PipelineConfig) -> None:
                     tid, False, FilterStage.INCONSISTENT_BALANCE, detail
                 )
         final.append(report)
-    storage.write_filters(filters_path(ws), final)
-
-
-def stage_ingest(cfg: PipelineConfig) -> list[str]:
-    ws = cfg.workspace
-    _require(meta_path(ws), "synth")
-    _require(events_dir(ws), "synth")
-    _require(probes_path(ws), "synth")
-    decimals = _token_decimals(ws)
-
-    input_hash = _input_hash(cfg, "ingest", input_dir(ws))
-    tasks = [
-        _Task(
-            tid,
-            (ledgers_dir(ws) / f"{tid}.csv",),
-            _ingest_token,
-            (cfg, tid, decimals[tid]),
-        )
-        for tid in sorted(decimals)
-    ]
-    _drop_stale(ledgers_dir(ws), tasks)
-    ran = _run_tasks(ws, "ingest", input_hash, tasks, cfg.workers)
-
-    # the screening report depends on every ledger, so it runs serially
-    # after the token partitions under the same input hash
-    filters_task = _Task("filters", (filters_path(ws),), _ingest_filters, (cfg,))
-    ran += _run_tasks(ws, "ingest.filters", input_hash, [filters_task], workers=1)
-    return ran
+    storage.write_filters(ws / FILTERS, final)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +436,7 @@ def stage_ingest(cfg: PipelineConfig) -> list[str]:
 
 
 def _passed_tokens(ws: Path) -> list[str]:
-    return [r.token_id for r in storage.read_filters(filters_path(ws)) if r.passed]
+    return [r.token_id for r in storage.read_filters(Path(ws) / FILTERS) if r.passed]
 
 
 def _filled_prices(
@@ -478,7 +447,7 @@ def _filled_prices(
     ``series`` is an already parsed ``prices.csv``; it is read when absent.
     """
     if series is None:
-        series = storage.read_prices(prices_path(ws))
+        series = storage.read_prices(Path(ws) / PRICES)
     last = max(s.end for s in series.values())
     return {tid: forward_fill(s, through=last) for tid, s in series.items()}
 
@@ -492,8 +461,8 @@ def snapshot_calendar(
     """
     ws = cfg.workspace
     if series is None:
-        series = storage.read_prices(_require(prices_path(ws), "synth"))
-    block_map = storage.read_block_map(_require(blockmap_path(ws), "synth"))
+        series = storage.read_prices(_require(ws, PRICES))
+    block_map = storage.read_block_map(_require(ws, BLOCKMAP))
     first_day = min(s.start for s in series.values())
     last_day = max(s.end for s in series.values())
     start = first_day + dt.timedelta(days=cfg.lookback_days)
@@ -532,6 +501,19 @@ def _load_holdings(
     return _Holdings(ledgers, accounts, prices)
 
 
+def _snapshot_plan(cfg: PipelineConfig) -> tuple[list[Part], Callable]:
+    series = storage.read_prices(Path(cfg.workspace) / PRICES)
+    calendar = snapshot_calendar(cfg, series)
+    # in-process, the load reuses the calendar's parse of prices.csv; pool
+    # workers parse their own, so the forked pool inherits no copy of it
+    load = functools.partial(_load_holdings, cfg, series if cfg.workers == 1 else None)
+    parts = [
+        Part(snap.month, (f"{SNAPSHOTS}/{snap.month}.csv",), args=(snap,))
+        for snap in calendar
+    ]
+    return parts, load
+
+
 def _snapshot_month(
     holdings: _Holdings, cfg: PipelineConfig, snapshot: Snapshot
 ) -> None:
@@ -555,46 +537,26 @@ def _snapshot_month(
                     pos.value,
                 )
             )
-    storage.write_positions(
-        snapshots_dir(ws) / f"{snapshot.month}.csv", rows
-    )
-
-
-def stage_snapshot(cfg: PipelineConfig) -> list[str]:
-    ws = cfg.workspace
-    _require(filters_path(ws), "ingest")
-    _require(ledgers_dir(ws), "ingest")
-    series = storage.read_prices(_require(prices_path(ws), "synth"))
-    calendar = snapshot_calendar(cfg, series)
-    # in-process, the load reuses the calendar's parse of prices.csv; pool
-    # workers parse their own, so the forked pool inherits no copy of it
-    load = functools.partial(_load_holdings, cfg, series if cfg.workers == 1 else None)
-    del series
-    # everything the calendar and _load_holdings read, token decimals included
-    input_hash = _input_hash(
-        cfg,
-        "snapshot",
-        ledgers_dir(ws),
-        filters_path(ws),
-        meta_path(ws),
-        prices_path(ws),
-        blockmap_path(ws),
-    )
-    tasks = [
-        _Task(
-            snap.month,
-            (snapshots_dir(ws) / f"{snap.month}.csv",),
-            _snapshot_month,
-            (cfg, snap),
-        )
-        for snap in calendar
-    ]
-    _drop_stale(snapshots_dir(ws), tasks)
-    return _run_tasks(ws, "snapshot", input_hash, tasks, cfg.workers, load)
+    storage.write_positions(ws / SNAPSHOTS / f"{snapshot.month}.csv", rows)
 
 
 # ---------------------------------------------------------------------------
-# optimize stage
+# optimize and metrics stages: one partition per upstream month file
+
+
+def _per_month(src: str, dst: str) -> Callable:
+    """A plan with one partition per ``src`` month file, writing the same
+    month under ``dst``, that loads the filled prices."""
+
+    def plan(cfg: PipelineConfig) -> tuple[list[Part], Callable]:
+        ws = Path(cfg.workspace)
+        months = sorted(p.stem for p in (ws / src).glob("*.csv"))
+        parts = [
+            Part(m, (f"{dst}/{m}.csv",), (f"{src}/{m}.csv",), (m,)) for m in months
+        ]
+        return parts, functools.partial(_filled_prices, ws)
+
+    return plan
 
 
 def _window_cache(
@@ -607,8 +569,8 @@ def _optimize_month(
     prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
 ) -> None:
     ws = cfg.workspace
-    positions = storage.read_positions(snapshots_dir(ws) / f"{month}.csv")
-    out_path = solutions_dir(ws) / f"{month}.csv"
+    positions = storage.read_positions(ws / SNAPSHOTS / f"{month}.csv")
+    out_path = ws / SOLUTIONS / f"{month}.csv"
     if not positions:
         storage.write_solutions(out_path, [])
         return
@@ -683,38 +645,12 @@ def _optimize_month(
     storage.write_solutions(out_path, rows)
 
 
-def stage_optimize(cfg: PipelineConfig) -> list[str]:
-    ws = cfg.workspace
-    months = _month_files(_require(snapshots_dir(ws), "snapshot"))
-    if not months:
-        raise DependencyError(
-            f"no snapshot partitions in {snapshots_dir(ws)}; run the 'snapshot' stage first"
-        )
-    input_hash = _input_hash(cfg, "optimize", snapshots_dir(ws), prices_path(ws))
-    tasks = [
-        _Task(
-            path.stem,
-            (solutions_dir(ws) / path.name,),
-            _optimize_month,
-            (cfg, path.stem),
-        )
-        for path in months
-    ]
-    _drop_stale(solutions_dir(ws), tasks)
-    load = functools.partial(_filled_prices, ws)
-    return _run_tasks(ws, "optimize", input_hash, tasks, cfg.workers, load)
-
-
-# ---------------------------------------------------------------------------
-# metrics stage
-
-
 def _metrics_month(
     prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
 ) -> None:
     ws = cfg.workspace
-    solutions = storage.read_solutions(solutions_dir(ws) / f"{month}.csv")
-    out_path = perf_dir(ws) / f"{month}.csv"
+    solutions = storage.read_solutions(ws / SOLUTIONS / f"{month}.csv")
+    out_path = ws / PERF / f"{month}.csv"
     if not solutions:
         storage.write_perf(out_path, [])
         return
@@ -764,30 +700,12 @@ def _metrics_month(
     storage.write_perf(out_path, records)
 
 
-def stage_metrics(cfg: PipelineConfig) -> list[str]:
-    ws = cfg.workspace
-    months = _month_files(_require(solutions_dir(ws), "optimize"))
-    if not months:
-        raise DependencyError(
-            f"no solution partitions in {solutions_dir(ws)}; run the 'optimize' stage first"
-        )
-    input_hash = _input_hash(cfg, "metrics", solutions_dir(ws), prices_path(ws))
-    tasks = [
-        _Task(
-            path.stem,
-            (perf_dir(ws) / path.name,),
-            _metrics_month,
-            (cfg, path.stem),
-        )
-        for path in months
-    ]
-    _drop_stale(perf_dir(ws), tasks)
-    load = functools.partial(_filled_prices, ws)
-    return _run_tasks(ws, "metrics", input_hash, tasks, cfg.workers, load)
-
-
 # ---------------------------------------------------------------------------
 # report stage
+
+
+def _month_files(directory: Path) -> list[Path]:
+    return sorted(Path(directory).glob("*.csv"))
 
 
 def _distance_histogram(
@@ -836,7 +754,7 @@ def _decay_fits(cfg: PipelineConfig, solutions: list[dict]):
 def _concentration_rows(cfg: PipelineConfig) -> list[ConcentrationRow]:
     ws = cfg.workspace
     rows: list[ConcentrationRow] = []
-    for path in _month_files(snapshots_dir(ws)):
+    for path in _month_files(ws / SNAPSHOTS):
         positions = storage.read_positions(path)
         if not positions:
             continue
@@ -872,17 +790,24 @@ def _concentration_rows(cfg: PipelineConfig) -> list[ConcentrationRow]:
     return rows
 
 
+_REPORT_WRITES = tuple(f"{REPORT}/{name}" for name in REPORT_FILES)
+
+
+def _report_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
+    return [Part("bundle", _REPORT_WRITES)], None
+
+
 def _report_all(cfg: PipelineConfig) -> None:
     ws = cfg.workspace
     solutions: list[dict] = []
-    for path in _month_files(solutions_dir(ws)):
+    for path in _month_files(ws / SOLUTIONS):
         solutions.extend(storage.read_solutions(path))
     records: list[PerfRecord] = []
-    for path in _month_files(perf_dir(ws)):
+    for path in _month_files(ws / PERF):
         records.extend(storage.read_perf(path))
 
     report = aggregate(records, baseline=BASELINE)
-    out = report_dir(ws)
+    out = ws / REPORT
     storage.write_summary(out / "summary.csv", report)
     storage.write_excess_curve(out / "excess_curve.csv", report)
     storage.write_csv(
@@ -894,32 +819,97 @@ def _report_all(cfg: PipelineConfig) -> None:
     storage.write_concentration(out / "concentration.csv", _concentration_rows(cfg))
 
 
-REPORT_FILES = (
-    "summary.csv",
-    "excess_curve.csv",
-    "distance_hist.csv",
-    "decay_fit.csv",
-    "concentration.csv",
+# ---------------------------------------------------------------------------
+# the stage table
+
+
+STAGES = (
+    Stage(
+        "synth",
+        keys=(
+            "seed",
+            "synth_tokens",
+            "synth_accounts",
+            "synth_months",
+            "synth_start",
+            "transfers_per_account_month",
+            "synth_min_size",
+            "synth_max_size",
+            "validation_samples",
+        ),
+        shared=(),
+        index=(),
+        writes=(META, PRICES, BLOCKMAP, PROBES, f"{EVENTS}/*.csv"),
+        plan=_synth_plan,
+        body=_synth_all,
+    ),
+    Stage(
+        "ingest",
+        keys=(),
+        shared=(),
+        index=(META,),
+        writes=(f"{LEDGERS}/*.csv",),
+        plan=_ingest_plan,
+        body=_ingest_token,
+    ),
+    # the screening report depends on every ledger, so it runs serially
+    # after the token partitions
+    Stage(
+        "ingest.filters",
+        keys=("min_price_days", "min_volume"),
+        shared=(META, PROBES, LEDGERS),
+        index=(),
+        writes=(FILTERS,),
+        plan=_filters_plan,
+        body=_ingest_filters,
+    ),
+    Stage(
+        "snapshot",
+        keys=("lookback_days", "forward_days"),
+        shared=(LEDGERS, FILTERS, META, PRICES, BLOCKMAP),
+        index=(),
+        writes=(f"{SNAPSHOTS}/*.csv",),
+        plan=_snapshot_plan,
+        body=_snapshot_month,
+    ),
+    Stage(
+        "optimize",
+        keys=("lookback_days", "min_obs", "mean_shrink_lambda", "w_max", "rf_annual"),
+        shared=(PRICES,),
+        index=(SNAPSHOTS,),
+        writes=(f"{SOLUTIONS}/*.csv",),
+        plan=_per_month(SNAPSHOTS, SOLUTIONS),
+        body=_optimize_month,
+    ),
+    Stage(
+        "metrics",
+        keys=("lookback_days", "forward_days", "market_tokens"),
+        shared=(PRICES,),
+        index=(SOLUTIONS,),
+        writes=(f"{PERF}/*.csv",),
+        plan=_per_month(SOLUTIONS, PERF),
+        body=_metrics_month,
+    ),
+    Stage(
+        "report",
+        keys=(
+            "dust_threshold",
+            "top_k_pcts",
+            "min_holders",
+            "distance_bin_edges",
+            "size_bin_min",
+            "size_bin_max",
+            "min_bin_count",
+        ),
+        shared=(PERF, SOLUTIONS, SNAPSHOTS),
+        index=(),
+        writes=_REPORT_WRITES,
+        plan=_report_plan,
+        body=_report_all,
+    ),
 )
 
-
-def stage_report(cfg: PipelineConfig) -> list[str]:
-    ws = cfg.workspace
-    months = _month_files(_require(perf_dir(ws), "metrics"))
-    if not months:
-        raise DependencyError(
-            f"no performance partitions in {perf_dir(ws)}; run the 'metrics' stage first"
-        )
-    input_hash = _input_hash(
-        cfg, "report", perf_dir(ws), solutions_dir(ws), snapshots_dir(ws)
-    )
-    task = _Task(
-        "bundle",
-        tuple(report_dir(ws) / name for name in REPORT_FILES),
-        _report_all,
-        (cfg,),
-    )
-    return _run_tasks(ws, "report", input_hash, [task], workers=1)
+PIPELINE_STAGES = tuple(dict.fromkeys(row.stage for row in STAGES))
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +925,8 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
     from the ledger index). Raises InputError on any violation.
     """
     ws = cfg.workspace
-    _require(ledgers_dir(ws), "ingest")
-    probes = storage.read_probes(_require(probes_path(ws), "synth"))
+    _require(ws, LEDGERS)
+    probes = storage.read_probes(_require(ws, PROBES))
     decimals = _token_decimals(ws)
 
     ledgers: dict[str, TokenLedger] = {}
@@ -947,7 +937,7 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
         if token_id not in ledgers:
             ledgers[token_id] = _load_ledger(ws, token_id, decimals[token_id])
             flows: list[tuple[int, int]] = []
-            for rec in storage.read_rows(events_dir(ws) / f"{token_id}.csv"):
+            for rec in storage.read_rows(ws / EVENTS / f"{token_id}.csv"):
                 amount = int(rec["amount"])
                 if rec["event_kind"] == "deposit":
                     flows.append((int(rec["block"]), amount))
@@ -984,16 +974,6 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
 # driver
 
 
-_STAGE_FUNCS = {
-    "synth": stage_synth,
-    "ingest": stage_ingest,
-    "snapshot": stage_snapshot,
-    "optimize": stage_optimize,
-    "metrics": stage_metrics,
-    "report": stage_report,
-}
-
-
 def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None) -> dict:
     """Run the selected stages in dependency order.
 
@@ -1001,12 +981,14 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None) -> di
     list means the stage was already up to date).
     """
     selected = list(stages) if stages is not None else list(PIPELINE_STAGES)
-    unknown = [s for s in selected if s not in _STAGE_FUNCS]
+    unknown = [s for s in selected if s not in PIPELINE_STAGES]
     if unknown:
         raise InputError(f"unknown stages: {', '.join(unknown)}")
-    ordered = [s for s in PIPELINE_STAGES if s in selected]
+    digests: dict[Path, str] = {}
     ran: dict[str, list[str]] = {}
-    for stage in ordered:
-        ran[stage] = _STAGE_FUNCS[stage](cfg)
-        log.info("stage %s: %d partitions computed", stage, len(ran[stage]))
+    for row in STAGES:
+        if row.stage in selected:
+            computed = _run_stage(cfg, row, digests)
+            ran.setdefault(row.stage, []).extend(computed)
+            log.info("stage %s: %d partitions computed", row.name, len(computed))
     return ran

@@ -12,12 +12,12 @@ import bisect
 import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .ingest import TokenLedger, balance_at
-from .marketdata import MomentEstimates, PriceSeries
+from .marketdata import PriceSeries
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,6 @@ class BlockTimeMap:
         if i == 0:
             raise ValueError(f"{day} precedes the first block anchor")
         return self.anchors[i - 1][0]
-
-    def date_for(self, block: int) -> dt.date:
-        blocks = [a[0] for a in self.anchors]
-        i = bisect.bisect_right(blocks, block)
-        if i == 0:
-            raise ValueError(f"block {block} precedes the first anchor")
-        return self.anchors[i - 1][1]
 
 
 @dataclass(frozen=True)
@@ -160,51 +153,6 @@ def reconstruct_snapshot(
     if total <= 0:
         return None
     return Portfolio(account, snapshot, tuple(positions), total, tuple(excluded))
-
-
-def restrict_portfolio(p: Portfolio, keep: Sequence[str]) -> Portfolio | None:
-    """Drop positions outside ``keep`` and renormalise weights by value.
-
-    Used to cut a portfolio down to the assets with enough return history;
-    returns None when nothing is left.
-    """
-    keep_set = set(keep)
-    kept = tuple(pos for pos in p.positions if pos.token_id in keep_set)
-    dropped = tuple(pos.token_id for pos in p.positions if pos.token_id not in keep_set)
-    total = sum(pos.value for pos in kept)
-    if not kept or total <= 0:
-        return None
-    return Portfolio(p.account, p.snapshot, kept, total, p.excluded + dropped)
-
-
-def portfolio_moments(p: Portfolio, m: MomentEstimates) -> tuple[float, float]:
-    """Expected daily return and volatility of the held weight vector.
-
-    Every held asset must be one of the estimate's eligible assets;
-    anything else is a dimension mismatch, not a silent zero.
-    """
-    index = {tid: k for k, tid in enumerate(m.eligible_ids)}
-    missing = [tid for tid in p.token_ids if tid not in index]
-    if missing:
-        raise ValueError(f"no moment estimates for held assets: {missing}")
-    w = np.zeros(len(m.eligible_ids))
-    for pos, weight in zip(p.positions, p.weights):
-        w[index[pos.token_id]] = weight
-    mu = float(w @ m.shrunk_means)
-    var = float(w @ m.cov @ w)
-    sigma = float(np.sqrt(max(var, 0.0)))
-    return mu, sigma
-
-
-def portfolio_beta(p: Portfolio, betas: Mapping[str, float]) -> float:
-    """Value-weighted average of the held assets' market betas."""
-    total = 0.0
-    for pos, weight in zip(p.positions, p.weights):
-        beta = betas.get(pos.token_id)
-        if beta is None:
-            raise ValueError(f"no beta for held asset {pos.token_id!r}")
-        total += weight * beta
-    return total
 
 
 class WealthBin(Enum):

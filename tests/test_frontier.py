@@ -205,6 +205,18 @@ def test_max_ret_spends_its_budget():
         assert abs(sol.sigma - sigma0) <= 1e-8 or sol.mu >= mu_hi - 1e-12
 
 
+def test_max_ret_on_rank_one_covariance_returns_a_row():
+    # a singular covariance can round the GMV's variance below zero, which
+    # must not raise from the square root of the risk-budget check
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        F = rng.normal(0.0, 0.02, (n, 1))
+        m = moments([f"T{i}" for i in range(n)], rng.normal(0.001, 0.01, n), F @ F.T)
+        sol = solve(Strategy.MAX_RET, rng.dirichlet(np.ones(n)), m)
+        assert sol.weights.shape == (n,)
+
+
 def test_max_return_vertex_over_budget():
     # cap 0.5 makes the max-return face the single vertex (0.5, 0.5, 0):
     # three active bounds and two equality rows on three weights

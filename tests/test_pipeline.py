@@ -1,15 +1,18 @@
 """Workspace orchestration tests on a small synthetic universe.
 
-The properties under test: every stage writes its declared partitions, a
-rerun with unchanged inputs touches nothing, a deleted or corrupted
-partition is rebuilt byte-identically, an edited input reaches every file
-that depends on it, a stage parses its shared inputs once rather than once
-per partition, stages fail loudly when their upstream outputs are missing,
-and the worker count changes wall time only, never bytes.
+The properties under test: every stage writes its declared partitions and
+reads only what its row in the stage table declares, a rerun with
+unchanged inputs touches nothing and hashes each file once, a deleted or
+corrupted partition is rebuilt byte-identically, an edited input reaches
+every file that depends on it and no partition that does not read it, a
+stage parses its shared inputs once rather than once per partition,
+stages fail loudly when their upstream outputs are missing, and the worker
+count changes wall time only, never bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -23,13 +26,13 @@ from chainfrontier import frontier, storage
 from chainfrontier.config import PipelineConfig
 from chainfrontier.errors import DependencyError, InputError
 from chainfrontier.pipeline import (
+    MANIFEST,
     PIPELINE_STAGES,
     REPORT_FILES,
+    STAGES,
+    _producer,
     run_pipeline,
     snapshot_calendar,
-    stage_ingest,
-    stage_optimize,
-    stage_report,
     validate_workspace,
 )
 
@@ -54,6 +57,20 @@ def bundle(ws) -> dict:
         for p in sorted(ws.rglob("*"))
         if p.is_file()
     }
+
+
+def assert_matches_fresh_build(cfg, tmp_path) -> None:
+    """The workspace equals a fresh build from its own inputs, manifest
+    included; the rerun's manifest also holds the synth entry of the
+    original build, which a build from copied inputs lacks."""
+    fresh = dataclasses.replace(cfg, workspace=tmp_path / "fresh")
+    shutil.copytree(cfg.workspace / "input", fresh.workspace / "input")
+    run_pipeline(fresh, PIPELINE_STAGES[1:])
+    rerun, rebuilt = bundle(cfg.workspace), bundle(fresh.workspace)
+    manifests = [json.loads(b.pop("manifest.json")) for b in (rerun, rebuilt)]
+    manifests[0].pop("synth")
+    assert manifests[0] == manifests[1]
+    assert rerun == rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +166,22 @@ def test_noop_rerun_touches_nothing(copied):
         assert after[path] == mtime, path
 
 
+def test_noop_rerun_hashes_each_file_once(copied, monkeypatch):
+    ws = copied.workspace
+    reads: Counter = Counter()
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads[path] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    assert not any(run_pipeline(copied).values())
+    files = {p for p in ws.rglob("*") if p.is_file()} - {ws / MANIFEST}
+    assert set(reads) == files
+    assert max(reads.values()) == 1
+
+
 def test_deleted_partition_rebuilt_identically(copied):
     ws = copied.workspace
     months = sorted(p.name for p in (ws / "solutions").glob("*.csv"))
@@ -158,7 +191,7 @@ def test_deleted_partition_rebuilt_identically(copied):
     mtime0 = untouched.stat().st_mtime_ns
 
     victim.unlink()
-    ran = stage_optimize(copied)
+    ran = run_pipeline(copied, ["optimize"])["optimize"]
     assert ran == [victim.stem]
     assert victim.read_bytes() == original
     assert untouched.stat().st_mtime_ns == mtime0
@@ -169,7 +202,7 @@ def test_corrupted_partition_rebuilt_identically(copied):
     victim = sorted((ws / "ledgers").glob("*.csv"))[0]
     original = victim.read_bytes()
     victim.write_bytes(original[: len(original) // 2])
-    ran = stage_ingest(copied)
+    ran = run_pipeline(copied, ["ingest"])["ingest"]
     assert victim.stem in ran
     assert victim.read_bytes() == original
 
@@ -186,7 +219,9 @@ def test_config_change_invalidates_only_dependent_stage(copied):
 
 
 def test_decimals_edit_matches_fresh_build(copied, tmp_path):
-    """Snapshot quantities scale by token decimals, which live in meta.csv."""
+    """Snapshot quantities scale by token decimals, which live in meta.csv;
+    of the ingest partitions only the edited token's ledger and the
+    screening report read them."""
     ws = copied.workspace
     first_month = sorted((ws / "snapshots").glob("*.csv"))[0]
     held = storage.read_positions(first_month)[0]["token_id"]
@@ -199,16 +234,25 @@ def test_decimals_edit_matches_fresh_build(copied, tmp_path):
         ],
     )
     ran = run_pipeline(copied, PIPELINE_STAGES[1:])
+    assert ran["ingest"] == [held, "filters"]
     assert len(ran["snapshot"]) == copied.synth_months
+    assert_matches_fresh_build(copied, tmp_path)
 
-    fresh = dataclasses.replace(copied, workspace=tmp_path / "fresh")
-    shutil.copytree(ws / "input", fresh.workspace / "input")
-    run_pipeline(fresh, PIPELINE_STAGES[1:])
-    rerun, rebuilt = bundle(ws), bundle(fresh.workspace)
-    # the rerun's manifest also holds the synth entry of the original build
-    rerun.pop("manifest.json")
-    rebuilt.pop("manifest.json")
-    assert rerun == rebuilt
+
+def test_prices_edit_skips_ingest_and_matches_fresh_build(copied, tmp_path):
+    """Ingest never reads prices, so one edited close recomputes none of
+    its partitions, while every snapshot month reads the prices."""
+    path = copied.workspace / "input" / "prices.csv"
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    row = rows[len(rows) // 2]
+    row[2] = repr(float(row[2]) * 1.5)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    ran = run_pipeline(copied, PIPELINE_STAGES[1:])
+    assert ran["ingest"] == []
+    assert len(ran["snapshot"]) == copied.synth_months
+    assert_matches_fresh_build(copied, tmp_path)
 
 
 def test_lookback_edit_matches_fresh_build(copied, tmp_path):
@@ -216,16 +260,7 @@ def test_lookback_edit_matches_fresh_build(copied, tmp_path):
     longer = dataclasses.replace(copied, lookback_days=copied.lookback_days + 40)
     assert 0 < len(snapshot_calendar(longer)) < len(snapshot_calendar(copied))
     run_pipeline(longer)
-
-    fresh = dataclasses.replace(longer, workspace=tmp_path / "fresh")
-    shutil.copytree(longer.workspace / "input", fresh.workspace / "input")
-    run_pipeline(fresh, PIPELINE_STAGES[1:])
-    rerun, rebuilt = bundle(longer.workspace), bundle(fresh.workspace)
-    # the rerun's manifest also holds the synth entry of the original build
-    manifests = [json.loads(b.pop("manifest.json")) for b in (rerun, rebuilt)]
-    manifests[0].pop("synth")
-    assert manifests[0] == manifests[1]
-    assert rerun == rebuilt
+    assert_matches_fresh_build(longer, tmp_path)
 
 
 def test_token_count_edit_matches_fresh_build(copied, tmp_path):
@@ -328,15 +363,98 @@ def test_optimize_solves_one_gmv_per_book(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the stage table
+
+
+def _under(rel: str, declared) -> bool:
+    return any(rel == d or rel.startswith(d + "/") for d in declared)
+
+
+def test_every_stage_reads_only_what_its_row_declares(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(small_config(tmp_path / "ws"), workers=1)
+    ws = cfg.workspace
+    parsed: list[Path] = []
+    hashed: list[Path] = []
+
+    def spied(reader):
+        def read(path, *args, **kwargs):
+            parsed.append(Path(path))
+            return reader(path, *args, **kwargs)
+
+        return read
+
+    for name, fn in list(vars(storage).items()):
+        # the manifest is the cache's own record, not a stage input
+        if name.startswith("read_") and callable(fn) and name != "read_manifest":
+            monkeypatch.setattr(storage, name, spied(fn))
+    read_bytes = Path.read_bytes
+
+    def hashing(path):
+        hashed.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", hashing)
+
+    for stage in PIPELINE_STAGES:
+        parsed.clear()
+        hashed.clear()
+        run_pipeline(cfg, [stage])
+        seen = {p.relative_to(ws).as_posix() for p in parsed}
+        digested = {p.relative_to(ws).as_posix() for p in hashed}
+        reads, writes = set(), set()
+        for row in STAGES:
+            if row.stage == stage:
+                parts, _ = row.plan(cfg)
+                reads |= {*row.index, *row.shared}
+                reads |= {rel for part in parts for rel in part.reads}
+                writes |= {rel for part in parts for rel in part.writes}
+        assert seen or stage == "synth"
+        for rel in seen:
+            assert _under(rel, reads), (stage, rel)
+        # hashing also reads back what the stage wrote
+        for rel in digested:
+            assert _under(rel, reads | writes), (stage, rel)
+
+
+def test_every_config_key_is_declared_by_a_stage():
+    declared = {key for row in STAGES for key in row.keys}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert declared == fields - {"workspace", "workers"}
+
+
+MISSING_READS = [
+    (row.stage, rel)
+    for row in STAGES
+    for rel in row.index + row.shared
+    if _producer(rel) != row.stage
+]
+
+
+@pytest.mark.parametrize(
+    "stage, rel", MISSING_READS, ids=[f"{s}-{r}" for s, r in MISSING_READS]
+)
+def test_missing_read_names_the_stage_that_writes_it(copied, stage, rel):
+    producer = _producer(rel)
+    assert PIPELINE_STAGES.index(producer) < PIPELINE_STAGES.index(stage)
+    path = copied.workspace / rel
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    with pytest.raises(DependencyError, match=f"run the '{producer}' stage first"):
+        run_pipeline(copied, [stage])
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 
 
 def test_missing_upstream_names_the_stage(tmp_path):
     cfg = small_config(tmp_path / "empty")
     with pytest.raises(DependencyError, match="run the 'synth' stage first"):
-        stage_ingest(cfg)
+        run_pipeline(cfg, ["ingest"])
     with pytest.raises(DependencyError, match="run the 'metrics' stage first"):
-        stage_report(cfg)
+        run_pipeline(cfg, ["report"])
     with pytest.raises(DependencyError, match="run the 'ingest' stage first"):
         validate_workspace(cfg)
 

@@ -7,27 +7,17 @@ from __future__ import annotations
 
 import datetime as dt
 
-import numpy as np
 import pytest
 
 from chainfrontier.ingest import ZERO_ACCOUNT, TransferEvent, build_ledger
-from chainfrontier.marketdata import (
-    MomentEstimates,
-    PriceSeries,
-    forward_fill,
-)
+from chainfrontier.marketdata import PriceSeries, forward_fill
 from chainfrontier.portfolio import (
     BlockTimeMap,
-    Portfolio,
-    Position,
     Snapshot,
     WealthBin,
     assign_wealth_bin,
     monthly_snapshots,
-    portfolio_beta,
-    portfolio_moments,
     reconstruct_snapshot,
-    restrict_portfolio,
 )
 
 D = dt.date
@@ -71,7 +61,6 @@ def test_block_map_resolves_latest_block_at_or_before():
     assert bmap.block_for(D(2023, 1, 1)) == 0
     assert bmap.block_for(D(2023, 1, 2)) == 100
     assert bmap.block_for(D(2023, 6, 1)) == 200
-    assert bmap.date_for(150) == D(2023, 1, 2)
     with pytest.raises(ValueError):
         bmap.block_for(D(2022, 12, 31))
 
@@ -155,70 +144,6 @@ def test_decimals_scale_quantity():
     assert p is not None
     assert p.positions[0].quantity == pytest.approx(2.5)
     assert p.total_value == pytest.approx(10.0)
-
-
-def test_restrict_portfolio_renormalises():
-    day = D(2023, 2, 1)
-    snap = Snapshot(day, block=4)
-    p = reconstruct_snapshot(golden_ledgers(), golden_prices(day), "alice", snap)
-    cut = restrict_portfolio(p, ["X"])
-    assert cut is not None
-    assert cut.token_ids == ("X",)
-    assert cut.weights[0] == pytest.approx(1.0)
-    assert "Y" in cut.excluded
-    assert restrict_portfolio(p, ["Z"]) is None
-
-
-# ---------------------------------------------------------------------------
-# moments and beta
-# ---------------------------------------------------------------------------
-
-
-def _portfolio(weights: dict[str, float], value=1000.0) -> Portfolio:
-    snap = Snapshot(D(2023, 2, 1), 1)
-    positions = tuple(
-        Position(tid, int(w * value), w * value, w * value)
-        for tid, w in sorted(weights.items())
-    )
-    return Portfolio("acct", snap, positions, value)
-
-
-def _moments(ids, means, cov) -> MomentEstimates:
-    means = np.asarray(means, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    return MomentEstimates(
-        asset_ids=tuple(ids),
-        eligible=np.ones(len(ids), dtype=bool),
-        eligible_ids=tuple(ids),
-        raw_means=means,
-        shrunk_means=means,
-        cross_mean=float(means.mean()),
-        cov=cov,
-        lw_intensity=0.0,
-        n_obs=60,
-    )
-
-
-def test_portfolio_moments_quadratic_form():
-    p = _portfolio({"A": 0.5, "B": 0.5})
-    m = _moments(["A", "B"], [0.01, 0.03], [[0.04, 0.0], [0.0, 0.04]])
-    mu, sigma = portfolio_moments(p, m)
-    assert mu == pytest.approx(0.02, abs=1e-15)
-    assert sigma == pytest.approx(np.sqrt(0.25 * 0.04 + 0.25 * 0.04), abs=1e-15)
-
-
-def test_portfolio_moments_dimension_mismatch():
-    p = _portfolio({"A": 0.5, "Z": 0.5})
-    m = _moments(["A", "B"], [0.01, 0.03], [[0.04, 0.0], [0.0, 0.04]])
-    with pytest.raises(ValueError, match="Z"):
-        portfolio_moments(p, m)
-
-
-def test_portfolio_beta_weighted_average():
-    p = _portfolio({"A": 0.5, "B": 0.5})
-    assert portfolio_beta(p, {"A": 0.8, "B": 1.2}) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError, match="beta"):
-        portfolio_beta(p, {"A": 0.8})
 
 
 # ---------------------------------------------------------------------------
