@@ -17,6 +17,10 @@ from .errors import InputError
 
 __all__ = ["PipelineConfig", "load_config", "parse_config", "render_config"]
 
+# the two tokens every synthetic universe starts with, and the default
+# market index
+BENCHMARK_TOKENS = ("WETH", "WBTC")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -47,7 +51,7 @@ class PipelineConfig:
     rf_annual: float = 0.05
     # evaluation
     forward_days: int = 20
-    market_tokens: tuple[str, ...] = ("WETH", "WBTC")
+    market_tokens: tuple[str, ...] = BENCHMARK_TOKENS
     # reporting
     dust_threshold: float = 1.0
     top_k_pcts: tuple[float, ...] = (1.0, 5.0, 10.0)

@@ -30,12 +30,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .marketdata import MomentEstimates
-from .metrics import l1_distance
+from .metrics import l1_distance_from
 
 DAYS_PER_YEAR = 365.0
 
@@ -119,7 +119,8 @@ def _moments_of(w: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> tuple[float, 
 
 @dataclass(frozen=True)
 class _Instance:
-    """Unpacked sub-problem on the support."""
+    """Unpacked sub-problem on the support. ``distance`` is the ℓ₁ distance
+    of a full-length weight vector from the observed book."""
 
     support: np.ndarray
     mu: np.ndarray
@@ -129,6 +130,7 @@ class _Instance:
     anchor_mu: float
     anchor_sigma: float
     n_full: int
+    distance: Callable[[np.ndarray], float]
 
 
 def _unpack(
@@ -169,7 +171,13 @@ def _unpack(
     cov = cov_all[np.ix_(support, support)]
     w0s = w0[support]
     anchor_mu, anchor_sigma = _moments_of(w0s, mu, cov)
-    inst = _Instance(support, mu, cov, w0s, c.w_max, anchor_mu, anchor_sigma, w0.size)
+    # the observed book is embedded and checked once, not once per solution
+    full_w0 = np.zeros(w0.size)
+    full_w0[support] = w0s
+    inst = _Instance(
+        support, mu, cov, w0s, c.w_max, anchor_mu, anchor_sigma, w0.size,
+        l1_distance_from(full_w0),
+    )
     reason = ""
     if support.size * c.w_max < 1.0 - 1e-12:
         reason = "cap excludes every fully-invested portfolio on this support"
@@ -217,13 +225,12 @@ def _finish(
     if not converged and not reason:
         reason = "anchor violation above tolerance" if not anchored else "solver did not converge"
     full = _embed(inst, w)
-    full_w0 = _embed(inst, inst.w0)
     return FrontierSolution(
         strategy=strategy,
         weights=full,
         mu=mu_p,
         sigma=sigma_p,
-        distance=l1_distance(full_w0, full),
+        distance=inst.distance(full),
         converged=converged,
         iterations=iterations,
         reason=reason,
@@ -723,14 +730,13 @@ def grid_oracle(
 
     w = W[pick]
     full = _embed(inst, w)
-    full_w0 = _embed(inst, inst.w0)
     mu_p, sigma_p = float(mus[pick]), float(sigmas[pick])
     return FrontierSolution(
         strategy=strategy,
         weights=full,
         mu=mu_p,
         sigma=sigma_p,
-        distance=l1_distance(full_w0, full),
+        distance=inst.distance(full),
         converged=True,
         iterations=len(W),
         reason="",

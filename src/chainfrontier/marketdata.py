@@ -1,6 +1,5 @@
-"""Daily price handling and return-moment estimation.
+"""Return-moment estimation from daily price series.
 
-Price series live on a consecutive daily calendar with explicit gaps.
 Returns are daily log-returns; expected returns get cross-sectional
 shrinkage toward the universe mean, covariances get constant-correlation
 shrinkage with a data-driven intensity.
@@ -10,56 +9,11 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-ONE_DAY = dt.timedelta(days=1)
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Daily USD closes for one token.
-
-    ``closes[i]`` belongs to ``start + i days``; ``None`` marks a day with
-    no observation. The grid is consecutive, so day arithmetic is pure
-    index arithmetic.
-    """
-
-    token_id: str
-    start: dt.date
-    closes: tuple[float | None, ...]
-
-    @property
-    def end(self) -> dt.date:
-        return self.start + (len(self.closes) - 1) * ONE_DAY
-
-    def close_on(self, day: dt.date) -> float | None:
-        i = (day - self.start).days
-        if 0 <= i < len(self.closes):
-            return self.closes[i]
-        return None
-
-    @classmethod
-    def from_observations(
-        cls,
-        token_id: str,
-        observations: Mapping[dt.date, float],
-        end: dt.date | None = None,
-    ) -> "PriceSeries":
-        """Build a gapped daily series from sparse (date, close) pairs."""
-        if not observations:
-            raise ValueError(f"no price observations for {token_id!r}")
-        days = sorted(observations)
-        last = max(days[-1], end) if end is not None else days[-1]
-        start = days[0]
-        closes: list[float | None] = [None] * ((last - start).days + 1)
-        for day, close in observations.items():
-            close = float(close)
-            if not np.isfinite(close) or close <= 0:
-                raise ValueError(f"nonpositive close {close} for {token_id!r} on {day}")
-            closes[(day - start).days] = close
-        return cls(token_id, start, tuple(closes))
+from .prices import ONE_DAY, PriceSeries
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,25 +58,6 @@ class MomentEstimates:
     cov: np.ndarray
     lw_intensity: float
     n_obs: int
-
-
-def forward_fill(series: PriceSeries, through: dt.date | None = None) -> PriceSeries:
-    """Fill gaps with the last observed close.
-
-    Days before the first observation stay absent. ``through`` extends the
-    calendar past the last observation so stale prices keep carrying
-    forward (positions are valued at the last known close). Idempotent.
-    """
-    closes = list(series.closes)
-    if through is not None and through > series.end:
-        closes.extend([None] * (through - series.end).days)
-    last: float | None = None
-    for i, c in enumerate(closes):
-        if c is None:
-            closes[i] = last
-        else:
-            last = c
-    return PriceSeries(series.token_id, series.start, tuple(closes))
 
 
 def log_returns(

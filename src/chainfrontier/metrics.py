@@ -13,7 +13,7 @@ import datetime as dt
 import logging
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -40,13 +40,25 @@ def l1_distance(w_actual, w_target) -> float:
     Both vectors must be fully invested and long-only over the same asset
     ordering (zeros are fine). 0 means identical books, 1 means disjoint.
     """
+    return l1_distance_from(w_actual)(w_target)
+
+
+def l1_distance_from(w_actual) -> Callable[[object], float]:
+    """``l1_distance`` from one book to any number of targets.
+
+    ``w_actual`` is checked once, here; each target is checked on its call.
+    """
     a = np.asarray(w_actual, dtype=float)
-    b = np.asarray(w_target, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"weight shapes differ: {a.shape} vs {b.shape}")
     _check_weights(a, "w_actual")
-    _check_weights(b, "w_target")
-    return float(0.5 * np.sum(np.abs(a - b)))
+
+    def distance(w_target) -> float:
+        b = np.asarray(w_target, dtype=float)
+        if a.shape != b.shape:
+            raise ValueError(f"weight shapes differ: {a.shape} vs {b.shape}")
+        _check_weights(b, "w_target")
+        return float(0.5 * np.sum(np.abs(a - b)))
+
+    return distance
 
 
 def forward_return(weights, start_prices, end_prices) -> float:

@@ -24,7 +24,15 @@ cache does follows from the rows:
 - a missing read names the stage whose row writes it.
 
 Each file is read for hashing at most once per run, and a partition's
-writes replace the digests of what it rewrote.
+writes replace the digests of what it rewrote. ``manifest.json`` is read
+once per run and rewritten only after a row whose entry changed.
+
+This module, and the ingest and snapshot bodies in it, are plain Python.
+The bodies of synth, optimize, metrics and report live in ``numeric``,
+which loads NumPy; it is imported only when one of their rows has a stale
+partition, and then in this process before any pool forks, so pool
+workers inherit it. A no-op run, a repair that stops at snapshot and
+``validate`` therefore never import NumPy.
 
 The load runs only when some partition is stale: once in-process at
 ``workers = 1``, or once per pool worker otherwise. Each partition is a
@@ -44,14 +52,9 @@ import posixpath
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import storage
-from .concentration import ConcentrationRow, concentration_row
-from .config import PipelineConfig
-from .decayfit import bin_by_size, fit_power_decay
-from .errors import DependencyError, InputError, UnidentifiableFitError
-from .frontier import ConstraintSet, Frontier, Strategy, solve
+from .config import BENCHMARK_TOKENS, PipelineConfig
+from .errors import DependencyError, InputError
 from .ingest import (
     FilterReport,
     FilterStage,
@@ -62,24 +65,10 @@ from .ingest import (
     ledger_from_entries,
     parse_events,
 )
-from .marketdata import (
-    PriceSeries,
-    ReturnWindow,
-    asset_beta,
-    estimate_moments,
-    forward_fill,
-    log_returns,
-    market_forward_return,
-    market_index,
-)
-from .metrics import PerfRecord, aggregate, capm_alpha, forward_return
 from .portfolio import Snapshot, monthly_snapshots, reconstruct_snapshot
-from .synth import BENCHMARK_TOKENS, SynthConfig, generate_market
+from .prices import PriceSeries, forward_fill
 
 log = logging.getLogger(__name__)
-
-BASELINE = "baseline"
-FRONTIER_STRATEGIES = (Strategy.MIN_VAR, Strategy.MAX_RET, Strategy.MAX_SR)
 
 # workspace layout, relative to the workspace root
 EVENTS = "input/events"
@@ -132,8 +121,9 @@ class Stage:
     it takes from there. ``writes`` are globs of every file the row
     writes. ``plan(cfg)`` returns the partitions and an optional load,
     whose result goes to every call of ``body`` ahead of ``cfg`` and the
-    partition's arguments. Rows run in table order; a dotted name is a
-    later step of the stage named before the dot.
+    partition's arguments. A stage that crunches numbers names its body in
+    ``numeric`` instead; see ``_body``. Rows run in table order; a dotted
+    name is a later step of the stage named before the dot.
     """
 
     name: str
@@ -142,7 +132,7 @@ class Stage:
     index: tuple[str, ...]
     writes: tuple[str, ...]
     plan: Callable[[PipelineConfig], tuple[list[Part], Callable | None]]
-    body: Callable
+    body: Callable | str
 
     @property
     def stage(self) -> str:
@@ -245,9 +235,27 @@ def _run_tasks(
             fn(*inputs, *args)
 
 
-def _run_stage(cfg: PipelineConfig, row: Stage, digests: dict[Path, str]) -> list[str]:
-    """Run the stale partitions of one row and update the manifest.
+def _body(row: Stage) -> Callable:
+    """The row's partition function.
 
+    A name is looked up in ``numeric``, which is imported here, in this
+    process and before ``_run_tasks`` can fork a pool, so that pool workers
+    inherit NumPy rather than each importing it, and a run with nothing
+    numeric to do never imports it.
+    """
+    if isinstance(row.body, str):
+        from . import numeric
+
+        return getattr(numeric, row.body)
+    return row.body
+
+
+def _run_stage(
+    cfg: PipelineConfig, row: Stage, digests: dict[Path, str], manifest: dict
+) -> list[str]:
+    """Run the stale partitions of one row and record them in ``manifest``.
+
+    ``manifest.json`` is rewritten only when the row's entry changed.
     Returns the names of the partitions that were (re)computed.
     """
     ws = Path(cfg.workspace)
@@ -264,7 +272,6 @@ def _run_stage(cfg: PipelineConfig, row: Stage, digests: dict[Path, str]) -> lis
         shared.update(f"{key}={getattr(cfg, key)!r};".encode())
     shared.update(_digest(ws, row.shared, digests).encode())
 
-    manifest = storage.read_manifest(ws / MANIFEST)
     prior = manifest.get(row.name, {})
     recorded: dict[str, dict] = {}
     todo: list[tuple[Part, str]] = []
@@ -285,33 +292,21 @@ def _run_stage(cfg: PipelineConfig, row: Stage, digests: dict[Path, str]) -> lis
             todo.append((part, inputs))
 
     if todo:
-        _run_tasks(row.body, [(cfg, *part.args) for part, _ in todo], cfg.workers, load)
+        _run_tasks(_body(row), [(cfg, *part.args) for part, _ in todo], cfg.workers, load)
         for part, inputs in todo:
             for rel in part.writes:
                 digests.pop(ws / rel, None)
             outputs = _digest(ws, part.writes, digests)
             recorded[part.name] = {"inputs": inputs, "outputs": outputs}
 
-    manifest[row.name] = recorded
-    storage.write_manifest(ws / MANIFEST, manifest)
+    if manifest.get(row.name) != recorded:
+        manifest[row.name] = recorded
+        storage.write_manifest(ws / MANIFEST, manifest)
     return [part.name for part, _ in todo]
 
 
 # ---------------------------------------------------------------------------
 # synth stage
-
-
-def _synth_config(cfg: PipelineConfig) -> SynthConfig:
-    return SynthConfig(
-        n_tokens=cfg.synth_tokens,
-        n_accounts=cfg.synth_accounts,
-        n_months=cfg.synth_months,
-        seed=cfg.seed,
-        start=cfg.synth_start,
-        transfers_per_account_month=cfg.transfers_per_account_month,
-        min_portfolio_size=cfg.synth_min_size,
-        max_portfolio_size=cfg.synth_max_size,
-    )
 
 
 def _synth_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
@@ -322,34 +317,6 @@ def _synth_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
         f"{EVENTS}/{tid}.csv" for tid in token_ids
     )
     return [Part("all", writes)], None
-
-
-def _synth_all(cfg: PipelineConfig) -> None:
-    ws = cfg.workspace
-    market = generate_market(_synth_config(cfg))
-
-    by_token: dict[str, list] = {tid: [] for tid in market.token_ids}
-    for event in market.events:
-        by_token[event.token_id].append(event)
-    for tid, events in by_token.items():
-        storage.write_events(ws / EVENTS / f"{tid}.csv", events)
-
-    storage.write_meta(ws / META, market.metas)
-    storage.write_prices(ws / PRICES, market.prices, market.mcaps, market.volumes)
-    storage.write_block_map(ws / BLOCKMAP, market.block_map)
-
-    # ground-truth probes drawn from a stream independent of generation
-    rng = np.random.default_rng([cfg.seed, 9041])
-    tokens = [tid for tid in market.token_ids if market.holders(tid)]
-    probes: list[tuple[str, str, int, int]] = []
-    if tokens:
-        for _ in range(cfg.validation_samples):
-            tid = tokens[int(rng.integers(0, len(tokens)))]
-            accounts = market.holders(tid)
-            account = accounts[int(rng.integers(0, len(accounts)))]
-            block = int(rng.integers(0, market.max_block + 1))
-            probes.append((tid, account, block, market.oracle(tid, account, block)))
-    storage.write_probes(ws / PROBES, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -559,235 +526,8 @@ def _per_month(src: str, dst: str) -> Callable:
     return plan
 
 
-def _window_cache(
-    prices: dict[str, PriceSeries], end: dt.date, window: int
-) -> dict[str, ReturnWindow]:
-    return {tid: log_returns(s, end, window) for tid, s in prices.items()}
-
-
-def _optimize_month(
-    prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
-) -> None:
-    ws = cfg.workspace
-    positions = storage.read_positions(ws / SNAPSHOTS / f"{month}.csv")
-    out_path = ws / SOLUTIONS / f"{month}.csv"
-    if not positions:
-        storage.write_solutions(out_path, [])
-        return
-
-    snapshot_day = positions[0]["snapshot_date"]
-    windows = _window_cache(prices, snapshot_day, cfg.lookback_days)
-
-    by_account: dict[str, list[dict]] = {}
-    for row in positions:
-        by_account.setdefault(row["account"], []).append(row)
-
-    constraints = ConstraintSet(w_max=cfg.w_max)
-    rows: list[tuple] = []
-    for account in sorted(by_account):
-        held = sorted(by_account[account], key=lambda r: r["token_id"])
-        if len(held) < 2:
-            continue
-        try:
-            m = estimate_moments(
-                [windows[r["token_id"]] for r in held],
-                shrink_lambda=cfg.mean_shrink_lambda,
-                min_obs=cfg.min_obs,
-            )
-        except ValueError:
-            continue
-        values = {r["token_id"]: r["value_usd"] for r in held}
-        eligible_value = sum(values[tid] for tid in m.eligible_ids)
-        if len(m.eligible_ids) < 2 or eligible_value <= 0:
-            continue
-        w0 = np.array([values[tid] / eligible_value for tid in m.eligible_ids])
-        total_value = sum(values.values())
-        n_assets = len(m.eligible_ids)
-
-        mu0 = float(w0 @ m.shrunk_means)
-        sigma0 = float(np.sqrt(w0 @ m.cov @ w0))
-        rows.append(
-            (
-                snapshot_day,
-                account,
-                BASELINE,
-                storage.encode_weights(m.eligible_ids, w0),
-                mu0,
-                sigma0,
-                True,
-                0,
-                0.0,
-                n_assets,
-                total_value,
-                "",
-            )
-        )
-        # the book's projections share one GMV solve and one critical-line walk
-        book = Frontier(w0, m, constraints)
-        for strategy in FRONTIER_STRATEGIES:
-            sol = solve(strategy, w0, m, constraints, rf_annual=cfg.rf_annual, frontier=book)
-            rows.append(
-                (
-                    snapshot_day,
-                    account,
-                    strategy.value,
-                    storage.encode_weights(m.eligible_ids, sol.weights),
-                    sol.mu,
-                    sol.sigma,
-                    sol.converged,
-                    sol.iterations,
-                    sol.distance,
-                    n_assets,
-                    total_value,
-                    sol.reason,
-                )
-            )
-    storage.write_solutions(out_path, rows)
-
-
-def _metrics_month(
-    prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
-) -> None:
-    ws = cfg.workspace
-    solutions = storage.read_solutions(ws / SOLUTIONS / f"{month}.csv")
-    out_path = ws / PERF / f"{month}.csv"
-    if not solutions:
-        storage.write_perf(out_path, [])
-        return
-
-    snapshot_day = solutions[0]["snapshot_date"]
-    weth, wbtc = cfg.market_tokens
-    lookback_market = market_index(
-        log_returns(prices[weth], snapshot_day, cfg.lookback_days),
-        log_returns(prices[wbtc], snapshot_day, cfg.lookback_days),
-    )
-    forward_end = snapshot_day + dt.timedelta(days=cfg.forward_days)
-    forward_market = market_index(
-        log_returns(prices[weth], forward_end, cfg.forward_days),
-        log_returns(prices[wbtc], forward_end, cfg.forward_days),
-    )
-    market_fwd = market_forward_return(forward_market, snapshot_day, cfg.forward_days)
-
-    betas: dict[str, float] = {}
-
-    def beta_of(token_id: str) -> float:
-        if token_id not in betas:
-            window = log_returns(prices[token_id], snapshot_day, cfg.lookback_days)
-            betas[token_id] = asset_beta(window, lookback_market)
-        return betas[token_id]
-
-    records: list[PerfRecord] = []
-    for sol in solutions:
-        if not sol["converged"]:
-            continue
-        token_ids = sorted(sol["weights"])
-        w = np.array([sol["weights"][tid] for tid in token_ids])
-        p0 = np.array([prices[tid].close_on(snapshot_day) for tid in token_ids])
-        p1 = np.array([prices[tid].close_on(forward_end) for tid in token_ids])
-        fwd = forward_return(w, p0, p1)
-        beta = float(sum(wi * beta_of(tid) for wi, tid in zip(w, token_ids)))
-        records.append(
-            PerfRecord(
-                snapshot=snapshot_day,
-                account=sol["account"],
-                strategy=sol["strategy"],
-                fwd_return=fwd,
-                beta=beta,
-                alpha=capm_alpha(fwd, beta, market_fwd),
-                market_fwd_return=market_fwd,
-            )
-        )
-    storage.write_perf(out_path, records)
-
-
 # ---------------------------------------------------------------------------
 # report stage
-
-
-def _month_files(directory: Path) -> list[Path]:
-    return sorted(Path(directory).glob("*.csv"))
-
-
-def _distance_histogram(
-    solutions: list[dict], edges: Sequence[float]
-) -> list[tuple]:
-    rows: list[tuple] = []
-    strategies = sorted(
-        {s["strategy"] for s in solutions if s["strategy"] != BASELINE}
-    )
-    edges_arr = np.asarray(edges, dtype=float)
-    for strategy in strategies:
-        distances = [
-            100.0 * s["distance"]
-            for s in solutions
-            if s["strategy"] == strategy and s["converged"]
-        ]
-        counts, _ = np.histogram(distances, bins=edges_arr)
-        for lo, hi, count in zip(edges_arr, edges_arr[1:], counts):
-            rows.append((strategy, float(lo), float(hi), int(count)))
-    return rows
-
-
-def _decay_fits(cfg: PipelineConfig, solutions: list[dict]):
-    fits = []
-    strategies = sorted(
-        {s["strategy"] for s in solutions if s["strategy"] != BASELINE}
-    )
-    for strategy in strategies:
-        records = [
-            (s["n_assets"], s["distance"])
-            for s in solutions
-            if s["strategy"] == strategy and s["converged"]
-        ]
-        try:
-            bins = bin_by_size(
-                records,
-                n_range=(cfg.size_bin_min, cfg.size_bin_max),
-                min_count=cfg.min_bin_count,
-            )
-            fits.append(fit_power_decay(bins, strategy=strategy))
-        except (ValueError, UnidentifiableFitError) as exc:
-            log.warning("decay fit skipped for %s: %s", strategy, exc)
-    return fits
-
-
-def _concentration_rows(cfg: PipelineConfig) -> list[ConcentrationRow]:
-    ws = cfg.workspace
-    rows: list[ConcentrationRow] = []
-    for path in _month_files(ws / SNAPSHOTS):
-        positions = storage.read_positions(path)
-        if not positions:
-            continue
-        snapshot_day = positions[0]["snapshot_date"]
-        totals: dict[str, float] = {}
-        token_values: dict[str, list[float]] = {}
-        for pos in positions:
-            totals[pos["account"]] = totals.get(pos["account"], 0.0) + pos["value_usd"]
-            token_values.setdefault(pos["token_id"], []).append(pos["value_usd"])
-        eco = concentration_row(
-            "ecosystem",
-            snapshot_day,
-            list(totals.values()),
-            k_pcts=cfg.top_k_pcts,
-            dust_threshold=cfg.dust_threshold,
-        )
-        if eco is not None:
-            rows.append(eco)
-        for tid in sorted(token_values):
-            values = token_values[tid]
-            holders = sum(1 for v in values if v > cfg.dust_threshold)
-            if holders < cfg.min_holders:
-                continue
-            row = concentration_row(
-                tid,
-                snapshot_day,
-                values,
-                k_pcts=cfg.top_k_pcts,
-                dust_threshold=cfg.dust_threshold,
-            )
-            if row is not None:
-                rows.append(row)
-    return rows
 
 
 _REPORT_WRITES = tuple(f"{REPORT}/{name}" for name in REPORT_FILES)
@@ -795,28 +535,6 @@ _REPORT_WRITES = tuple(f"{REPORT}/{name}" for name in REPORT_FILES)
 
 def _report_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
     return [Part("bundle", _REPORT_WRITES)], None
-
-
-def _report_all(cfg: PipelineConfig) -> None:
-    ws = cfg.workspace
-    solutions: list[dict] = []
-    for path in _month_files(ws / SOLUTIONS):
-        solutions.extend(storage.read_solutions(path))
-    records: list[PerfRecord] = []
-    for path in _month_files(ws / PERF):
-        records.extend(storage.read_perf(path))
-
-    report = aggregate(records, baseline=BASELINE)
-    out = ws / REPORT
-    storage.write_summary(out / "summary.csv", report)
-    storage.write_excess_curve(out / "excess_curve.csv", report)
-    storage.write_csv(
-        out / "distance_hist.csv",
-        storage.HISTOGRAM_HEADER,
-        _distance_histogram(solutions, cfg.distance_bin_edges),
-    )
-    storage.write_decay_table(out / "decay_fit.csv", _decay_fits(cfg, solutions))
-    storage.write_concentration(out / "concentration.csv", _concentration_rows(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +559,7 @@ STAGES = (
         index=(),
         writes=(META, PRICES, BLOCKMAP, PROBES, f"{EVENTS}/*.csv"),
         plan=_synth_plan,
-        body=_synth_all,
+        body="synth_all",
     ),
     Stage(
         "ingest",
@@ -879,7 +597,7 @@ STAGES = (
         index=(SNAPSHOTS,),
         writes=(f"{SOLUTIONS}/*.csv",),
         plan=_per_month(SNAPSHOTS, SOLUTIONS),
-        body=_optimize_month,
+        body="optimize_month",
     ),
     Stage(
         "metrics",
@@ -888,7 +606,7 @@ STAGES = (
         index=(SOLUTIONS,),
         writes=(f"{PERF}/*.csv",),
         plan=_per_month(SOLUTIONS, PERF),
-        body=_metrics_month,
+        body="metrics_month",
     ),
     Stage(
         "report",
@@ -905,7 +623,7 @@ STAGES = (
         index=(),
         writes=_REPORT_WRITES,
         plan=_report_plan,
-        body=_report_all,
+        body="report_all",
     ),
 )
 
@@ -985,10 +703,11 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None) -> di
     if unknown:
         raise InputError(f"unknown stages: {', '.join(unknown)}")
     digests: dict[Path, str] = {}
+    manifest = storage.read_manifest(Path(cfg.workspace) / MANIFEST)
     ran: dict[str, list[str]] = {}
     for row in STAGES:
         if row.stage in selected:
-            computed = _run_stage(cfg, row, digests)
+            computed = _run_stage(cfg, row, digests, manifest)
             ran.setdefault(row.stage, []).extend(computed)
             log.info("stage %s: %d partitions computed", row.name, len(computed))
     return ran

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-import numpy as np
-
 from .ingest import TokenLedger, balance_at
-from .marketdata import PriceSeries
+from .prices import PriceSeries
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ class Portfolio:
         return tuple(p.token_id for p in self.positions)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([p.value / self.total_value for p in self.positions])
+    def weights(self) -> tuple[float, ...]:
+        return tuple(p.value / self.total_value for p in self.positions)
 
     @property
     def n_assets(self) -> int:

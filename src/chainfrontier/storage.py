@@ -16,10 +16,8 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .concentration import ConcentrationRow
-from .decayfit import DecayFit
 from .errors import InputError
 from .ingest import (
     ZERO_ACCOUNT,
@@ -29,9 +27,15 @@ from .ingest import (
     TokenMeta,
     TransferEvent,
 )
-from .marketdata import PriceSeries
-from .metrics import AggregateReport, PerfRecord
 from .portfolio import BlockTimeMap
+from .prices import PriceSeries
+
+if TYPE_CHECKING:
+    # their modules load NumPy: the writers use these types only as
+    # annotations, and read_perf imports PerfRecord when it is called
+    from .concentration import ConcentrationRow
+    from .decayfit import DecayFit
+    from .metrics import AggregateReport, PerfRecord
 
 
 def fmt(value) -> str:
@@ -419,6 +423,8 @@ def write_perf(path: Path, records: Iterable[PerfRecord]) -> None:
 
 
 def read_perf(path: Path) -> list[PerfRecord]:
+    from .metrics import PerfRecord
+
     return [
         PerfRecord(
             snapshot=dt.date.fromisoformat(r["snapshot_date"]),

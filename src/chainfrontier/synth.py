@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import BENCHMARK_TOKENS
 from .ingest import ZERO_ACCOUNT, TokenMeta, TransferEvent
-from .marketdata import PriceSeries
 from .portfolio import BlockTimeMap
+from .prices import PriceSeries
 
 __all__ = ["SynthConfig", "SynthMarket", "generate_market", "simulate_log_returns"]
-
-# the two benchmark tokens every universe starts with
-BENCHMARK_TOKENS = ("WETH", "WBTC")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from chainfrontier.ingest import (
 )
 from chainfrontier.marketdata import (
     MarketIndex,
-    PriceSeries,
     ReturnWindow,
     asset_beta,
     market_forward_return,
@@ -40,6 +39,7 @@ from chainfrontier.marketdata import (
 from chainfrontier.metrics import capm_alpha, l1_distance
 from chainfrontier.pipeline import REPORT_FILES, run_pipeline
 from chainfrontier.portfolio import Snapshot, reconstruct_snapshot
+from chainfrontier.prices import PriceSeries
 from helpers import lipschitz_bound, moments, random_stream
 
 D = dt.date

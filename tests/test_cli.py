@@ -114,20 +114,47 @@ def test_console_script_help():
     assert "run the synth stage" in result.stdout
 
 
-# a no-op run, a report-only config change and validate, in one process
+# an import, a no-op run, a repair of one deleted snapshot file, validate
+# and a report-only config change, in one process; after each step it
+# prints which of the heavy modules are loaded
 SERIAL_CALLS = """
 import sys
 from pathlib import Path
 
 from chainfrontier.cli import main
 
+
+def loaded(step):
+    heavy = ("numpy", "scipy", "concurrent.futures.process")
+    print(step, "loaded:", *(m for m in heavy if m in sys.modules))
+
+
 cfg = Path(sys.argv[1])
+loaded("import")
 assert main(["--config", str(cfg), "run"]) == 0
+loaded("noop")
+sorted((cfg.parent / "ws" / "snapshots").glob("*.csv"))[0].unlink()
+assert main(["--config", str(cfg), "run"]) == 0
+loaded("repair")
+assert main(["--config", str(cfg), "validate"]) == 0
+loaded("validate")
 cfg.write_text(cfg.read_text().replace("min_bin_count = 2", "min_bin_count = 3"))
 assert main(["--config", str(cfg), "run"]) == 0
-assert main(["--config", str(cfg), "validate"]) == 0
-print(" ".join(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules))
+loaded("report")
 """
+
+
+def _run_script(script: str, *args: str) -> list[str]:
+    src = str(Path(chainfrontier.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
 
 
 def test_serial_calls_load_neither_scipy_nor_the_process_pool(tmp_path):
@@ -136,18 +163,69 @@ def test_serial_calls_load_neither_scipy_nor_the_process_pool(tmp_path):
     six = SMALL_CFG.replace("synth_max_size = 4", "synth_max_size = 6")
     cfg.write_text(six + "workers = 1\nmin_bin_count = 2\n")
     assert main(["--config", str(cfg), "run"]) == 0
-    src = str(Path(chainfrontier.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    result = subprocess.run(
-        [sys.executable, "-c", SERIAL_CALLS, str(cfg)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
-    )
-    assert result.returncode == 0, result.stderr
-    *calls, loaded = result.stdout.splitlines()
-    assert "report: 1 partitions computed" in calls
+    lines = _run_script(SERIAL_CALLS, str(cfg))
+    loaded = dict(line.split(" loaded:") for line in lines if " loaded:" in line)
+    # only the report change crunches numbers; the rest stay NumPy-free
+    assert loaded == {
+        "import": "",
+        "noop": "",
+        "repair": "",
+        "validate": "",
+        "report": " numpy",
+    }
+    assert "snapshot: 1 partitions computed" in lines
+    assert "report: 1 partitions computed" in lines
     # the report change refits the decay curves
     fits = (tmp_path / "ws" / "report" / "decay_fit.csv").read_text().splitlines()
     assert len(fits) > 1
-    assert loaded == ""
+
+
+# a workers = 2 build of a synthesized workspace; each pool reports its
+# stage and whether NumPy was loaded when it started
+POOL_STARTS = """
+import concurrent.futures
+import sys
+
+from chainfrontier import pipeline
+from chainfrontier.cli import main
+
+stage = []
+run_stage = pipeline._run_stage
+
+
+def tagged(cfg, row, *args):
+    stage[:] = [row.stage]
+    return run_stage(cfg, row, *args)
+
+
+class Pool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        print("pool", stage[0], "numpy" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+
+pipeline._run_stage = tagged
+concurrent.futures.ProcessPoolExecutor = Pool
+assert main(["--config", sys.argv[1], "run"]) == 0
+"""
+
+
+def test_pools_fork_after_numpy_loads_only_where_numbers_are_crunched(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # five months give the snapshot, optimize and metrics stages several
+    # partitions each, so each of them starts a pool
+    cfg.write_text(
+        SMALL_CFG.replace("synth_months = 3", "synth_months = 5") + "workers = 2\n"
+    )
+    assert main(["--config", str(cfg), "synth"]) == 0
+    lines = _run_script(POOL_STARTS, str(cfg))
+    pools = [line.split()[1:] for line in lines if line.startswith("pool ")]
+    # optimize and metrics workers inherit NumPy from the parent instead of
+    # each importing it; ingest and snapshot workers never need it
+    assert dict(pools) == {
+        "ingest": "False",
+        "snapshot": "False",
+        "optimize": "True",
+        "metrics": "True",
+    }
+    assert len(pools) == 4

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chainfrontier import metrics
 from chainfrontier.frontier import (
     DAYS_PER_YEAR,
     SOLVER_TOL,
@@ -30,6 +31,7 @@ from chainfrontier.frontier import (
     sharpe,
     solve,
 )
+from chainfrontier.metrics import l1_distance
 from helpers import lipschitz_bound, moments
 
 
@@ -610,3 +612,25 @@ def test_shared_frontier_matches_fresh_solves_in_any_order():
                 ref = fresh[strategy]
                 assert np.array_equal(sol.weights, ref.weights), (i, order, strategy)
                 assert [getattr(sol, f) for f in fields] == [getattr(ref, f) for f in fields]
+
+
+def test_observed_book_is_checked_once_per_frontier(monkeypatch):
+    checked = []
+    check = metrics._check_weights
+
+    def counted(w, name, *args, **kwargs):
+        checked.append(name)
+        return check(w, name, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_check_weights", counted)
+    rng = np.random.default_rng(5)
+    _, _, m = _factor_book(rng, 4)
+    w0 = rng.dirichlet(np.ones(4))
+    cons = ConstraintSet(w_max=0.9)
+    book = Frontier(w0, m, cons)
+    sols = [solve(s, w0, m, cons, rf_annual=0.05, frontier=book) for s in Strategy]
+    # each solution is still checked before its distance is taken
+    assert checked == ["w_actual", "w_target", "w_target", "w_target"]
+    monkeypatch.undo()
+    for sol in sols:
+        assert sol.distance == l1_distance(w0, sol.weights)

@@ -17,15 +17,14 @@ from hypothesis import strategies as st
 
 from chainfrontier.marketdata import (
     MarketIndex,
-    PriceSeries,
     ReturnWindow,
     asset_beta,
     estimate_moments,
-    forward_fill,
     log_returns,
     market_forward_return,
     market_index,
 )
+from chainfrontier.prices import PriceSeries, forward_fill
 
 D0 = dt.date(2023, 1, 1)
 

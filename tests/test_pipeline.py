@@ -161,9 +161,8 @@ def test_noop_rerun_touches_nothing(copied):
     ran = run_pipeline(copied)
     assert all(parts == [] for parts in ran.values())
     after = {p: p.stat().st_mtime_ns for p in ws.rglob("*") if p.is_file()}
-    before.pop(ws / "manifest.json")  # rewritten, but with identical content
-    for path, mtime in before.items():
-        assert after[path] == mtime, path
+    # the manifest included: no row's entry changed, so it is not rewritten
+    assert after == before
 
 
 def test_noop_rerun_hashes_each_file_once(copied, monkeypatch):
@@ -180,6 +179,39 @@ def test_noop_rerun_hashes_each_file_once(copied, monkeypatch):
     files = {p for p in ws.rglob("*") if p.is_file()} - {ws / MANIFEST}
     assert set(reads) == files
     assert max(reads.values()) == 1
+
+
+def test_manifest_is_read_once_and_written_when_an_entry_changes(copied, monkeypatch):
+    calls: Counter = Counter()
+    read_manifest, write_manifest = storage.read_manifest, storage.write_manifest
+
+    def reading(path):
+        calls["read"] += 1
+        return read_manifest(path)
+
+    def writing(path, manifest):
+        calls["write"] += 1
+        write_manifest(path, manifest)
+
+    monkeypatch.setattr(storage, "read_manifest", reading)
+    monkeypatch.setattr(storage, "write_manifest", writing)
+    ws = copied.workspace
+    original = (ws / MANIFEST).read_bytes()
+    assert not any(run_pipeline(copied).values())
+    assert calls == {"read": 1}
+
+    # a rebuilt partition with the same inputs and bytes leaves its entry as is
+    sorted((ws / "snapshots").glob("*.csv"))[0].unlink()
+    assert len(run_pipeline(copied)["snapshot"]) == 1
+    assert calls == {"read": 2}
+
+    # a report-only change rewrites the manifest once, for the report row
+    changed = dataclasses.replace(copied, min_bin_count=copied.min_bin_count + 1)
+    assert run_pipeline(changed)["report"] == ["bundle"]
+    assert calls == {"read": 3, "write": 1}
+    assert (ws / MANIFEST).read_bytes() != original
+    run_pipeline(copied)
+    assert (ws / MANIFEST).read_bytes() == original
 
 
 def test_deleted_partition_rebuilt_identically(copied):

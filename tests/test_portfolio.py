@@ -10,7 +10,6 @@ import datetime as dt
 import pytest
 
 from chainfrontier.ingest import ZERO_ACCOUNT, TransferEvent, build_ledger
-from chainfrontier.marketdata import PriceSeries, forward_fill
 from chainfrontier.portfolio import (
     BlockTimeMap,
     Snapshot,
@@ -19,6 +18,7 @@ from chainfrontier.portfolio import (
     monthly_snapshots,
     reconstruct_snapshot,
 )
+from chainfrontier.prices import PriceSeries, forward_fill
 
 D = dt.date
 
@@ -102,7 +102,7 @@ def test_golden_portfolio_weights():
     assert p.total_value == pytest.approx(940.0, abs=1e-12)
     assert p.weights[0] == pytest.approx(740.0 / 940.0, abs=1e-12)
     assert p.weights[1] == pytest.approx(200.0 / 940.0, abs=1e-12)
-    assert abs(p.weights.sum() - 1.0) <= 1e-12
+    assert abs(sum(p.weights) - 1.0) <= 1e-12
 
 
 def test_unknown_account_is_empty():

@@ -100,7 +100,7 @@ def test_meta_round_trip_with_missing_fields(tmp_path):
 
 
 def test_prices_round_trip_with_gap(tmp_path):
-    from chainfrontier.marketdata import PriceSeries
+    from chainfrontier.prices import PriceSeries
 
     series = {
         "X": PriceSeries("X", D(2021, 1, 1), (1.0, None, 3.0)),
