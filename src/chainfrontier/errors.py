@@ -28,14 +28,6 @@ class LedgerOrderError(InputError):
     """Event stream handed to the ledger builder was not sorted."""
 
 
-class OracleLookupError(Exception):
-    """The reference balance source failed to answer a probe.
-
-    Distinct from a balance mismatch: a mismatch fails validation, a
-    lookup failure aborts it.
-    """
-
-
 class DependencyError(InputError):
     """A pipeline stage was started before its upstream outputs exist."""
 

@@ -9,12 +9,11 @@ reconstruction is exact by construction.
 from __future__ import annotations
 
 import bisect
-import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import LedgerOrderError, MalformedRecordError, OracleLookupError
+from .errors import LedgerOrderError, MalformedRecordError
 
 # Reserved identifier for the mint/burn counterparty. Transfers from it are
 # mints (deposits), transfers to it are burns (withdrawals).
@@ -139,7 +138,7 @@ def parse_events(
     Parameters
     ----------
     records : iterable of mappings
-        Raw rows, e.g. from ``csv.DictReader``.
+        Raw rows, e.g. an ``input/events`` row zipped with its header.
     zero_account : str
         Identifier of the mint/burn counterparty.
     rejected : list, optional
@@ -347,10 +346,11 @@ def filter_tokens(
     """Screen tokens, recording the first failing stage per token.
 
     Stage order is fixed: compliance, pricing depth, cumulative volume,
-    supply plausibility. Balance validation is a separate, per-ledger stage
-    (``validate_reconstruction``). Unknown volume or pricing depth fails its
-    stage; unknown market cap or FDV passes the supply check because there
-    is nothing to compare.
+    supply plausibility. Balance consistency is the filters stage's probe
+    check (``pipeline._probe_check``), run afterwards on each passed
+    token's ledger. Unknown volume or pricing depth fails its stage;
+    unknown market cap or FDV passes the supply check because there is
+    nothing to compare.
     """
     reports: list[FilterReport] = []
     for meta in metas:
@@ -391,46 +391,3 @@ def _screen_one(
                     f"{label} {value} exceeds reference {meta.reference_mcap}",
                 )
     return FilterReport(meta.token_id, True)
-
-
-def validate_reconstruction(
-    ledger: TokenLedger,
-    oracle: Callable[[str, int], int],
-    samples: int = 200,
-    seed: int = 0,
-) -> FilterReport:
-    """Probe the rebuilt ledger against a reference balance source.
-
-    Draws ``samples`` (account, block) pairs uniformly from the ledger's
-    accounts and block range using a local RNG seeded with ``seed``, so
-    validation is reproducible. Any mismatch fails the token at the
-    inconsistent-balance stage. Oracle failures raise
-    :class:`OracleLookupError` instead of failing the token: an absent
-    answer is not a wrong answer.
-    """
-    accounts = ledger.accounts
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
-    if not accounts or samples == 0:
-        return FilterReport(ledger.token_id, True)
-
-    rng = random.Random(seed)
-    max_block = ledger.max_block
-    for _ in range(samples):
-        account = accounts[rng.randrange(len(accounts))]
-        block = rng.randint(0, max_block)
-        got = balance_at(ledger, account, block)
-        try:
-            expected = oracle(account, block)
-        except Exception as exc:
-            raise OracleLookupError(
-                f"oracle failed for ({account!r}, {block})"
-            ) from exc
-        if got != expected:
-            return FilterReport(
-                ledger.token_id,
-                False,
-                FilterStage.INCONSISTENT_BALANCE,
-                f"account {account} at block {block}: ledger {got} != reference {expected}",
-            )
-    return FilterReport(ledger.token_id, True)

@@ -34,7 +34,7 @@ from .pipeline import (
     SNAPSHOTS,
     SOLUTIONS,
 )
-from .prices import PriceSeries
+from .prices import PriceSeries, price_rows
 
 log = logging.getLogger(__name__)
 
@@ -71,11 +71,15 @@ def synth_all(cfg: PipelineConfig) -> None:
     for event in market.events:
         by_token[event.token_id].append(event)
     for tid, events in by_token.items():
-        storage.write_events(ws / EVENTS / f"{tid}.csv", events)
+        storage.write_table(ws / EVENTS / f"{tid}.csv", storage.EVENTS, events)
 
-    storage.write_meta(ws / META, market.metas)
-    storage.write_prices(ws / PRICES, market.prices, market.mcaps, market.volumes)
-    storage.write_block_map(ws / BLOCKMAP, market.block_map)
+    storage.write_table(ws / META, storage.META, market.metas)
+    storage.write_table(
+        ws / PRICES,
+        storage.PRICES,
+        price_rows(market.prices, market.mcaps, market.volumes),
+    )
+    storage.write_table(ws / BLOCKMAP, storage.BLOCKMAP, market.block_map.anchors)
 
     # ground-truth probes drawn from a stream independent of generation
     rng = np.random.default_rng([cfg.seed, 9041])
@@ -88,7 +92,7 @@ def synth_all(cfg: PipelineConfig) -> None:
             account = accounts[int(rng.integers(0, len(accounts)))]
             block = int(rng.integers(0, market.max_block + 1))
             probes.append((tid, account, block, market.oracle(tid, account, block)))
-    storage.write_probes(ws / PROBES, probes)
+    storage.write_table(ws / PROBES, storage.PROBES, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -105,34 +109,34 @@ def optimize_month(
     prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
 ) -> None:
     ws = cfg.workspace
-    positions = storage.read_positions(ws / SNAPSHOTS / f"{month}.csv")
+    positions = storage.read_table(ws / SNAPSHOTS / f"{month}.csv", storage.POSITIONS)
     out_path = ws / SOLUTIONS / f"{month}.csv"
     if not positions:
-        storage.write_solutions(out_path, [])
+        storage.write_table(out_path, storage.SOLUTIONS, [])
         return
 
-    snapshot_day = positions[0]["snapshot_date"]
+    snapshot_day = positions[0].snapshot_date
     windows = _window_cache(prices, snapshot_day, cfg.lookback_days)
 
-    by_account: dict[str, list[dict]] = {}
+    by_account: dict[str, list[storage.PositionRow]] = {}
     for row in positions:
-        by_account.setdefault(row["account"], []).append(row)
+        by_account.setdefault(row.account, []).append(row)
 
     constraints = frontier.ConstraintSet(w_max=cfg.w_max)
     rows: list[tuple] = []
     for account in sorted(by_account):
-        held = sorted(by_account[account], key=lambda r: r["token_id"])
+        held = sorted(by_account[account], key=lambda r: r.token_id)
         if len(held) < 2:
             continue
         try:
             m = marketdata.estimate_moments(
-                [windows[r["token_id"]] for r in held],
+                [windows[r.token_id] for r in held],
                 shrink_lambda=cfg.mean_shrink_lambda,
                 min_obs=cfg.min_obs,
             )
         except ValueError:
             continue
-        values = {r["token_id"]: r["value_usd"] for r in held}
+        values = {r.token_id: r.value_usd for r in held}
         eligible_value = sum(values[tid] for tid in m.eligible_ids)
         if len(m.eligible_ids) < 2 or eligible_value <= 0:
             continue
@@ -180,20 +184,20 @@ def optimize_month(
                     sol.reason,
                 )
             )
-    storage.write_solutions(out_path, rows)
+    storage.write_table(out_path, storage.SOLUTIONS, rows)
 
 
 def metrics_month(
     prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
 ) -> None:
     ws = cfg.workspace
-    solutions = storage.read_solutions(ws / SOLUTIONS / f"{month}.csv")
+    solutions = storage.read_table(ws / SOLUTIONS / f"{month}.csv", storage.SOLUTIONS)
     out_path = ws / PERF / f"{month}.csv"
     if not solutions:
-        storage.write_perf(out_path, [])
+        storage.write_table(out_path, storage.PERF, [])
         return
 
-    snapshot_day = solutions[0]["snapshot_date"]
+    snapshot_day = solutions[0].snapshot_date
     weth, wbtc = cfg.market_tokens
     lookback_market = marketdata.market_index(
         marketdata.log_returns(prices[weth], snapshot_day, cfg.lookback_days),
@@ -220,10 +224,10 @@ def metrics_month(
 
     records: list[metrics.PerfRecord] = []
     for sol in solutions:
-        if not sol["converged"]:
+        if not sol.converged:
             continue
-        token_ids = sorted(sol["weights"])
-        w = np.array([sol["weights"][tid] for tid in token_ids])
+        token_ids = sorted(sol.weights)
+        w = np.array([sol.weights[tid] for tid in token_ids])
         p0 = np.array([prices[tid].close_on(snapshot_day) for tid in token_ids])
         p1 = np.array([prices[tid].close_on(forward_end) for tid in token_ids])
         fwd = metrics.forward_return(w, p0, p1)
@@ -231,15 +235,15 @@ def metrics_month(
         records.append(
             metrics.PerfRecord(
                 snapshot=snapshot_day,
-                account=sol["account"],
-                strategy=sol["strategy"],
+                account=sol.account,
+                strategy=sol.strategy,
                 fwd_return=fwd,
                 beta=beta,
                 alpha=metrics.capm_alpha(fwd, beta, market_fwd),
                 market_fwd_return=market_fwd,
             )
         )
-    storage.write_perf(out_path, records)
+    storage.write_table(out_path, storage.PERF, records)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +255,16 @@ def _month_files(directory: Path) -> list[Path]:
 
 
 def _distance_histogram(
-    solutions: list[dict], edges: Sequence[float]
+    solutions: list[storage.SolutionRow], edges: Sequence[float]
 ) -> list[tuple]:
     rows: list[tuple] = []
-    strategies = sorted(
-        {s["strategy"] for s in solutions if s["strategy"] != BASELINE}
-    )
+    strategies = sorted({s.strategy for s in solutions if s.strategy != BASELINE})
     edges_arr = np.asarray(edges, dtype=float)
     for strategy in strategies:
         distances = [
-            100.0 * s["distance"]
+            100.0 * s.distance
             for s in solutions
-            if s["strategy"] == strategy and s["converged"]
+            if s.strategy == strategy and s.converged
         ]
         counts, _ = np.histogram(distances, bins=edges_arr)
         for lo, hi, count in zip(edges_arr, edges_arr[1:], counts):
@@ -270,16 +272,14 @@ def _distance_histogram(
     return rows
 
 
-def _decay_fits(cfg: PipelineConfig, solutions: list[dict]):
+def _decay_fits(cfg: PipelineConfig, solutions: list[storage.SolutionRow]):
     fits = []
-    strategies = sorted(
-        {s["strategy"] for s in solutions if s["strategy"] != BASELINE}
-    )
+    strategies = sorted({s.strategy for s in solutions if s.strategy != BASELINE})
     for strategy in strategies:
         records = [
-            (s["n_assets"], s["distance"])
+            (s.n_assets, s.distance)
             for s in solutions
-            if s["strategy"] == strategy and s["converged"]
+            if s.strategy == strategy and s.converged
         ]
         try:
             bins = decayfit.bin_by_size(
@@ -297,15 +297,15 @@ def _concentration_rows(cfg: PipelineConfig) -> list[concentration.Concentration
     ws = cfg.workspace
     rows: list[concentration.ConcentrationRow] = []
     for path in _month_files(ws / SNAPSHOTS):
-        positions = storage.read_positions(path)
+        positions = storage.read_table(path, storage.POSITIONS)
         if not positions:
             continue
-        snapshot_day = positions[0]["snapshot_date"]
+        snapshot_day = positions[0].snapshot_date
         totals: dict[str, float] = {}
         token_values: dict[str, list[float]] = {}
         for pos in positions:
-            totals[pos["account"]] = totals.get(pos["account"], 0.0) + pos["value_usd"]
-            token_values.setdefault(pos["token_id"], []).append(pos["value_usd"])
+            totals[pos.account] = totals.get(pos.account, 0.0) + pos.value_usd
+            token_values.setdefault(pos.token_id, []).append(pos.value_usd)
         eco = concentration.concentration_row(
             "ecosystem",
             snapshot_day,
@@ -334,21 +334,29 @@ def _concentration_rows(cfg: PipelineConfig) -> list[concentration.Concentration
 
 def report_all(cfg: PipelineConfig) -> None:
     ws = cfg.workspace
-    solutions: list[dict] = []
+    solutions: list[storage.SolutionRow] = []
     for path in _month_files(ws / SOLUTIONS):
-        solutions.extend(storage.read_solutions(path))
+        solutions.extend(storage.read_table(path, storage.SOLUTIONS))
     records: list[metrics.PerfRecord] = []
     for path in _month_files(ws / PERF):
-        records.extend(storage.read_perf(path))
+        records.extend(
+            metrics.PerfRecord(*row) for row in storage.read_table(path, storage.PERF)
+        )
 
     report = metrics.aggregate(records, baseline=BASELINE)
     out = ws / REPORT
-    storage.write_summary(out / "summary.csv", report)
-    storage.write_excess_curve(out / "excess_curve.csv", report)
-    storage.write_csv(
+    storage.write_table(out / "summary.csv", storage.SUMMARY, report.summaries)
+    storage.write_table(
+        out / "excess_curve.csv", storage.EXCESS_CURVE, report.excess_curve
+    )
+    storage.write_table(
         out / "distance_hist.csv",
-        storage.HISTOGRAM_HEADER,
+        storage.DISTANCE_HIST,
         _distance_histogram(solutions, cfg.distance_bin_edges),
     )
-    storage.write_decay_table(out / "decay_fit.csv", _decay_fits(cfg, solutions))
-    storage.write_concentration(out / "concentration.csv", _concentration_rows(cfg))
+    storage.write_table(
+        out / "decay_fit.csv", storage.DECAY_FIT, _decay_fits(cfg, solutions)
+    )
+    storage.write_table(
+        out / "concentration.csv", storage.CONCENTRATION, _concentration_rows(cfg)
+    )

@@ -65,8 +65,8 @@ from .ingest import (
     ledger_from_entries,
     parse_events,
 )
-from .portfolio import Snapshot, monthly_snapshots, reconstruct_snapshot
-from .prices import PriceSeries, forward_fill
+from .portfolio import BlockTimeMap, Snapshot, monthly_snapshots, reconstruct_snapshot
+from .prices import PriceSeries, forward_fill, price_series
 
 log = logging.getLogger(__name__)
 
@@ -324,7 +324,8 @@ def _synth_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
 
 
 def _token_decimals(ws: Path) -> dict[str, int]:
-    return {m.token_id: m.decimals for m in storage.read_meta(Path(ws) / META)}
+    metas = storage.read_table(Path(ws) / META, storage.META)
+    return {m.token_id: m.decimals for m in metas}
 
 
 def _ingest_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
@@ -343,18 +344,19 @@ def _ingest_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
 
 def _ingest_token(cfg: PipelineConfig, token_id: str, decimals: int) -> None:
     ws = cfg.workspace
-    records = storage.read_rows(ws / EVENTS / f"{token_id}.csv")
-    events = parse_events(records)
+    rows = storage.read_table(ws / EVENTS / f"{token_id}.csv", storage.EVENTS)
+    header = storage.EVENTS.header
+    events = parse_events(dict(zip(header, row)) for row in rows)
     if events:
         ledger = build_ledger(events, decimals)
         entries = ledger.entries
     else:
         entries = ()
-    storage.write_ledger_entries(ws / LEDGERS / f"{token_id}.csv", entries)
+    storage.write_table(ws / LEDGERS / f"{token_id}.csv", storage.LEDGER, entries)
 
 
 def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger | None:
-    entries = storage.read_ledger_entries(Path(ws) / LEDGERS / f"{token_id}.csv")
+    entries = storage.read_table(Path(ws) / LEDGERS / f"{token_id}.csv", storage.LEDGER)
     return ledger_from_entries(entries, decimals) if entries else None
 
 
@@ -375,12 +377,12 @@ def _filters_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
 
 def _ingest_filters(cfg: PipelineConfig) -> None:
     ws = cfg.workspace
-    metas = storage.read_meta(ws / META)
+    metas = storage.read_table(ws / META, storage.META)
     reports = filter_tokens(
         metas, min_price_days=cfg.min_price_days, min_volume=cfg.min_volume
     )
     probes_by_token: dict[str, list] = {}
-    for probe in storage.read_probes(ws / PROBES):
+    for probe in storage.read_table(ws / PROBES, storage.PROBES):
         probes_by_token.setdefault(probe[0], []).append(probe)
 
     decimals = {m.token_id: m.decimals for m in metas}
@@ -395,7 +397,7 @@ def _ingest_filters(cfg: PipelineConfig) -> None:
                     tid, False, FilterStage.INCONSISTENT_BALANCE, detail
                 )
         final.append(report)
-    storage.write_filters(ws / FILTERS, final)
+    storage.write_table(ws / FILTERS, storage.FILTERS, final)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,16 @@ def _ingest_filters(cfg: PipelineConfig) -> None:
 
 
 def _passed_tokens(ws: Path) -> list[str]:
-    return [r.token_id for r in storage.read_filters(Path(ws) / FILTERS) if r.passed]
+    reports = storage.read_table(Path(ws) / FILTERS, storage.FILTERS)
+    return [r.token_id for r in reports if r.passed]
+
+
+def _load_series(path: Path) -> dict[str, PriceSeries]:
+    rows = storage.read_table(path, storage.PRICES)
+    try:
+        return price_series(rows)
+    except ValueError as exc:  # a close that is not positive and finite
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _filled_prices(
@@ -414,7 +425,7 @@ def _filled_prices(
     ``series`` is an already parsed ``prices.csv``; it is read when absent.
     """
     if series is None:
-        series = storage.read_prices(Path(ws) / PRICES)
+        series = _load_series(Path(ws) / PRICES)
     last = max(s.end for s in series.values())
     return {tid: forward_fill(s, through=last) for tid, s in series.items()}
 
@@ -428,8 +439,9 @@ def snapshot_calendar(
     """
     ws = cfg.workspace
     if series is None:
-        series = storage.read_prices(_require(ws, PRICES))
-    block_map = storage.read_block_map(_require(ws, BLOCKMAP))
+        series = _load_series(_require(ws, PRICES))
+    anchors = storage.read_table(_require(ws, BLOCKMAP), storage.BLOCKMAP)
+    block_map = BlockTimeMap(tuple(anchors))
     first_day = min(s.start for s in series.values())
     last_day = max(s.end for s in series.values())
     start = first_day + dt.timedelta(days=cfg.lookback_days)
@@ -469,7 +481,7 @@ def _load_holdings(
 
 
 def _snapshot_plan(cfg: PipelineConfig) -> tuple[list[Part], Callable]:
-    series = storage.read_prices(Path(cfg.workspace) / PRICES)
+    series = _load_series(Path(cfg.workspace) / PRICES)
     calendar = snapshot_calendar(cfg, series)
     # in-process, the load reuses the calendar's parse of prices.csv; pool
     # workers parse their own, so the forked pool inherits no copy of it
@@ -504,7 +516,8 @@ def _snapshot_month(
                     pos.value,
                 )
             )
-    storage.write_positions(ws / SNAPSHOTS / f"{snapshot.month}.csv", rows)
+    path = ws / SNAPSHOTS / f"{snapshot.month}.csv"
+    storage.write_table(path, storage.POSITIONS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +647,22 @@ PIPELINE_STAGES = tuple(dict.fromkeys(row.stage for row in STAGES))
 # validate
 
 
+def _mint_flows(path: Path) -> list[tuple[int, int]]:
+    """(block, signed amount) of each mint and burn in a raw event file,
+    sorted by block."""
+    rows = storage.read_table(path, storage.EVENTS)
+    flows: list[tuple[int, int]] = []
+    try:
+        for line, (_, block, _, kind, _, _, amount) in enumerate(rows, start=2):
+            if kind == "deposit":
+                flows.append((int(block), int(amount)))
+            elif kind == "withdrawal":
+                flows.append((int(block), -int(amount)))
+    except ValueError as exc:
+        raise InputError(f"{path}, line {line}: {exc}") from None
+    return sorted(flows)
+
+
 def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
     """Check rebuilt ledgers against ground-truth probes and conservation.
 
@@ -644,7 +673,7 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
     """
     ws = cfg.workspace
     _require(ws, LEDGERS)
-    probes = storage.read_probes(_require(ws, PROBES))
+    probes = storage.read_table(_require(ws, PROBES), storage.PROBES)
     decimals = _token_decimals(ws)
 
     ledgers: dict[str, TokenLedger] = {}
@@ -654,14 +683,7 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
     for token_id, account, block, expected in probes:
         if token_id not in ledgers:
             ledgers[token_id] = _load_ledger(ws, token_id, decimals[token_id])
-            flows: list[tuple[int, int]] = []
-            for rec in storage.read_rows(ws / EVENTS / f"{token_id}.csv"):
-                amount = int(rec["amount"])
-                if rec["event_kind"] == "deposit":
-                    flows.append((int(rec["block"]), amount))
-                elif rec["event_kind"] == "withdrawal":
-                    flows.append((int(rec["block"]), -amount))
-            mint_flows[token_id] = sorted(flows)
+            mint_flows[token_id] = _mint_flows(ws / EVENTS / f"{token_id}.csv")
         ledger = ledgers[token_id]
         got = balance_at(ledger, account, block) if ledger else 0
         if got != expected:

@@ -1,7 +1,9 @@
 """Daily price series on a consecutive calendar with explicit gaps.
 
 Plain Python, so that the stages which only read or carry prices forward
-(the snapshot calendar, portfolio valuation) never load NumPy.
+(the snapshot calendar, portfolio valuation) never load NumPy. A
+``prices.csv`` row is (token_id, date, close, market cap, volume);
+``price_rows`` and ``price_series`` convert between those rows and series.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 ONE_DAY = dt.timedelta(days=1)
 
@@ -76,3 +78,30 @@ def forward_fill(series: PriceSeries, through: dt.date | None = None) -> PriceSe
         else:
             last = c
     return PriceSeries(series.token_id, series.start, tuple(closes))
+
+
+def price_rows(
+    prices: Mapping[str, PriceSeries],
+    mcaps: Mapping[str, Sequence[float]],
+    volumes: Mapping[str, Sequence[float]],
+) -> Iterable[tuple]:
+    """One row per token and priced day, tokens in sorted order; ``mcaps``
+    and ``volumes`` parallel each series by day."""
+    for tid in sorted(prices):
+        series = prices[tid]
+        for i, close in enumerate(series.closes):
+            if close is None:
+                continue
+            day = series.start + i * ONE_DAY
+            yield (tid, day, close, mcaps[tid][i], volumes[tid][i])
+
+
+def price_series(rows: Iterable[Sequence]) -> dict[str, PriceSeries]:
+    """Group price rows into one gapped daily series per token."""
+    observations: dict[str, dict[dt.date, float]] = {}
+    for tid, day, close, *_ in rows:
+        observations.setdefault(tid, {})[day] = close
+    return {
+        tid: PriceSeries.from_observations(tid, obs)
+        for tid, obs in observations.items()
+    }

@@ -1,11 +1,24 @@
 """File formats for pipeline artifacts.
 
-Everything on disk is either CSV (one schema per artifact kind) or JSON
-(the stage manifest). Writes go through a temp file in the target
-directory followed by an atomic rename, so a crashed stage never leaves a
-half-written partition behind. Floats are serialized with ``repr``, which
-round-trips exactly and is stable across runs, making reruns
-byte-comparable.
+Everything on disk is either CSV or JSON (the stage manifest). Each CSV
+schema is one ``Table``: its header, one cell parser per column, the
+record a row is read into and the cells a record is written as. Two
+functions do all CSV reading and writing: ``read_table(path, table)``
+parses a file positionally into records, and ``write_table(path, table,
+records)`` writes them. A wrong header, a row with the wrong number of
+cells or a cell that does not parse is an ``InputError`` naming the file
+and the line.
+
+A table whose record type lives in a module that loads NumPy (perf and
+the report tables) reads back as tuples of parsed cells, so that this
+module stays plain Python; the report stage builds its perf records from
+them. Raw events read back as strings, which ``ingest.parse_events``
+checks.
+
+Writes go through a temp file in the target directory followed by an
+atomic rename, so a crashed stage never leaves a half-written partition
+behind. Floats are serialized with ``repr``, which round-trips exactly and
+is stable across runs, making reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -15,8 +28,9 @@ import datetime as dt
 import io
 import json
 import os
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .ingest import (
@@ -27,15 +41,6 @@ from .ingest import (
     TokenMeta,
     TransferEvent,
 )
-from .portfolio import BlockTimeMap
-from .prices import PriceSeries
-
-if TYPE_CHECKING:
-    # their modules load NumPy: the writers use these types only as
-    # annotations, and read_perf imports PerfRecord when it is called
-    from .concentration import ConcentrationRow
-    from .decayfit import DecayFit
-    from .metrics import AggregateReport, PerfRecord
 
 
 def fmt(value) -> str:
@@ -49,14 +54,6 @@ def fmt(value) -> str:
     if isinstance(value, dt.date):
         return value.isoformat()
     return str(value)
-
-
-def _opt_float(cell: str) -> float | None:
-    return float(cell) if cell != "" else None
-
-
-def _opt_int(cell: str) -> int | None:
-    return int(cell) if cell != "" else None
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -76,12 +73,6 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
     atomic_write_text(path, buf.getvalue())
 
 
-def read_rows(path: Path) -> list[dict[str, str]]:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def write_manifest(path: Path, manifest: Mapping) -> None:
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -94,261 +85,102 @@ def read_manifest(path: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# events
-
-EVENT_HEADER = ("token_id", "block", "log_index", "event_kind", "from", "to", "amount")
+# the column-spec table
 
 
-def event_row(e: TransferEvent) -> tuple:
-    if e.sender == ZERO_ACCOUNT:
-        return (e.token_id, e.block, e.log_index, "deposit", "", e.recipient, e.amount)
-    if e.recipient == ZERO_ACCOUNT:
-        return (e.token_id, e.block, e.log_index, "withdrawal", e.sender, "", e.amount)
-    return (e.token_id, e.block, e.log_index, "transfer", e.sender, e.recipient, e.amount)
+def _cells(*cells):
+    return cells
 
 
-def write_events(path: Path, events: Iterable[TransferEvent]) -> None:
-    write_csv(path, EVENT_HEADER, (event_row(e) for e in events))
+class Table:
+    """One CSV schema.
+
+    ``columns`` pairs each header name with the parser of its cells; a
+    ``str`` column keeps the cell as written. ``record`` builds a row's
+    record from its parsed cells, in column order; by default the record
+    is the tuple of cells. ``cells`` turns a record into its cells, in
+    column order, for writing; by default a record is its own cells.
+    """
+
+    def __init__(
+        self,
+        columns: Sequence[tuple[str, Callable[[str], Any]]],
+        record: Callable[..., Any] = _cells,
+        cells: Callable[[Any], Sequence] | None = None,
+    ) -> None:
+        self.header = tuple(name for name, _ in columns)
+        self.parsers = tuple(parse for _, parse in columns)
+        self.record = record
+        self.cells = cells
 
 
-# ---------------------------------------------------------------------------
-# ledgers
-
-LEDGER_HEADER = ("token_id", "account", "block", "log_index", "delta")
-
-
-def write_ledger_entries(path: Path, entries: Iterable[LedgerEntry]) -> None:
-    write_csv(
-        path,
-        LEDGER_HEADER,
-        ((e.token_id, e.account, e.block, e.log_index, e.delta) for e in entries),
-    )
-
-
-def read_ledger_entries(path: Path) -> list[LedgerEntry]:
-    return [
-        LedgerEntry(
-            token_id=r["token_id"],
-            account=r["account"],
-            block=int(r["block"]),
-            log_index=int(r["log_index"]),
-            delta=int(r["delta"]),
-        )
-        for r in read_rows(path)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# token metadata
-
-META_HEADER = (
-    "token_id",
-    "decimals",
-    "price_history_days",
-    "total_volume",
-    "market_cap",
-    "fdv",
-    "erc20_compliant",
-    "reference_mcap",
-)
-
-
-def write_meta(path: Path, metas: Iterable[TokenMeta]) -> None:
-    write_csv(
-        path,
-        META_HEADER,
-        (
-            (
-                m.token_id,
-                m.decimals,
-                m.price_history_days,
-                m.total_volume,
-                m.market_cap,
-                m.fdv,
-                m.erc20_compliant,
-                m.reference_mcap,
-            )
-            for m in metas
-        ),
-    )
-
-
-def read_meta(path: Path) -> list[TokenMeta]:
-    return [
-        TokenMeta(
-            token_id=r["token_id"],
-            decimals=int(r["decimals"]),
-            price_history_days=_opt_int(r["price_history_days"]),
-            total_volume=_opt_float(r["total_volume"]),
-            market_cap=_opt_float(r["market_cap"]),
-            fdv=_opt_float(r["fdv"]),
-            erc20_compliant=r["erc20_compliant"] == "true",
-            reference_mcap=_opt_float(r["reference_mcap"]),
-        )
-        for r in read_rows(path)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# prices
-
-PRICE_HEADER = ("token_id", "date", "close_usd", "market_cap_usd", "volume_usd")
-
-
-def write_prices(
-    path: Path,
-    prices: Mapping[str, PriceSeries],
-    mcaps: Mapping[str, Sequence[float]],
-    volumes: Mapping[str, Sequence[float]],
-) -> None:
-    def rows():
-        for tid in sorted(prices):
-            series = prices[tid]
-            for i, close in enumerate(series.closes):
-                if close is None:
-                    continue
-                day = series.start + dt.timedelta(days=i)
-                yield (tid, day, close, mcaps[tid][i], volumes[tid][i])
-
-    write_csv(path, PRICE_HEADER, rows())
-
-
-def read_prices(path: Path) -> dict[str, PriceSeries]:
-    """Load each token's daily closes as a gapped price series."""
-    observations: dict[str, dict[dt.date, float]] = {}
-    with Path(path).open(newline="") as fh:
+def read_table(path: Path, table: Table) -> list:
+    """Parse one CSV file of ``table``'s schema into a list of records."""
+    path = Path(path)
+    width = len(table.header)
+    convert = [(i, parse) for i, parse in enumerate(table.parsers) if parse is not str]
+    build = table.record
+    records = []
+    with path.open(newline="") as fh:
         rows = csv.reader(fh)
-        header = tuple(next(rows, ()))
-        if header != PRICE_HEADER:
-            raise InputError(f"{path}: expected columns {PRICE_HEADER}, got {header}")
-        for tid, day, close, *_ in rows:
-            observations.setdefault(tid, {})[dt.date.fromisoformat(day)] = float(close)
-    return {
-        tid: PriceSeries.from_observations(tid, obs)
-        for tid, obs in observations.items()
-    }
+        try:
+            header = tuple(next(rows, ()))
+            if header != table.header:
+                raise InputError(
+                    f"{path}, line 1: expected columns {table.header}, got {header}"
+                )
+            for row in rows:
+                if len(row) != width:
+                    raise InputError(
+                        f"{path}, line {rows.line_num}: "
+                        f"{len(row)} cells, expected {width}"
+                    )
+                try:
+                    for i, parse in convert:
+                        row[i] = parse(row[i])
+                except ValueError as exc:
+                    raise InputError(
+                        f"{path}, line {rows.line_num}, "
+                        f"column {table.header[i]}: {exc}"
+                    ) from None
+                records.append(build(*row))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}, line {rows.line_num}: {exc}") from None
+    return records
+
+
+def write_table(path: Path, table: Table, records: Iterable) -> None:
+    """Write ``records`` as one CSV file of ``table``'s schema."""
+    if table.cells is not None:
+        records = map(table.cells, records)
+    write_csv(path, table.header, records)
 
 
 # ---------------------------------------------------------------------------
-# block map
-
-BLOCKMAP_HEADER = ("block", "date")
+# cell parsers and formatters
 
 
-def write_block_map(path: Path, block_map: BlockTimeMap) -> None:
-    write_csv(path, BLOCKMAP_HEADER, block_map.anchors)
+_date = dt.date.fromisoformat
 
 
-def read_block_map(path: Path) -> BlockTimeMap:
-    anchors = tuple(
-        (int(r["block"]), dt.date.fromisoformat(r["date"])) for r in read_rows(path)
-    )
-    return BlockTimeMap(anchors=anchors)
+def _bool(cell: str) -> bool:
+    if cell == "true":
+        return True
+    if cell == "false":
+        return False
+    raise ValueError(f"expected true or false, got {cell!r}")
 
 
-# ---------------------------------------------------------------------------
-# ground-truth probes
-
-PROBE_HEADER = ("token_id", "account", "block", "balance")
+def _opt_int(cell: str) -> int | None:
+    return int(cell) if cell != "" else None
 
 
-def write_probes(path: Path, probes: Iterable[tuple[str, str, int, int]]) -> None:
-    write_csv(path, PROBE_HEADER, probes)
+def _opt_float(cell: str) -> float | None:
+    return float(cell) if cell != "" else None
 
 
-def read_probes(path: Path) -> list[tuple[str, str, int, int]]:
-    return [
-        (r["token_id"], r["account"], int(r["block"]), int(r["balance"]))
-        for r in read_rows(path)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# filter reports
-
-FILTER_HEADER = ("token_id", "passed", "rejected_stage", "detail")
-
-
-def write_filters(path: Path, reports: Iterable[FilterReport]) -> None:
-    write_csv(
-        path,
-        FILTER_HEADER,
-        (
-            (
-                r.token_id,
-                r.passed,
-                r.rejected_stage.value if r.rejected_stage else None,
-                r.detail,
-            )
-            for r in reports
-        ),
-    )
-
-
-def read_filters(path: Path) -> list[FilterReport]:
-    return [
-        FilterReport(
-            token_id=r["token_id"],
-            passed=r["passed"] == "true",
-            rejected_stage=(
-                FilterStage(r["rejected_stage"]) if r["rejected_stage"] else None
-            ),
-            detail=r["detail"],
-        )
-        for r in read_rows(path)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# snapshot positions
-
-POSITION_HEADER = (
-    "snapshot_date",
-    "block",
-    "account",
-    "token_id",
-    "base_units",
-    "quantity",
-    "value_usd",
-)
-
-
-def write_positions(path: Path, rows: Iterable[tuple]) -> None:
-    write_csv(path, POSITION_HEADER, rows)
-
-
-def read_positions(path: Path) -> list[dict]:
-    return [
-        {
-            "snapshot_date": dt.date.fromisoformat(r["snapshot_date"]),
-            "block": int(r["block"]),
-            "account": r["account"],
-            "token_id": r["token_id"],
-            "base_units": int(r["base_units"]),
-            "quantity": float(r["quantity"]),
-            "value_usd": float(r["value_usd"]),
-        }
-        for r in read_rows(path)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# frontier solutions
-
-SOLUTION_HEADER = (
-    "snapshot_date",
-    "account",
-    "strategy",
-    "weights",
-    "mu",
-    "sigma",
-    "converged",
-    "iterations",
-    "distance",
-    "n_assets",
-    "total_value_usd",
-    "reason",
-)
+def _opt_stage(cell: str) -> FilterStage | None:
+    return FilterStage(cell) if cell != "" else None
 
 
 def encode_weights(token_ids: Sequence[str], weights: Sequence[float]) -> str:
@@ -365,183 +197,248 @@ def decode_weights(cell: str) -> dict[str, float]:
     return out
 
 
-def write_solutions(path: Path, rows: Iterable[tuple]) -> None:
-    write_csv(path, SOLUTION_HEADER, rows)
-
-
-def read_solutions(path: Path) -> list[dict]:
-    return [
-        {
-            "snapshot_date": dt.date.fromisoformat(r["snapshot_date"]),
-            "account": r["account"],
-            "strategy": r["strategy"],
-            "weights": decode_weights(r["weights"]),
-            "mu": float(r["mu"]),
-            "sigma": float(r["sigma"]),
-            "converged": r["converged"] == "true",
-            "iterations": int(r["iterations"]),
-            "distance": float(r["distance"]),
-            "n_assets": int(r["n_assets"]),
-            "total_value_usd": float(r["total_value_usd"]),
-            "reason": r["reason"],
-        }
-        for r in read_rows(path)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# realised performance
-
-PERF_HEADER = (
-    "snapshot_date",
-    "account",
-    "strategy",
-    "fwd_return",
-    "beta",
-    "alpha",
-    "market_fwd_return",
-)
-
-
-def write_perf(path: Path, records: Iterable[PerfRecord]) -> None:
-    write_csv(
-        path,
-        PERF_HEADER,
-        (
-            (
-                p.snapshot,
-                p.account,
-                p.strategy,
-                p.fwd_return,
-                p.beta,
-                p.alpha,
-                p.market_fwd_return,
-            )
-            for p in records
-        ),
-    )
-
-
-def read_perf(path: Path) -> list[PerfRecord]:
-    from .metrics import PerfRecord
-
-    return [
-        PerfRecord(
-            snapshot=dt.date.fromisoformat(r["snapshot_date"]),
-            account=r["account"],
-            strategy=r["strategy"],
-            fwd_return=float(r["fwd_return"]),
-            beta=float(r["beta"]),
-            alpha=float(r["alpha"]),
-            market_fwd_return=float(r["market_fwd_return"]),
-        )
-        for r in read_rows(path)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# report tables
-
-SUMMARY_HEADER = (
-    "strategy",
-    "median_return",
-    "hit_rate",
-    "median_alpha",
-    "frac_positive_alpha",
-    "n_records",
-)
-
-HISTOGRAM_HEADER = ("strategy", "bin_lo_pct", "bin_hi_pct", "count")
-
-DECAY_HEADER = (
-    "strategy",
-    "delta_inf",
-    "psi",
-    "gamma",
-    "r_squared",
-    "mae",
-    "n_bins",
-    "converged",
-)
-
-CONCENTRATION_HEADER = (
-    "snapshot_date",
-    "scope",
-    "gini",
-    "hhi",
-    "top_shares",
-    "n_holders",
-)
-
-EXCESS_HEADER = ("snapshot_date", "strategy", "cumulative_excess")
-
-
-def write_summary(path: Path, report: AggregateReport) -> None:
-    write_csv(
-        path,
-        SUMMARY_HEADER,
-        (
-            (
-                s.strategy,
-                s.median_return,
-                s.hit_rate,
-                s.median_alpha,
-                s.frac_positive_alpha,
-                s.n_records,
-            )
-            for s in report.summaries
-        ),
-    )
-
-
-def write_excess_curve(path: Path, report: AggregateReport) -> None:
-    write_csv(
-        path,
-        EXCESS_HEADER,
-        (
-            (p.snapshot, p.strategy, p.cumulative_excess)
-            for p in report.excess_curve
-        ),
-    )
-
-
-def write_decay_table(path: Path, fits: Iterable[DecayFit]) -> None:
-    write_csv(
-        path,
-        DECAY_HEADER,
-        (
-            (
-                f.strategy,
-                f.delta_inf,
-                f.psi,
-                f.gamma,
-                f.r_squared,
-                f.mae,
-                f.n_bins,
-                f.converged,
-            )
-            for f in fits
-        ),
-    )
-
-
 def encode_top_shares(shares: Sequence[tuple[float, float]]) -> str:
     return ";".join(f"{repr(k)}:{repr(s)}" for k, s in shares)
 
 
-def write_concentration(path: Path, rows: Iterable[ConcentrationRow]) -> None:
-    write_csv(
-        path,
-        CONCENTRATION_HEADER,
-        (
-            (
-                r.snapshot,
-                r.scope,
-                r.gini,
-                r.hhi,
-                encode_top_shares(r.top_shares),
-                r.n_holders,
-            )
-            for r in rows
-        ),
+def _decode_top_shares(cell: str) -> tuple[tuple[float, float], ...]:
+    if not cell:
+        return ()
+    return tuple(
+        (float(k), float(s)) for k, s in (part.split(":") for part in cell.split(";"))
     )
+
+
+def event_row(e: TransferEvent) -> tuple:
+    if e.sender == ZERO_ACCOUNT:
+        return (e.token_id, e.block, e.log_index, "deposit", "", e.recipient, e.amount)
+    if e.recipient == ZERO_ACCOUNT:
+        return (e.token_id, e.block, e.log_index, "withdrawal", e.sender, "", e.amount)
+    return (e.token_id, e.block, e.log_index, "transfer", e.sender, e.recipient, e.amount)
+
+
+# ---------------------------------------------------------------------------
+# the schemas
+
+# raw transfer events, written from TransferEvents; ingest.parse_events
+# checks the cells
+EVENTS = Table(
+    (
+        ("token_id", str),
+        ("block", str),
+        ("log_index", str),
+        ("event_kind", str),
+        ("from", str),
+        ("to", str),
+        ("amount", str),
+    ),
+    cells=event_row,
+)
+
+LEDGER = Table(
+    (
+        ("token_id", str),
+        ("account", str),
+        ("block", int),
+        ("log_index", int),
+        ("delta", int),
+    ),
+    record=LedgerEntry,
+    cells=attrgetter("token_id", "account", "block", "log_index", "delta"),
+)
+
+META = Table(
+    (
+        ("token_id", str),
+        ("decimals", int),
+        ("price_history_days", _opt_int),
+        ("total_volume", _opt_float),
+        ("market_cap", _opt_float),
+        ("fdv", _opt_float),
+        ("erc20_compliant", _bool),
+        ("reference_mcap", _opt_float),
+    ),
+    record=TokenMeta,
+    cells=attrgetter(
+        "token_id", "decimals", "price_history_days", "total_volume", "market_cap",
+        "fdv", "erc20_compliant", "reference_mcap",
+    ),
+)
+
+# one row per token and priced day; prices.price_series groups them
+PRICES = Table(
+    (
+        ("token_id", str),
+        ("date", _date),
+        ("close_usd", float),
+        ("market_cap_usd", float),
+        ("volume_usd", float),
+    )
+)
+
+# BlockTimeMap anchors
+BLOCKMAP = Table((("block", int), ("date", _date)))
+
+# ground-truth balances: (token_id, account, block, balance)
+PROBES = Table(
+    (("token_id", str), ("account", str), ("block", int), ("balance", int))
+)
+
+FILTERS = Table(
+    (
+        ("token_id", str),
+        ("passed", _bool),
+        ("rejected_stage", _opt_stage),
+        ("detail", str),
+    ),
+    record=FilterReport,
+    cells=lambda r: (
+        r.token_id,
+        r.passed,
+        r.rejected_stage.value if r.rejected_stage else None,
+        r.detail,
+    ),
+)
+
+
+class PositionRow(NamedTuple):
+    """One held token of one account at a snapshot."""
+
+    snapshot_date: dt.date
+    block: int
+    account: str
+    token_id: str
+    base_units: int
+    quantity: float
+    value_usd: float
+
+
+POSITIONS = Table(
+    (
+        ("snapshot_date", _date),
+        ("block", int),
+        ("account", str),
+        ("token_id", str),
+        ("base_units", int),
+        ("quantity", float),
+        ("value_usd", float),
+    ),
+    record=PositionRow,
+)
+
+
+class SolutionRow(NamedTuple):
+    """One solver row; ``weights`` is written as ``encode_weights`` gives it
+    and read back decoded."""
+
+    snapshot_date: dt.date
+    account: str
+    strategy: str
+    weights: dict[str, float]
+    mu: float
+    sigma: float
+    converged: bool
+    iterations: int
+    distance: float
+    n_assets: int
+    total_value_usd: float
+    reason: str
+
+
+SOLUTIONS = Table(
+    (
+        ("snapshot_date", _date),
+        ("account", str),
+        ("strategy", str),
+        ("weights", decode_weights),
+        ("mu", float),
+        ("sigma", float),
+        ("converged", _bool),
+        ("iterations", int),
+        ("distance", float),
+        ("n_assets", int),
+        ("total_value_usd", float),
+        ("reason", str),
+    ),
+    record=SolutionRow,
+)
+
+# written from metrics.PerfRecord, read back as its fields in order
+PERF = Table(
+    (
+        ("snapshot_date", _date),
+        ("account", str),
+        ("strategy", str),
+        ("fwd_return", float),
+        ("beta", float),
+        ("alpha", float),
+        ("market_fwd_return", float),
+    ),
+    cells=attrgetter(
+        "snapshot", "account", "strategy", "fwd_return", "beta", "alpha",
+        "market_fwd_return",
+    ),
+)
+
+# the report tables, written from metrics, decayfit and concentration
+# records and read back as tuples
+
+SUMMARY = Table(
+    (
+        ("strategy", str),
+        ("median_return", float),
+        ("hit_rate", _opt_float),
+        ("median_alpha", float),
+        ("frac_positive_alpha", float),
+        ("n_records", int),
+    ),
+    cells=attrgetter(
+        "strategy", "median_return", "hit_rate", "median_alpha",
+        "frac_positive_alpha", "n_records",
+    ),
+)
+
+EXCESS_CURVE = Table(
+    (("snapshot_date", _date), ("strategy", str), ("cumulative_excess", float)),
+    cells=attrgetter("snapshot", "strategy", "cumulative_excess"),
+)
+
+DISTANCE_HIST = Table(
+    (("strategy", str), ("bin_lo_pct", float), ("bin_hi_pct", float), ("count", int))
+)
+
+DECAY_FIT = Table(
+    (
+        ("strategy", str),
+        ("delta_inf", float),
+        ("psi", float),
+        ("gamma", float),
+        ("r_squared", float),
+        ("mae", float),
+        ("n_bins", int),
+        ("converged", _bool),
+    ),
+    cells=attrgetter(
+        "strategy", "delta_inf", "psi", "gamma", "r_squared", "mae", "n_bins",
+        "converged",
+    ),
+)
+
+CONCENTRATION = Table(
+    (
+        ("snapshot_date", _date),
+        ("scope", str),
+        ("gini", float),
+        ("hhi", float),
+        ("top_shares", _decode_top_shares),
+        ("n_holders", int),
+    ),
+    cells=lambda r: (
+        r.snapshot,
+        r.scope,
+        r.gini,
+        r.hhi,
+        encode_top_shares(r.top_shares),
+        r.n_holders,
+    ),
+)

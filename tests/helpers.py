@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 
+from chainfrontier import storage
 from chainfrontier.frontier import Strategy
 from chainfrontier.ingest import ZERO_ACCOUNT, TransferEvent
 from chainfrontier.marketdata import MomentEstimates
@@ -44,6 +45,16 @@ def lipschitz_bound(strategy, mu, cov, rf_daily, sigma_floor) -> float:
     if strategy is Strategy.MAX_RET:
         return l_mu
     return (l_mu + l_sigma * 2.0) / max(sigma_floor, 1e-9)
+
+
+# each report file's table, in pipeline.REPORT_FILES order
+REPORT_TABLES = {
+    "summary.csv": storage.SUMMARY,
+    "excess_curve.csv": storage.EXCESS_CURVE,
+    "distance_hist.csv": storage.DISTANCE_HIST,
+    "decay_fit.csv": storage.DECAY_FIT,
+    "concentration.csv": storage.CONCENTRATION,
+}
 
 
 def net_minted(events) -> int:

@@ -37,10 +37,10 @@ from chainfrontier.marketdata import (
     market_index,
 )
 from chainfrontier.metrics import capm_alpha, l1_distance
-from chainfrontier.pipeline import REPORT_FILES, run_pipeline
+from chainfrontier.pipeline import run_pipeline
 from chainfrontier.portfolio import Snapshot, reconstruct_snapshot
 from chainfrontier.prices import PriceSeries
-from helpers import lipschitz_bound, moments, random_stream
+from helpers import REPORT_TABLES, lipschitz_bound, moments, random_stream
 
 D = dt.date
 
@@ -396,14 +396,14 @@ def test_end_to_end_run_reports_and_worker_byte_identity(tmp_path):
     assert elapsed < 300.0, f"single-threaded run took {elapsed:.0f}s"
 
     ws = cfg.workspace
-    for name in REPORT_FILES:
-        rows = storage.read_rows(ws / "report" / name)
+    for name, table in REPORT_TABLES.items():
+        rows = storage.read_table(ws / "report" / name, table)
         assert rows, f"{name} is empty"
         for row in rows:
-            for key, cell in row.items():
+            for key, cell in zip(table.header, row):
                 if key in ("strategy", "scope", "snapshot_date", "top_shares"):
                     continue
-                if cell in ("", "true", "false"):
+                if cell is None or isinstance(cell, bool):
                     continue
                 assert math.isfinite(float(cell)), (name, key, cell)
 
@@ -411,15 +411,15 @@ def test_end_to_end_run_reports_and_worker_byte_identity(tmp_path):
     # below the mean at N>=5 for every strategy
     sums = {}
     for path in sorted((ws / "solutions").glob("*.csv")):
-        for sol in storage.read_solutions(path):
-            if sol["strategy"] == "baseline" or not sol["converged"]:
+        for sol in storage.read_table(path, storage.SOLUTIONS):
+            if sol.strategy == "baseline" or not sol.converged:
                 continue
-            key = (sol["strategy"], "small" if sol["n_assets"] == 2 else
-                   "large" if sol["n_assets"] >= 5 else None)
+            key = (sol.strategy, "small" if sol.n_assets == 2 else
+                   "large" if sol.n_assets >= 5 else None)
             if key[1] is None:
                 continue
             total, count = sums.get(key, (0.0, 0))
-            sums[key] = (total + sol["distance"], count + 1)
+            sums[key] = (total + sol.distance, count + 1)
     for strategy in ("min_var", "max_ret", "max_sr"):
         s_total, s_count = sums[(strategy, "small")]
         l_total, l_count = sums[(strategy, "large")]

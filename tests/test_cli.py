@@ -7,6 +7,7 @@ unexpected failures. Everything here drives ``main`` in-process.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,55 @@ def test_unexpected_failure_is_exit_2(tmp_path, capsys):
     blocker.write_text("not a directory")
     assert main(["--workspace", str(blocker), "synth"]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def _cut_probe_row_short(ws: Path) -> Path:
+    path = ws / "input" / "probes.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _rename_ledger_column(ws: Path) -> Path:
+    probed = (ws / "input" / "probes.csv").read_text().splitlines()[1].split(",")[0]
+    path = ws / "ledgers" / f"{probed}.csv"
+    path.write_text(path.read_text().replace("token_id,account,", "token_id,acct,", 1))
+    return path
+
+
+def _negate_a_close(ws: Path) -> Path:
+    path = ws / "input" / "prices.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "-" + cells[2]
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "corrupt, command",
+    [
+        (_cut_probe_row_short, ["validate"]),
+        (_rename_ledger_column, ["validate"]),
+        (_negate_a_close, ["snapshot"]),
+    ],
+    ids=["short-probe-row", "renamed-ledger-column", "negative-close"],
+)
+def test_malformed_workspace_csv_is_exit_1(built, tmp_path, corrupt, command):
+    ws = tmp_path / "ws"
+    shutil.copytree(built.parent / "ws", ws)
+    path = corrupt(ws)
+    src = str(Path(chainfrontier.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "chainfrontier.cli", "--workspace", str(ws), *command],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(f"error: {path}")
 
 
 def test_console_script_help():

@@ -14,11 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfrontier.errors import (
-    LedgerOrderError,
-    MalformedRecordError,
-    OracleLookupError,
-)
+from chainfrontier.errors import LedgerOrderError, MalformedRecordError
 from chainfrontier.ingest import (
     ZERO_ACCOUNT,
     FilterStage,
@@ -31,7 +27,6 @@ from chainfrontier.ingest import (
     ledger_from_entries,
     parse_events,
     replay_balance,
-    validate_reconstruction,
 )
 from helpers import net_minted, random_stream
 
@@ -315,65 +310,4 @@ def test_filter_boundary_values():
 
 def test_filter_unknown_mcap_passes_supply_check():
     (report,) = filter_tokens([_meta(market_cap=None, fdv=None)])
-    assert report.passed
-
-
-# ---------------------------------------------------------------------------
-# validate_reconstruction
-# ---------------------------------------------------------------------------
-
-
-def test_validation_passes_against_true_oracle():
-    rng = random.Random(7)
-    events = random_stream(rng, "X", n_events=400)
-    ledger = build_ledger(events, decimals=0)
-    oracle = lambda account, block: replay_balance(ledger.entries, account, block)
-    report = validate_reconstruction(ledger, oracle, samples=100, seed=5)
-    assert report.passed
-
-
-def test_validation_catches_corrupt_oracle():
-    rng = random.Random(7)
-    events = random_stream(rng, "X", n_events=400)
-    ledger = build_ledger(events, decimals=0)
-
-    def skewed(account, block):
-        return replay_balance(ledger.entries, account, block) + 1
-
-    report = validate_reconstruction(ledger, skewed, samples=20, seed=5)
-    assert not report.passed
-    assert report.rejected_stage is FilterStage.INCONSISTENT_BALANCE
-    assert "!=" in report.detail
-
-
-def test_validation_oracle_failure_is_distinct():
-    ledger = build_ledger(golden_events(), decimals=0)
-
-    def broken(account, block):
-        raise KeyError(account)
-
-    with pytest.raises(OracleLookupError):
-        validate_reconstruction(ledger, broken, samples=5, seed=0)
-
-
-def test_validation_is_deterministic_per_seed():
-    rng = random.Random(11)
-    ledger = build_ledger(random_stream(rng, "X", n_events=200), decimals=0)
-    seen: list[tuple[str, int]] = []
-    ledger2 = build_ledger(random_stream(random.Random(11), "X", 200), decimals=0)
-
-    def spy(account, block):
-        seen.append((account, block))
-        return replay_balance(ledger.entries, account, block)
-
-    validate_reconstruction(ledger, spy, samples=30, seed=42)
-    first = list(seen)
-    seen.clear()
-    validate_reconstruction(ledger2, spy, samples=30, seed=42)
-    assert seen == first
-
-
-def test_validation_empty_ledger_passes():
-    ledger = build_ledger([], decimals=0)
-    report = validate_reconstruction(ledger, lambda a, b: 0, samples=10, seed=0)
     assert report.passed

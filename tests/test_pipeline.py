@@ -35,6 +35,7 @@ from chainfrontier.pipeline import (
     snapshot_calendar,
     validate_workspace,
 )
+from helpers import REPORT_TABLES
 
 SMALL = dict(
     seed=11,
@@ -119,12 +120,13 @@ def test_partition_layout(built):
 def test_report_tables_are_finite(built):
     cfg, _ = built
     ws = cfg.workspace
-    for name in REPORT_FILES:
-        for row in storage.read_rows(ws / "report" / name):
-            for key, cell in row.items():
+    assert tuple(REPORT_TABLES) == REPORT_FILES
+    for name, table in REPORT_TABLES.items():
+        for row in storage.read_table(ws / "report" / name, table):
+            for key, cell in zip(table.header, row):
                 if key in ("strategy", "scope", "snapshot_date", "top_shares"):
                     continue
-                if cell in ("", "true", "false"):
+                if cell is None or isinstance(cell, bool):
                     continue
                 assert math.isfinite(float(cell)), (name, key, cell)
 
@@ -133,14 +135,16 @@ def test_solutions_reference_snapshot_universe(built):
     cfg, _ = built
     ws = cfg.workspace
     month = snapshot_calendar(cfg)[0].month
-    positions = storage.read_positions(ws / "snapshots" / f"{month}.csv")
-    held = {(r["account"], r["token_id"]) for r in positions}
-    for sol in storage.read_solutions(ws / "solutions" / f"{month}.csv"):
-        for tid in sol["weights"]:
-            assert (sol["account"], tid) in held
-        assert sol["strategy"] in ("baseline", "min_var", "max_ret", "max_sr")
-        total = sum(sol["weights"].values())
-        if sol["converged"]:
+    positions = storage.read_table(
+        ws / "snapshots" / f"{month}.csv", storage.POSITIONS
+    )
+    held = {(r.account, r.token_id) for r in positions}
+    for sol in storage.read_table(ws / "solutions" / f"{month}.csv", storage.SOLUTIONS):
+        for tid in sol.weights:
+            assert (sol.account, tid) in held
+        assert sol.strategy in ("baseline", "min_var", "max_ret", "max_sr")
+        total = sum(sol.weights.values())
+        if sol.converged:
             assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -256,13 +260,14 @@ def test_decimals_edit_matches_fresh_build(copied, tmp_path):
     screening report read them."""
     ws = copied.workspace
     first_month = sorted((ws / "snapshots").glob("*.csv"))[0]
-    held = storage.read_positions(first_month)[0]["token_id"]
+    held = storage.read_table(first_month, storage.POSITIONS)[0].token_id
     meta = ws / "input" / "meta.csv"
-    storage.write_meta(
+    storage.write_table(
         meta,
+        storage.META,
         [
             dataclasses.replace(m, decimals=m.decimals + 2) if m.token_id == held else m
-            for m in storage.read_meta(meta)
+            for m in storage.read_table(meta, storage.META)
         ],
     )
     ran = run_pipeline(copied, PIPELINE_STAGES[1:])
@@ -335,20 +340,17 @@ def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
     run_pipeline(cfg, ["synth"])
     prices: list[str] = []
     ledgers: list[str] = []
+    read_table = storage.read_table
 
-    def counted(reader, calls):
-        def read(path):
-            calls.append(Path(path).name)
-            return reader(path)
+    def counted(path, table):
+        path = Path(path)
+        if path.name == "prices.csv":
+            prices.append(path.name)
+        elif path.parent.name == "ledgers":
+            ledgers.append(path.name)
+        return read_table(path, table)
 
-        return read
-
-    monkeypatch.setattr(storage, "read_prices", counted(storage.read_prices, prices))
-    monkeypatch.setattr(
-        storage,
-        "read_ledger_entries",
-        counted(storage.read_ledger_entries, ledgers),
-    )
+    monkeypatch.setattr(storage, "read_table", counted)
 
     for name in (*PIPELINE_STAGES[1:], "validate"):
         prices.clear()
@@ -386,9 +388,9 @@ def test_optimize_solves_one_gmv_per_book(tmp_path, monkeypatch):
     monkeypatch.setattr(frontier, "minimize", counted)
     run_pipeline(cfg, ["optimize"])
     books = sum(
-        row["strategy"] == "baseline"
+        row.strategy == "baseline"
         for path in sorted((cfg.workspace / "solutions").glob("*.csv"))
-        for row in storage.read_solutions(path)
+        for row in storage.read_table(path, storage.SOLUTIONS)
     )
     assert books > 0
     assert 0 < len(calls) <= books
@@ -506,8 +508,8 @@ def test_stage_subset_runs_in_dependency_order(tmp_path):
 
 def test_validate_catches_probe_mismatch(copied):
     ws = copied.workspace
-    tid = storage.read_probes(ws / "input" / "probes.csv")[0][0]
-    account = storage.read_probes(ws / "input" / "probes.csv")[0][1]
+    tid = storage.read_table(ws / "input" / "probes.csv", storage.PROBES)[0][0]
+    account = storage.read_table(ws / "input" / "probes.csv", storage.PROBES)[0][1]
     path = ws / "ledgers" / f"{tid}.csv"
     lines = path.read_text().splitlines()
     # a spurious credit at block zero shifts every later balance up by one
@@ -519,7 +521,7 @@ def test_validate_catches_probe_mismatch(copied):
 
 def test_validate_catches_conservation_break(copied):
     ws = copied.workspace
-    tid = storage.read_probes(ws / "input" / "probes.csv")[0][0]
+    tid = storage.read_table(ws / "input" / "probes.csv", storage.PROBES)[0][0]
     path = ws / "ledgers" / f"{tid}.csv"
     lines = path.read_text().splitlines()
     # credit an account no probe ever looks at: probes pass, totals do not

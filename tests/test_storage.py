@@ -1,11 +1,14 @@
-"""Round-trip tests for every on-disk artifact format.
+"""Round-trip and error tests for every on-disk artifact format.
 
 The contract under test: read(write(x)) == x, floats survive via repr
-exactly, None maps to the empty cell, and writes land atomically.
+exactly, None maps to the empty cell, writes land atomically, and a file
+whose header, row width or cells do not fit its table is an input error
+that names the file and the line.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
 
@@ -23,12 +26,20 @@ from chainfrontier.ingest import (
     TokenMeta,
     TransferEvent,
     build_ledger,
+    parse_events,
 )
 from chainfrontier.metrics import AggregateReport, ExcessPoint, PerfRecord, StrategySummary
 from chainfrontier.portfolio import BlockTimeMap
+from chainfrontier.prices import PriceSeries, price_rows, price_series
 
 
 D = dt.date
+
+
+def _event_records(path):
+    """Raw event rows as the mappings ``parse_events`` takes."""
+    header = storage.EVENTS.header
+    return [dict(zip(header, row)) for row in storage.read_table(path, storage.EVENTS)]
 
 
 def test_fmt_cells():
@@ -56,14 +67,12 @@ def test_events_round_trip_and_kinds(tmp_path):
         TransferEvent("X", 3, 1, "0xb", ZERO_ACCOUNT, 25),
     )
     path = tmp_path / "events.csv"
-    storage.write_events(path, events)
-    rows = storage.read_rows(path)
+    storage.write_table(path, storage.EVENTS, events)
+    rows = _event_records(path)
     assert [r["event_kind"] for r in rows] == ["deposit", "transfer", "withdrawal"]
     assert rows[0]["from"] == "" and rows[2]["to"] == ""
 
     # the ingest parser accepts the written form unchanged
-    from chainfrontier.ingest import parse_events
-
     parsed = parse_events(rows)
     assert tuple(parsed) == events
 
@@ -72,10 +81,9 @@ def test_huge_amounts_survive_exactly(tmp_path):
     amount = 123456789 * 10**18 + 7
     events = (TransferEvent("X", 1, 0, ZERO_ACCOUNT, "0xa", amount),)
     path = tmp_path / "events.csv"
-    storage.write_events(path, events)
-    from chainfrontier.ingest import parse_events
+    storage.write_table(path, storage.EVENTS, events)
 
-    assert parse_events(storage.read_rows(path))[0].amount == amount
+    assert parse_events(_event_records(path))[0].amount == amount
 
 
 def test_ledger_entries_round_trip(tmp_path):
@@ -85,8 +93,8 @@ def test_ledger_entries_round_trip(tmp_path):
     )
     entries = build_ledger(events, decimals=18).entries
     path = tmp_path / "ledger.csv"
-    storage.write_ledger_entries(path, entries)
-    assert tuple(storage.read_ledger_entries(path)) == entries
+    storage.write_table(path, storage.LEDGER, entries)
+    assert tuple(storage.read_table(path, storage.LEDGER)) == entries
 
 
 def test_meta_round_trip_with_missing_fields(tmp_path):
@@ -95,21 +103,24 @@ def test_meta_round_trip_with_missing_fields(tmp_path):
         TokenMeta("Y", 6, None, None, None, None, False, None),
     ]
     path = tmp_path / "meta.csv"
-    storage.write_meta(path, metas)
-    assert storage.read_meta(path) == metas
+    storage.write_table(path, storage.META, metas)
+    assert storage.read_table(path, storage.META) == metas
 
 
 def test_prices_round_trip_with_gap(tmp_path):
-    from chainfrontier.prices import PriceSeries
-
     series = {
         "X": PriceSeries("X", D(2021, 1, 1), (1.0, None, 3.0)),
     }
     mcaps = {"X": (10.0, None, 30.0)}
     volumes = {"X": (5.0, None, 7.0)}
     path = tmp_path / "prices.csv"
-    storage.write_prices(path, series, mcaps, volumes)
-    back = storage.read_prices(path)
+    storage.write_table(path, storage.PRICES, price_rows(series, mcaps, volumes))
+    rows = storage.read_table(path, storage.PRICES)
+    assert rows == [
+        ("X", D(2021, 1, 1), 1.0, 10.0, 5.0),
+        ("X", D(2021, 1, 3), 3.0, 30.0, 7.0),
+    ]
+    back = price_series(rows)
     assert back["X"].closes == (1.0, None, 3.0)
     assert back["X"].start == D(2021, 1, 1)
 
@@ -118,21 +129,21 @@ def test_read_prices_rejects_unexpected_columns(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text("date,token_id,close_usd\n2021-01-01,X,1.0\n")
     with pytest.raises(InputError, match="expected columns"):
-        storage.read_prices(path)
+        storage.read_table(path, storage.PRICES)
 
 
 def test_block_map_round_trip(tmp_path):
     bm = BlockTimeMap(((99, D(2021, 1, 1)), (199, D(2021, 1, 2))))
     path = tmp_path / "blockmap.csv"
-    storage.write_block_map(path, bm)
-    assert storage.read_block_map(path).anchors == bm.anchors
+    storage.write_table(path, storage.BLOCKMAP, bm.anchors)
+    assert tuple(storage.read_table(path, storage.BLOCKMAP)) == bm.anchors
 
 
 def test_probes_round_trip(tmp_path):
     probes = [("X", "0xa", 17, 5 * 10**20), ("Y", "0xb", 0, 0)]
     path = tmp_path / "probes.csv"
-    storage.write_probes(path, probes)
-    assert storage.read_probes(path) == probes
+    storage.write_table(path, storage.PROBES, probes)
+    assert storage.read_table(path, storage.PROBES) == probes
 
 
 def test_filters_round_trip(tmp_path):
@@ -141,8 +152,8 @@ def test_filters_round_trip(tmp_path):
         FilterReport("Y", False, FilterStage.NEGLIGIBLE_VOLUME, "volume 0.5 < 1.0"),
     ]
     path = tmp_path / "filters.csv"
-    storage.write_filters(path, reports)
-    assert storage.read_filters(path) == reports
+    storage.write_table(path, storage.FILTERS, reports)
+    assert storage.read_table(path, storage.FILTERS) == reports
 
 
 def test_positions_round_trip(tmp_path):
@@ -151,11 +162,12 @@ def test_positions_round_trip(tmp_path):
         (D(2021, 4, 1), 700, "0xa", "Y", 10**6, 1.0, 1 / 3),
     ]
     path = tmp_path / "positions.csv"
-    storage.write_positions(path, rows)
-    back = storage.read_positions(path)
-    assert back[0]["base_units"] == 5 * 10**18
-    assert back[1]["value_usd"] == 1 / 3
-    assert back[0]["snapshot_date"] == D(2021, 4, 1)
+    storage.write_table(path, storage.POSITIONS, rows)
+    back = storage.read_table(path, storage.POSITIONS)
+    assert back == rows
+    assert back[0].base_units == 5 * 10**18
+    assert back[1].value_usd == 1 / 3
+    assert back[0].snapshot_date == D(2021, 4, 1)
 
 
 def test_weights_encode_decode():
@@ -180,15 +192,17 @@ def test_solutions_round_trip(tmp_path):
             0.002, 0.03, False, 0, 0.0, 2, 1234.5,
             "risk budget below the feasible minimum",
         ),
+        (D(2021, 4, 1), "0xb", "max_sr", "", 0.0, 0.0, False, 0, 0.0, 2, 9.5, "x"),
     ]
     path = tmp_path / "solutions.csv"
-    storage.write_solutions(path, rows)
-    back = storage.read_solutions(path)
-    assert back[0]["distance"] == 1 / 7
-    assert back[0]["weights"] == {"X": 0.4, "Y": 0.6}
-    assert back[0]["converged"] is True
-    assert back[1]["converged"] is False
-    assert back[1]["reason"].startswith("risk budget")
+    storage.write_table(path, storage.SOLUTIONS, rows)
+    back = storage.read_table(path, storage.SOLUTIONS)
+    assert back[0].distance == 1 / 7
+    assert back[0].weights == {"X": 0.4, "Y": 0.6}
+    assert back[0].converged is True
+    assert back[1].converged is False
+    assert back[1].reason.startswith("risk budget")
+    assert back[2].weights == {}
 
 
 def test_perf_round_trip(tmp_path):
@@ -197,11 +211,15 @@ def test_perf_round_trip(tmp_path):
         PerfRecord(D(2021, 5, 1), "0xb", "baseline", -0.02, 1.1, -0.03, 0.009),
     ]
     path = tmp_path / "perf.csv"
-    storage.write_perf(path, records)
-    assert storage.read_perf(path) == records
+    storage.write_table(path, storage.PERF, records)
+    back = storage.read_table(path, storage.PERF)
+    assert [PerfRecord(*row) for row in back] == records
 
 
 def test_report_tables_write(tmp_path):
+    def rows(path, table):
+        return [dict(zip(table.header, r)) for r in storage.read_table(path, table)]
+
     report = AggregateReport(
         summaries=(
             StrategySummary("baseline", 0.01, None, 0.0, 0.5, 10),
@@ -209,25 +227,33 @@ def test_report_tables_write(tmp_path):
         ),
         excess_curve=(ExcessPoint(D(2021, 4, 1), "min_var", 0.01),),
     )
-    storage.write_summary(tmp_path / "summary.csv", report)
-    storage.write_excess_curve(tmp_path / "excess.csv", report)
-    rows = storage.read_rows(tmp_path / "summary.csv")
-    assert rows[0]["hit_rate"] == ""  # None round-trips to empty
-    assert float(rows[1]["hit_rate"]) == 0.6
-    curve = storage.read_rows(tmp_path / "excess.csv")
-    assert curve[0]["cumulative_excess"] == "0.01"
+    storage.write_table(tmp_path / "summary.csv", storage.SUMMARY, report.summaries)
+    storage.write_table(
+        tmp_path / "excess.csv", storage.EXCESS_CURVE, report.excess_curve
+    )
+    summary = rows(tmp_path / "summary.csv", storage.SUMMARY)
+    assert summary[0]["hit_rate"] is None  # None round-trips to the empty cell
+    assert float(summary[1]["hit_rate"]) == 0.6
+    curve = rows(tmp_path / "excess.csv", storage.EXCESS_CURVE)
+    assert curve[0]["cumulative_excess"] == 0.01
 
     fit = DecayFit("min_var", 80.0, 1.5, 1.0, 0.99, 0.5, True, 20)
-    storage.write_decay_table(tmp_path / "decay.csv", [fit])
-    row = storage.read_rows(tmp_path / "decay.csv")[0]
+    storage.write_table(tmp_path / "decay.csv", storage.DECAY_FIT, [fit])
+    row = rows(tmp_path / "decay.csv", storage.DECAY_FIT)[0]
     assert float(row["delta_inf"]) == 80.0
-    assert row["converged"] == "true"
+    assert row["converged"] is True
+    assert row["n_bins"] == 20
 
     conc = ConcentrationRow("ecosystem", D(2021, 4, 1), 0.5, 0.2, ((1.0, 0.3),), 100)
-    storage.write_concentration(tmp_path / "conc.csv", [conc])
-    row = storage.read_rows(tmp_path / "conc.csv")[0]
-    assert row["top_shares"] == "1.0:0.3"
-    assert row["n_holders"] == "100"
+    storage.write_table(tmp_path / "conc.csv", storage.CONCENTRATION, [conc])
+    assert (tmp_path / "conc.csv").read_text().splitlines()[1].split(",")[4] == "1.0:0.3"
+    row = rows(tmp_path / "conc.csv", storage.CONCENTRATION)[0]
+    assert row["top_shares"] == ((1.0, 0.3),)
+    assert row["n_holders"] == 100
+
+    hist = [("min_var", 0.0, 1.0, 3), ("min_var", 1.0, 20.0, 0)]
+    storage.write_table(tmp_path / "hist.csv", storage.DISTANCE_HIST, hist)
+    assert storage.read_table(tmp_path / "hist.csv", storage.DISTANCE_HIST) == hist
 
 
 def test_manifest_round_trip_and_stability(tmp_path):
@@ -243,9 +269,10 @@ def test_manifest_round_trip_and_stability(tmp_path):
 
 def test_float_repr_round_trip_is_exact(tmp_path):
     values = [1 / 3, math.pi, 1e-17, 123456.789012345, 5e-324]
+    table = storage.Table((("v", float),))
     path = tmp_path / "floats.csv"
-    storage.write_csv(path, ("v",), [(v,) for v in values])
-    back = [float(r["v"]) for r in storage.read_rows(path)]
+    storage.write_table(path, table, [(v,) for v in values])
+    back = [v for (v,) in storage.read_table(path, table)]
     assert back == values
 
 
@@ -255,3 +282,103 @@ def test_writes_are_byte_stable(tmp_path):
     storage.write_csv(p1, ("s", "x", "d"), rows)
     storage.write_csv(p2, ("s", "x", "d"), rows)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# malformed files: one valid record per table, then one defect at a time
+
+TABLES = {
+    name: table
+    for name, table in vars(storage).items()
+    if isinstance(table, storage.Table)
+}
+
+SAMPLES = {
+    "EVENTS": TransferEvent("X", 1, 0, ZERO_ACCOUNT, "0xa", 500),
+    "LEDGER": LedgerEntry("X", "0xa", 1, 0, 10**30),
+    "META": TokenMeta("Y", 6, None, None, None, None, False, None),
+    "PRICES": ("X", D(2021, 1, 1), 1.0, 10.0, 5.0),
+    "BLOCKMAP": (99, D(2021, 1, 1)),
+    "PROBES": ("X", "0xa", 17, 5 * 10**20),
+    "FILTERS": FilterReport("Y", False, FilterStage.NEGLIGIBLE_VOLUME, "low"),
+    "POSITIONS": (D(2021, 4, 1), 700, "0xa", "X", 5 * 10**18, 5.0, 123.456),
+    "SOLUTIONS": (
+        D(2021, 4, 1), "0xa", "min_var", "X:0.4;Y:0.6",
+        0.001, 0.02, True, 12, 1 / 7, 2, 1234.5, "",
+    ),
+    "PERF": PerfRecord(D(2021, 4, 1), "0xa", "min_var", 0.01, 0.9, 0.001, 0.01),
+    "SUMMARY": StrategySummary("min_var", 0.02, 0.6, 0.001, 0.7, 10),
+    "EXCESS_CURVE": ExcessPoint(D(2021, 4, 1), "min_var", 0.01),
+    "DISTANCE_HIST": ("min_var", 0.0, 1.0, 3),
+    "DECAY_FIT": DecayFit("min_var", 80.0, 1.5, 1.0, 0.99, 0.5, True, 20),
+    "CONCENTRATION": ConcentrationRow(
+        "ecosystem", D(2021, 4, 1), 0.5, 0.2, ((1.0, 0.3),), 100
+    ),
+}
+
+
+def _sample_cells(tmp_path, name):
+    """The header and the one row of a valid file of the named table."""
+    path = tmp_path / "valid.csv"
+    storage.write_table(path, TABLES[name], [SAMPLES[name]])
+    storage.read_table(path, TABLES[name])  # the sample itself is valid
+    with path.open(newline="") as fh:
+        header, row = csv.reader(fh)
+    return header, row
+
+
+def _write_rows(path, *rows):
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _raises_at(path, table, line):
+    with pytest.raises(InputError) as exc:
+        storage.read_table(path, table)
+    assert str(exc.value).startswith(f"{path}, line {line}")
+    return str(exc.value)
+
+
+def test_every_table_has_a_sample():
+    assert SAMPLES.keys() == TABLES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_wrong_header_is_an_input_error(tmp_path, name):
+    header, row = _sample_cells(tmp_path, name)
+    path = tmp_path / "bad.csv"
+    _write_rows(path, ["bogus", *header[1:]], row)
+    assert "expected columns" in _raises_at(path, TABLES[name], 1)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_short_row_is_an_input_error(tmp_path, name):
+    header, row = _sample_cells(tmp_path, name)
+    path = tmp_path / "bad.csv"
+    _write_rows(path, header, row, row[:-1])
+    message = _raises_at(path, TABLES[name], 3)
+    assert f"{len(row) - 1} cells, expected {len(row)}" in message
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in SAMPLES if any(p is not str for p in TABLES[n].parsers)),
+)
+def test_bad_cell_is_an_input_error(tmp_path, name):
+    table = TABLES[name]
+    header, row = _sample_cells(tmp_path, name)
+    column = next(i for i, parse in enumerate(table.parsers) if parse is not str)
+    row[column] = "x"
+    path = tmp_path / "bad.csv"
+    _write_rows(path, header, row)
+    assert f"column {header[column]}:" in _raises_at(path, table, 2)
+
+
+def test_missing_file_header_and_broken_bytes_are_input_errors(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    _raises_at(empty, storage.PROBES, 1)
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_bytes(b"token_id,account,block,balance\nX,\xff\xfe,1,2\n")
+    with pytest.raises(InputError, match="garbled.csv"):
+        storage.read_table(garbled, storage.PROBES)
