@@ -11,19 +11,6 @@ class InputError(Exception):
     """
 
 
-class MalformedRecordError(InputError):
-    """A raw event record could not be parsed.
-
-    Carries the 1-based record position so the offending line can be
-    located in the source file.
-    """
-
-    def __init__(self, position: int, reason: str):
-        self.position = position
-        self.reason = reason
-        super().__init__(f"record {position}: {reason}")
-
-
 class LedgerOrderError(InputError):
     """Event stream handed to the ledger builder was not sorted."""
 

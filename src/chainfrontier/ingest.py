@@ -11,23 +11,21 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import LedgerOrderError, MalformedRecordError
+from .errors import LedgerOrderError
 
 # Reserved identifier for the mint/burn counterparty. Transfers from it are
 # mints (deposits), transfers to it are burns (withdrawals).
 ZERO_ACCOUNT = "0x0"
 
-EVENT_KINDS = ("transfer", "deposit", "withdrawal")
 
-
-@dataclass(frozen=True)
-class TransferEvent:
+class TransferEvent(NamedTuple):
     """One token movement, normalized to sender/recipient form.
 
     ``amount`` is a non-negative int in base units. ``block`` and
-    ``log_index`` order events within a token.
+    ``log_index`` order events within a token. ``storage.EVENTS`` reads
+    and writes them.
     """
 
     token_id: str
@@ -117,103 +115,7 @@ class TokenLedger:
         return self.entries[-1].block if self.entries else 0
 
 
-def parse_events(
-    records: Iterable[Mapping[str, object]],
-    *,
-    zero_account: str = ZERO_ACCOUNT,
-    rejected: list[tuple[int, str]] | None = None,
-) -> list[TransferEvent]:
-    """Normalize raw event records into TransferEvents.
-
-    Records are mappings with keys ``token_id``, ``block``, ``log_index``,
-    ``event_kind``, ``from``, ``to``, ``amount``. Deposit records carry the
-    account on the ``to`` side and are rewritten as mints from the zero
-    account; withdrawals carry it on ``from`` and become burns. Input order
-    is preserved.
-
-    Structurally malformed records raise :class:`MalformedRecordError` with
-    their 1-based position. Records with a negative amount are dropped; pass
-    ``rejected`` to collect their positions and reasons.
-
-    Parameters
-    ----------
-    records : iterable of mappings
-        Raw rows, e.g. an ``input/events`` row zipped with its header.
-    zero_account : str
-        Identifier of the mint/burn counterparty.
-    rejected : list, optional
-        Receives ``(position, reason)`` for each dropped record.
-    """
-    events: list[TransferEvent] = []
-    for pos, rec in enumerate(records, start=1):
-        token_id = _req_str(rec, "token_id", pos)
-        block = _req_int(rec, "block", pos)
-        log_index = _req_int(rec, "log_index", pos)
-        kind = _req_str(rec, "event_kind", pos)
-        amount = _req_int(rec, "amount", pos)
-
-        if kind not in EVENT_KINDS:
-            raise MalformedRecordError(pos, f"unknown event_kind {kind!r}")
-        if block < 0 or log_index < 0:
-            raise MalformedRecordError(pos, "negative block or log_index")
-
-        if amount < 0:
-            if rejected is not None:
-                rejected.append((pos, f"negative amount {amount}"))
-            continue
-
-        sender = _opt_str(rec, "from")
-        recipient = _opt_str(rec, "to")
-        if kind == "transfer":
-            if not sender or not recipient:
-                raise MalformedRecordError(pos, "transfer needs both from and to")
-        elif kind == "deposit":
-            account = recipient or sender
-            if not account:
-                raise MalformedRecordError(pos, "deposit needs an account")
-            sender, recipient = zero_account, account
-        else:  # withdrawal
-            account = sender or recipient
-            if not account:
-                raise MalformedRecordError(pos, "withdrawal needs an account")
-            sender, recipient = account, zero_account
-
-        events.append(
-            TransferEvent(token_id, block, log_index, sender, recipient, amount)
-        )
-    return events
-
-
-def _req_str(rec: Mapping[str, object], key: str, pos: int) -> str:
-    val = rec.get(key)
-    if val is None or str(val) == "":
-        raise MalformedRecordError(pos, f"missing field {key!r}")
-    return str(val)
-
-
-def _opt_str(rec: Mapping[str, object], key: str) -> str:
-    val = rec.get(key)
-    return "" if val is None else str(val)
-
-
-def _req_int(rec: Mapping[str, object], key: str, pos: int) -> int:
-    val = rec.get(key)
-    if val is None or str(val) == "":
-        raise MalformedRecordError(pos, f"missing field {key!r}")
-    if isinstance(val, bool) or isinstance(val, float):
-        raise MalformedRecordError(pos, f"field {key!r} must be an integer")
-    try:
-        return int(val)
-    except (TypeError, ValueError):
-        raise MalformedRecordError(pos, f"field {key!r} is not an integer: {val!r}")
-
-
-def build_ledger(
-    events: Sequence[TransferEvent],
-    decimals: int,
-    *,
-    zero_account: str = ZERO_ACCOUNT,
-) -> TokenLedger:
+def build_ledger(events: Sequence[TransferEvent], decimals: int) -> TokenLedger:
     """Expand an ordered single-token event stream into ledger entries.
 
     Each transfer produces a debit for the sender and a credit for the
@@ -245,8 +147,8 @@ def build_ledger(
         if ev.amount < 0:
             raise ValueError("negative amount reached the ledger builder")
 
-        from_zero = ev.sender == zero_account
-        to_zero = ev.recipient == zero_account
+        from_zero = ev.sender == ZERO_ACCOUNT
+        to_zero = ev.recipient == ZERO_ACCOUNT
         if from_zero and to_zero:
             continue  # degenerate zero-to-zero event moves nothing
         if not from_zero:

@@ -13,13 +13,11 @@ import datetime as dt
 import logging
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-DistanceDelta = Literal["closer", "farther", "unchanged"]
 
 # a hit must beat the baseline's return by more than this; a projection
 # equal to the observed book otherwise wins or loses on rounding
@@ -86,23 +84,6 @@ def forward_return(weights, start_prices, end_prices) -> float:
 def capm_alpha(portfolio_return: float, beta: float, market_return: float) -> float:
     """Return in excess of the beta-scaled market move (risk-free rate 0)."""
     return portfolio_return - beta * market_return
-
-
-def distance_delta_vs_naive(
-    d_actual: float, d_optimized: float, eps: float = 0.001
-) -> DistanceDelta:
-    """Classify how optimization moved a book relative to a naive benchmark.
-
-    ``d_actual`` is the distance from the observed weights to the
-    benchmark, ``d_optimized`` the distance from the optimized weights to
-    the same benchmark. Moves smaller than ``eps`` count as unchanged.
-    """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    delta = d_optimized - d_actual
-    if abs(delta) < eps:
-        return "unchanged"
-    return "closer" if delta < 0 else "farther"
 
 
 @dataclass(frozen=True)

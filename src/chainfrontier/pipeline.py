@@ -54,8 +54,9 @@ from typing import Callable, Sequence
 
 from . import storage
 from .config import BENCHMARK_TOKENS, PipelineConfig
-from .errors import DependencyError, InputError
+from .errors import DependencyError, InputError, LedgerOrderError
 from .ingest import (
+    ZERO_ACCOUNT,
     FilterReport,
     FilterStage,
     TokenLedger,
@@ -63,7 +64,6 @@ from .ingest import (
     build_ledger,
     filter_tokens,
     ledger_from_entries,
-    parse_events,
 )
 from .portfolio import BlockTimeMap, Snapshot, monthly_snapshots, reconstruct_snapshot
 from .prices import PriceSeries, forward_fill, price_series
@@ -344,15 +344,19 @@ def _ingest_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
 
 def _ingest_token(cfg: PipelineConfig, token_id: str, decimals: int) -> None:
     ws = cfg.workspace
-    rows = storage.read_table(ws / EVENTS / f"{token_id}.csv", storage.EVENTS)
-    header = storage.EVENTS.header
-    events = parse_events(dict(zip(header, row)) for row in rows)
-    if events:
+    path = ws / EVENTS / f"{token_id}.csv"
+    events = storage.read_table(path, storage.EVENTS)
+    if events and events[0].token_id != token_id:
+        raise InputError(
+            f"{path}, line 2: token {events[0].token_id!r}, expected {token_id!r}"
+        )
+    try:
         ledger = build_ledger(events, decimals)
-        entries = ledger.entries
-    else:
-        entries = ()
-    storage.write_table(ws / LEDGERS / f"{token_id}.csv", storage.LEDGER, entries)
+    except (ValueError, LedgerOrderError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+    storage.write_table(
+        ws / LEDGERS / f"{token_id}.csv", storage.LEDGER, ledger.entries
+    )
 
 
 def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger | None:
@@ -650,16 +654,12 @@ PIPELINE_STAGES = tuple(dict.fromkeys(row.stage for row in STAGES))
 def _mint_flows(path: Path) -> list[tuple[int, int]]:
     """(block, signed amount) of each mint and burn in a raw event file,
     sorted by block."""
-    rows = storage.read_table(path, storage.EVENTS)
     flows: list[tuple[int, int]] = []
-    try:
-        for line, (_, block, _, kind, _, _, amount) in enumerate(rows, start=2):
-            if kind == "deposit":
-                flows.append((int(block), int(amount)))
-            elif kind == "withdrawal":
-                flows.append((int(block), -int(amount)))
-    except ValueError as exc:
-        raise InputError(f"{path}, line {line}: {exc}") from None
+    for e in storage.read_table(path, storage.EVENTS):
+        if e.sender == ZERO_ACCOUNT:
+            flows.append((e.block, e.amount))
+        elif e.recipient == ZERO_ACCOUNT:
+            flows.append((e.block, -e.amount))
     return sorted(flows)
 
 
@@ -673,7 +673,8 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
     """
     ws = cfg.workspace
     _require(ws, LEDGERS)
-    probes = storage.read_table(_require(ws, PROBES), storage.PROBES)
+    probes_path = _require(ws, PROBES)
+    probes = storage.read_table(probes_path, storage.PROBES)
     decimals = _token_decimals(ws)
 
     ledgers: dict[str, TokenLedger] = {}
@@ -682,8 +683,14 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
     checked = 0
     for token_id, account, block, expected in probes:
         if token_id not in ledgers:
+            if token_id not in decimals:
+                raise InputError(
+                    f"{probes_path}: token {token_id!r} has no row in {ws / META}"
+                )
+            _require(ws, f"{LEDGERS}/{token_id}.csv")
             ledgers[token_id] = _load_ledger(ws, token_id, decimals[token_id])
-            mint_flows[token_id] = _mint_flows(ws / EVENTS / f"{token_id}.csv")
+            events = _require(ws, f"{EVENTS}/{token_id}.csv")
+            mint_flows[token_id] = _mint_flows(events)
         ledger = ledgers[token_id]
         got = balance_at(ledger, account, block) if ledger else 0
         if got != expected:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import datetime as dt
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 from .ingest import TokenLedger, balance_at
@@ -152,27 +151,3 @@ def reconstruct_snapshot(
         return None
     return Portfolio(account, snapshot, tuple(positions), total, tuple(excluded))
 
-
-class WealthBin(Enum):
-    """Right-closed USD wealth brackets for cohort reporting."""
-
-    UP_TO_1 = "(0,1]"
-    UP_TO_100 = "(1,100]"
-    UP_TO_1K = "(100,1K]"
-    UP_TO_10K = "(1K,10K]"
-    UP_TO_100K = "(10K,100K]"
-    ABOVE_100K = "(100K,inf)"
-
-
-_BIN_EDGES = (1.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
-_BIN_ORDER = tuple(WealthBin)
-
-
-def assign_wealth_bin(total_value: float) -> WealthBin:
-    """Map a positive portfolio value to its wealth bracket.
-
-    Edges are right-closed: exactly $100 belongs to (1,100].
-    """
-    if not total_value > 0:
-        raise ValueError(f"portfolio value must be positive, got {total_value}")
-    return _BIN_ORDER[bisect.bisect_left(_BIN_EDGES, total_value)]

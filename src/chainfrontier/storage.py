@@ -12,8 +12,9 @@ and the line.
 A table whose record type lives in a module that loads NumPy (perf and
 the report tables) reads back as tuples of parsed cells, so that this
 module stays plain Python; the report stage builds its perf records from
-them. Raw events read back as strings, which ``ingest.parse_events``
-checks.
+them. Raw events read back as ``TransferEvent``s, so the event format
+lives here alone, and a row that is no valid event is an ``InputError``
+naming the file and the line, like a bad cell.
 
 Writes go through a temp file in the target directory followed by an
 atomic rename, so a crashed stage never leaves a half-written partition
@@ -97,9 +98,10 @@ class Table:
 
     ``columns`` pairs each header name with the parser of its cells; a
     ``str`` column keeps the cell as written. ``record`` builds a row's
-    record from its parsed cells, in column order; by default the record
-    is the tuple of cells. ``cells`` turns a record into its cells, in
-    column order, for writing; by default a record is its own cells.
+    record from its parsed cells, in column order, and rejects the row by
+    raising ``ValueError``; by default the record is the tuple of cells.
+    ``cells`` turns a record into its cells, in column order, for writing;
+    by default a record is its own cells.
     """
 
     def __init__(
@@ -143,7 +145,10 @@ def read_table(path: Path, table: Table) -> list:
                         f"{path}, line {rows.line_num}, "
                         f"column {table.header[i]}: {exc}"
                     ) from None
-                records.append(build(*row))
+                try:
+                    records.append(build(*row))
+                except ValueError as exc:
+                    raise InputError(f"{path}, line {rows.line_num}: {exc}") from None
         except (csv.Error, UnicodeDecodeError) as exc:
             raise InputError(f"{path}, line {rows.line_num}: {exc}") from None
     return records
@@ -217,21 +222,54 @@ def event_row(e: TransferEvent) -> tuple:
     return (e.token_id, e.block, e.log_index, "transfer", e.sender, e.recipient, e.amount)
 
 
+def _event(
+    token_id: str,
+    block: int,
+    log_index: int,
+    kind: str,
+    sender: str,
+    recipient: str,
+    amount: int,
+) -> TransferEvent:
+    """The inverse of ``event_row``: a deposit becomes a mint from the zero
+    account and a withdrawal a burn to it. Either side may name a deposit's
+    or a withdrawal's account."""
+    if amount < 0:
+        raise ValueError(f"negative amount {amount}")
+    if block < 0 or log_index < 0:
+        raise ValueError("negative block or log_index")
+    if not token_id:
+        raise ValueError("empty token_id")
+    if kind == "transfer":
+        if not (sender and recipient):
+            raise ValueError("a transfer needs both from and to")
+    elif kind == "deposit":
+        sender, recipient = ZERO_ACCOUNT, recipient or sender
+        if not recipient:
+            raise ValueError("a deposit needs an account")
+    elif kind == "withdrawal":
+        sender, recipient = sender or recipient, ZERO_ACCOUNT
+        if not sender:
+            raise ValueError("a withdrawal needs an account")
+    else:
+        raise ValueError(f"unknown event_kind {kind!r}")
+    return TransferEvent(token_id, block, log_index, sender, recipient, amount)
+
+
 # ---------------------------------------------------------------------------
 # the schemas
 
-# raw transfer events, written from TransferEvents; ingest.parse_events
-# checks the cells
 EVENTS = Table(
     (
         ("token_id", str),
-        ("block", str),
-        ("log_index", str),
+        ("block", int),
+        ("log_index", int),
         ("event_kind", str),
         ("from", str),
         ("to", str),
-        ("amount", str),
+        ("amount", int),
     ),
+    record=_event,
     cells=event_row,
 )
 

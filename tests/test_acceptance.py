@@ -26,7 +26,6 @@ from chainfrontier.ingest import (
     account_balances,
     balance_at,
     build_ledger,
-    parse_events,
     replay_balance,
 )
 from chainfrontier.marketdata import (
@@ -66,24 +65,20 @@ def random_instance(rng, n, cap=0.9):
 # criterion 1: the worked three-account, two-token example
 
 
-def test_worked_example_balances_and_weights():
-    records = [
+def test_worked_example_balances_and_weights(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text(
+        "token_id,block,log_index,event_kind,from,to,amount\n"
         # token X: 500 minted to alice, then three hops
-        {"token_id": "X", "block": 1, "log_index": 0, "event_kind": "deposit",
-         "from": "", "to": "alice", "amount": 500},
-        {"token_id": "X", "block": 2, "log_index": 0, "event_kind": "transfer",
-         "from": "alice", "to": "bob", "amount": 100},
-        {"token_id": "X", "block": 3, "log_index": 0, "event_kind": "transfer",
-         "from": "bob", "to": "carol", "amount": 50},
-        {"token_id": "X", "block": 5, "log_index": 0, "event_kind": "transfer",
-         "from": "alice", "to": "carol", "amount": 30},
+        "X,1,0,deposit,,alice,500\n"
+        "X,2,0,transfer,alice,bob,100\n"
+        "X,3,0,transfer,bob,carol,50\n"
+        "X,5,0,transfer,alice,carol,30\n"
         # token Y: 300 minted to carol, one hop back to alice
-        {"token_id": "Y", "block": 1, "log_index": 1, "event_kind": "deposit",
-         "from": "", "to": "carol", "amount": 300},
-        {"token_id": "Y", "block": 4, "log_index": 0, "event_kind": "transfer",
-         "from": "carol", "to": "alice", "amount": 200},
-    ]
-    events = parse_events(records)
+        "Y,1,1,deposit,,carol,300\n"
+        "Y,4,0,transfer,carol,alice,200\n"
+    )
+    events = storage.read_table(path, storage.EVENTS)
     ledgers = {
         tid: build_ledger([e for e in events if e.token_id == tid], decimals=0)
         for tid in ("X", "Y")

@@ -1,7 +1,8 @@
 """CLI dispatch and exit-code tests.
 
 Exit codes are part of the interface: 0 success, 1 input problems, 2
-unexpected failures. Everything here drives ``main`` in-process.
+unexpected failures. The tests drive ``main`` in-process, or the CLI as a
+subprocess where the exit code or the loaded modules are what is checked.
 """
 
 from __future__ import annotations
@@ -130,19 +131,106 @@ def _negate_a_close(ws: Path) -> Path:
     return path
 
 
+def _probed_token(ws: Path) -> str:
+    return (ws / "input" / "probes.csv").read_text().splitlines()[1].split(",")[0]
+
+
+def _edit_events(ws: Path, edit) -> Path:
+    """Apply ``edit`` to the lines of the first probed token's event file."""
+    path = ws / "input" / "events" / f"{_probed_token(ws)}.csv"
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _set_event_cell(column: int, value):
+    """Replace one cell of the fourth event, on line 5, with ``value(cell)``."""
+
+    def corrupt(ws: Path) -> str:
+        def edit(lines):
+            cells = lines[4].split(",")
+            cells[column] = value(cells[column])
+            lines[4] = ",".join(cells)
+
+        return f"{_edit_events(ws, edit)}, line 5"
+
+    return corrupt
+
+
+def _move_an_event_to_another_token(ws: Path) -> Path:
+    def edit(lines):
+        lines[4] = "OTHER" + lines[4]
+
+    return _edit_events(ws, edit)
+
+
+def _move_every_event_to_another_token(ws: Path) -> str:
+    def edit(lines):
+        lines[1:] = ["OTHER" + line for line in lines[1:]]
+
+    return f"{_edit_events(ws, edit)}, line 2"
+
+
+def _swap_two_events(ws: Path) -> Path:
+    def edit(lines):
+        lines[2], lines[3] = lines[3], lines[2]
+
+    return _edit_events(ws, edit)
+
+
+def _probe_unknown_token(ws: Path) -> Path:
+    path = ws / "input" / "probes.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = "NOPE," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _delete_probed(directory: str, stage: str):
+    def corrupt(ws: Path) -> str:
+        path = ws / directory / f"{_probed_token(ws)}.csv"
+        path.unlink()
+        return f"missing {path}; run the {stage!r} stage first"
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, command",
     [
         (_cut_probe_row_short, ["validate"]),
         (_rename_ledger_column, ["validate"]),
         (_negate_a_close, ["snapshot"]),
+        (_set_event_cell(1, lambda cell: "abc"), ["ingest"]),
+        (_set_event_cell(6, lambda cell: "-" + cell), ["ingest"]),
+        (_set_event_cell(3, lambda cell: "airdrop"), ["ingest"]),
+        (_move_an_event_to_another_token, ["ingest"]),
+        (_move_every_event_to_another_token, ["ingest"]),
+        (_swap_two_events, ["ingest"]),
+        (_probe_unknown_token, ["validate"]),
+        (_delete_probed("ledgers", "ingest"), ["validate"]),
+        (_delete_probed("input/events", "synth"), ["validate"]),
     ],
-    ids=["short-probe-row", "renamed-ledger-column", "negative-close"],
+    ids=[
+        "short-probe-row",
+        "renamed-ledger-column",
+        "negative-close",
+        "bad-event-block",
+        "negative-event-amount",
+        "unknown-event-kind",
+        "event-of-another-token",
+        "events-of-another-token",
+        "unsorted-events",
+        "probe-of-unknown-token",
+        "probed-ledger-missing",
+        "probed-events-missing",
+    ],
 )
 def test_malformed_workspace_csv_is_exit_1(built, tmp_path, corrupt, command):
     ws = tmp_path / "ws"
     shutil.copytree(built.parent / "ws", ws)
-    path = corrupt(ws)
+    expected = corrupt(ws)
     src = str(Path(chainfrontier.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "chainfrontier.cli", "--workspace", str(ws), *command],
@@ -151,7 +239,7 @@ def test_malformed_workspace_csv_is_exit_1(built, tmp_path, corrupt, command):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert result.returncode == 1, result.stderr
-    assert result.stderr.startswith(f"error: {path}")
+    assert result.stderr.startswith(f"error: {expected}"), result.stderr
 
 
 def test_console_script_help():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfrontier.errors import LedgerOrderError, MalformedRecordError
+from chainfrontier import storage
+from chainfrontier.errors import InputError, LedgerOrderError
 from chainfrontier.ingest import (
     ZERO_ACCOUNT,
     FilterStage,
@@ -25,14 +26,13 @@ from chainfrontier.ingest import (
     build_ledger,
     filter_tokens,
     ledger_from_entries,
-    parse_events,
     replay_balance,
 )
 from helpers import net_minted, random_stream
 
 
 # ---------------------------------------------------------------------------
-# parse_events
+# raw event files: storage.EVENTS reads them as TransferEvents
 # ---------------------------------------------------------------------------
 
 
@@ -50,32 +50,44 @@ def _row(**kw):
     return base
 
 
-def test_parse_transfer_row():
-    (ev,) = parse_events([_row()])
+def _events_file(tmp_path, *rows):
+    """An events file holding ``rows``, one line each after the header."""
+    path = tmp_path / "events.csv"
+    header = storage.EVENTS.header
+    storage.write_csv(path, header, ([row[name] for name in header] for row in rows))
+    return path
+
+
+def _read(tmp_path, *rows):
+    return storage.read_table(_events_file(tmp_path, *rows), storage.EVENTS)
+
+
+def test_parse_transfer_row(tmp_path):
+    (ev,) = _read(tmp_path, _row())
     assert ev == TransferEvent("X", 1, 0, "alice", "bob", 100)
 
 
-def test_parse_deposit_becomes_mint():
-    (ev,) = parse_events([_row(event_kind="deposit", **{"from": "", "to": "alice"})])
+def test_parse_deposit_becomes_mint(tmp_path):
+    (ev,) = _read(tmp_path, _row(event_kind="deposit", **{"from": "", "to": "alice"}))
     assert ev.sender == ZERO_ACCOUNT
     assert ev.recipient == "alice"
 
 
-def test_parse_withdrawal_becomes_burn():
-    (ev,) = parse_events(
-        [_row(event_kind="withdrawal", **{"from": "alice", "to": ""})]
+def test_parse_withdrawal_becomes_burn(tmp_path):
+    (ev,) = _read(
+        tmp_path, _row(event_kind="withdrawal", **{"from": "alice", "to": ""})
     )
     assert ev.sender == "alice"
     assert ev.recipient == ZERO_ACCOUNT
 
 
-def test_parse_preserves_input_order():
+def test_parse_preserves_input_order(tmp_path):
     rows = [
         _row(token_id="X", block="5", log_index="1"),
         _row(token_id="Y", block="2", log_index="0"),
         _row(token_id="X", block="5", log_index="2"),
     ]
-    events = parse_events(rows)
+    events = _read(tmp_path, *rows)
     assert [(e.token_id, e.block, e.log_index) for e in events] == [
         ("X", 5, 1),
         ("Y", 2, 0),
@@ -93,27 +105,29 @@ def test_parse_preserves_input_order():
         {"token_id": ""},
         {"from": "", "to": ""},  # transfer needs both ends
         {"block": "-3"},
+        {"log_index": "-1"},
+        {"event_kind": "deposit", "from": "", "to": ""},  # no account
+        {"event_kind": "withdrawal", "from": "", "to": ""},
     ],
 )
-def test_parse_malformed_raises_with_position(bad):
-    rows = [_row(), _row(**bad)]
-    with pytest.raises(MalformedRecordError) as exc:
-        parse_events(rows)
-    assert exc.value.position == 2
+def test_parse_malformed_raises_with_position(tmp_path, bad):
+    path = _events_file(tmp_path, _row(), _row(**bad))
+    with pytest.raises(InputError) as exc:
+        storage.read_table(path, storage.EVENTS)
+    # the header is line 1, so the second record is on line 3
+    assert str(exc.value).startswith(f"{path}, line 3")
 
 
-def test_parse_negative_amount_rejects_record_only():
-    rejected: list[tuple[int, str]] = []
-    events = parse_events(
-        [_row(), _row(amount="-5"), _row(block="7")], rejected=rejected
-    )
-    assert len(events) == 2
-    assert rejected == [(2, "negative amount -5")]
+def test_parse_negative_amount_is_an_input_error(tmp_path):
+    path = _events_file(tmp_path, _row(), _row(amount="-5"), _row(block="7"))
+    with pytest.raises(InputError) as exc:
+        storage.read_table(path, storage.EVENTS)
+    assert str(exc.value) == f"{path}, line 3: negative amount -5"
 
 
-def test_parse_amount_handles_arbitrary_precision():
+def test_parse_amount_handles_arbitrary_precision(tmp_path):
     big = str(2**200)
-    (ev,) = parse_events([_row(amount=big)])
+    (ev,) = _read(tmp_path, _row(amount=big))
     assert ev.amount == 2**200
 
 

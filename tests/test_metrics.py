@@ -14,7 +14,6 @@ from chainfrontier.metrics import (
     PerfRecord,
     aggregate,
     capm_alpha,
-    distance_delta_vs_naive,
     forward_return,
     l1_distance,
 )
@@ -111,35 +110,6 @@ def test_capm_alpha_zero_beta_passes_return_through():
 
 def test_capm_alpha_flat_market():
     assert capm_alpha(0.02, 1.5, 0.0) == pytest.approx(0.02)
-
-
-# ---------------------------------------------------------------------------
-# distance delta classification
-
-
-@pytest.mark.parametrize(
-    "d_actual, d_optimized, expected",
-    [
-        (0.5, 0.3, "closer"),
-        (0.3, 0.5, "farther"),
-        (0.30, 0.3005, "unchanged"),
-        (0.3005, 0.30, "unchanged"),
-        (0.0, 0.0, "unchanged"),
-    ],
-)
-def test_distance_delta_classification(d_actual, d_optimized, expected):
-    assert distance_delta_vs_naive(d_actual, d_optimized) == expected
-
-
-def test_distance_delta_threshold_is_strict():
-    # a move of exactly eps is already a move
-    assert distance_delta_vs_naive(0.3, 0.301, eps=0.001) == "farther"
-    assert distance_delta_vs_naive(0.301, 0.3, eps=0.001) == "closer"
-
-
-def test_distance_delta_rejects_negative_eps():
-    with pytest.raises(ValueError, match="eps"):
-        distance_delta_vs_naive(0.1, 0.2, eps=-0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from chainfrontier.ingest import ZERO_ACCOUNT, TransferEvent, build_ledger
 from chainfrontier.portfolio import (
     BlockTimeMap,
     Snapshot,
-    WealthBin,
-    assign_wealth_bin,
     monthly_snapshots,
     reconstruct_snapshot,
 )
@@ -144,34 +142,3 @@ def test_decimals_scale_quantity():
     assert p is not None
     assert p.positions[0].quantity == pytest.approx(2.5)
     assert p.total_value == pytest.approx(10.0)
-
-
-# ---------------------------------------------------------------------------
-# wealth bins
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "value, expected",
-    [
-        (0.5, WealthBin.UP_TO_1),
-        (1.0, WealthBin.UP_TO_1),
-        (1.01, WealthBin.UP_TO_100),
-        (100.0, WealthBin.UP_TO_100),
-        (100.5, WealthBin.UP_TO_1K),
-        (1_000.0, WealthBin.UP_TO_1K),
-        (10_000.0, WealthBin.UP_TO_10K),
-        (99_999.0, WealthBin.UP_TO_100K),
-        (100_000.0, WealthBin.UP_TO_100K),
-        (150_000.0, WealthBin.ABOVE_100K),
-    ],
-)
-def test_wealth_bins_right_closed(value, expected):
-    assert assign_wealth_bin(value) is expected
-
-
-def test_wealth_bin_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        assign_wealth_bin(0.0)
-    with pytest.raises(ValueError):
-        assign_wealth_bin(-5.0)

@@ -26,7 +26,6 @@ from chainfrontier.ingest import (
     TokenMeta,
     TransferEvent,
     build_ledger,
-    parse_events,
 )
 from chainfrontier.metrics import AggregateReport, ExcessPoint, PerfRecord, StrategySummary
 from chainfrontier.portfolio import BlockTimeMap
@@ -37,9 +36,9 @@ D = dt.date
 
 
 def _event_records(path):
-    """Raw event rows as the mappings ``parse_events`` takes."""
-    header = storage.EVENTS.header
-    return [dict(zip(header, row)) for row in storage.read_table(path, storage.EVENTS)]
+    """Raw event rows as mappings from column to cell, as written."""
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_fmt_cells():
@@ -72,8 +71,8 @@ def test_events_round_trip_and_kinds(tmp_path):
     assert [r["event_kind"] for r in rows] == ["deposit", "transfer", "withdrawal"]
     assert rows[0]["from"] == "" and rows[2]["to"] == ""
 
-    # the ingest parser accepts the written form unchanged
-    parsed = parse_events(rows)
+    # the events table reads the written form back unchanged
+    parsed = storage.read_table(path, storage.EVENTS)
     assert tuple(parsed) == events
 
 
@@ -83,7 +82,7 @@ def test_huge_amounts_survive_exactly(tmp_path):
     path = tmp_path / "events.csv"
     storage.write_table(path, storage.EVENTS, events)
 
-    assert parse_events(_event_records(path))[0].amount == amount
+    assert storage.read_table(path, storage.EVENTS)[0].amount == amount
 
 
 def test_ledger_entries_round_trip(tmp_path):
