@@ -64,6 +64,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         checks = [
             (self.workers >= 1, "workers must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.synth_tokens >= 2, "synth_tokens must be >= 2"),
             (self.synth_accounts >= 1, "synth_accounts must be >= 1"),
             (self.synth_months >= 1, "synth_months must be >= 1"),

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,18 +62,6 @@ class Strategy(Enum):
 class NaiveStrategy(Enum):
     EQUAL = "equal_weight"
     MCAP = "mcap_weight"
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Shared feasible set for every strategy.
-
-    ``support`` holds indices into the weight vector; None derives it from
-    the strictly positive entries of the observed weights.
-    """
-
-    w_max: float = 0.9
-    support: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,82 +105,9 @@ def _moments_of(w: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> tuple[float, 
     return m, math.sqrt(max(var, 0.0))
 
 
-@dataclass(frozen=True)
-class _Instance:
-    """Unpacked sub-problem on the support. ``distance`` is the ℓ₁ distance
-    of a full-length weight vector from the observed book."""
-
-    support: np.ndarray
-    mu: np.ndarray
-    cov: np.ndarray
-    w0: np.ndarray
-    cap: float
-    anchor_mu: float
-    anchor_sigma: float
-    n_full: int
-    distance: Callable[[np.ndarray], float]
-
-
-def _unpack(
-    w0, m: MomentEstimates, constraints: ConstraintSet | None
-) -> tuple[_Instance, str]:
-    """Validate inputs and cut the problem down to the support.
-
-    Returns the instance and an error reason ('' when solvable).
-    """
-    w0 = np.asarray(w0, dtype=float)
-    mu_all = np.asarray(m.shrunk_means, dtype=float)
-    cov_all = np.asarray(m.cov, dtype=float)
-    if w0.shape != mu_all.shape:
-        raise ValueError(
-            f"w0 has {w0.size} entries for {mu_all.size} eligible assets"
-        )
-    if np.any(w0 < -1e-9):
-        raise ValueError("observed weights must be long-only")
-    if abs(float(w0.sum()) - 1.0) > 1e-6:
-        raise ValueError(f"observed weights sum to {float(w0.sum())}, not 1")
-
-    c = constraints if constraints is not None else ConstraintSet()
-    if not 0.0 < c.w_max <= 1.0:
-        raise ValueError(f"w_max must be in (0, 1], got {c.w_max}")
-    if c.support is not None:
-        support = np.asarray(sorted(set(c.support)), dtype=int)
-        if support.size and (support[0] < 0 or support[-1] >= w0.size):
-            raise ValueError("support indices out of range")
-    else:
-        support = np.flatnonzero(w0 > 0.0)
-    if support.size < 2:
-        raise ValueError("need at least 2 assets in the support")
-    off = np.delete(np.arange(w0.size), support)
-    if off.size and float(np.abs(w0[off]).sum()) > 1e-9:
-        raise ValueError("observed weights carry mass outside the support")
-
-    mu = mu_all[support]
-    cov = cov_all[np.ix_(support, support)]
-    w0s = w0[support]
-    anchor_mu, anchor_sigma = _moments_of(w0s, mu, cov)
-    # the observed book is embedded and checked once, not once per solution
-    full_w0 = np.zeros(w0.size)
-    full_w0[support] = w0s
-    inst = _Instance(
-        support, mu, cov, w0s, c.w_max, anchor_mu, anchor_sigma, w0.size,
-        l1_distance_from(full_w0),
-    )
-    reason = ""
-    if support.size * c.w_max < 1.0 - 1e-12:
-        reason = "cap excludes every fully-invested portfolio on this support"
-    return inst, reason
-
-
-def _embed(inst: _Instance, w_sub: np.ndarray) -> np.ndarray:
-    w = np.zeros(inst.n_full)
-    w[inst.support] = w_sub
-    return w
-
-
 def _finish(
     strategy: Strategy,
-    inst: _Instance,
+    fr: Frontier,
     w_sub: np.ndarray,
     ok: bool,
     iterations: int,
@@ -214,23 +129,23 @@ def _finish(
     feasible = (
         abs(float(w.sum()) - 1.0) <= SOLVER_TOL
         and float(w.min()) >= -SOLVER_TOL
-        and float(w.max()) <= inst.cap + SOLVER_TOL
+        and float(w.max()) <= fr.cap + SOLVER_TOL
     )
     if not feasible:
-        w, ok, anchor_check = inst.w0, False, None
+        w, ok, anchor_check = fr.w0, False, None
         reason = reason or "constraint violation above tolerance"
-    mu_p, sigma_p = _moments_of(w, inst.mu, inst.cov)
+    mu_p, sigma_p = _moments_of(w, fr.mu, fr.cov)
     anchored = anchor_check(mu_p, sigma_p) if anchor_check is not None else True
     converged = bool(ok and anchored)
     if not converged and not reason:
         reason = "anchor violation above tolerance" if not anchored else "solver did not converge"
-    full = _embed(inst, w)
+    full = fr.embed(w)
     return FrontierSolution(
         strategy=strategy,
         weights=full,
         mu=mu_p,
         sigma=sigma_p,
-        distance=inst.distance(full),
+        distance=fr.distance(full),
         converged=converged,
         iterations=iterations,
         reason=reason,
@@ -378,13 +293,13 @@ class _Walk:
     index; the weight that just changed cannot change back at the same λ.
     """
 
-    def __init__(self, inst: _Instance, sign: float, gmv: QPResult) -> None:
-        n = inst.mu.size
-        self.inst = inst
-        self.mu = sign * inst.mu
+    def __init__(self, fr: Frontier, sign: float, gmv: QPResult) -> None:
+        n = fr.mu.size
+        self.fr = fr
+        self.mu = sign * fr.mu
         # free weights with flat means stop moving, and multipliers with a
         # slope below the same tolerance never change sign
-        self.tol = _EPS * float(np.abs(inst.mu).max())
+        self.tol = _EPS * float(np.abs(fr.mu).max())
         self.state = np.zeros(n, dtype=int)  # 0 free, -1 at zero, 1 at the cap
         for row in gmv.working:
             self.state[row % n] = -1 if row < n else 1
@@ -407,15 +322,15 @@ class _Walk:
                 return seg, k, True
 
     def _extend(self) -> None:
-        inst, mu, state = self.inst, self.mu, self.state
+        fr, mu, state = self.fr, self.mu, self.state
         free = state == 0
         F = np.flatnonzero(free)
-        wa = np.where(state > 0, inst.cap, 0.0)
+        wa = np.where(state > 0, fr.cap, 0.0)
         rhs = np.zeros((F.size + 1, 2))
-        rhs[:-1, 0] = -(inst.cov[F] @ wa)
+        rhs[:-1, 0] = -(fr.cov[F] @ wa)
         rhs[-1, 0] = 1.0 - wa.sum()
         rhs[:-1, 1] = mu[F]
-        sol = _kkt(inst.cov[F][:, F], rhs)
+        sol = _kkt(fr.cov[F][:, F], rhs)
         wa[F] = sol[:-1, 0]
         wb = np.zeros(mu.size)
         gamma0, gamma1 = sol[-1]
@@ -423,12 +338,12 @@ class _Walk:
             wb[F] = sol[:-1, 1]
         else:
             gamma1 = float(mu[F].mean())
-        cov_wa = inst.cov @ wa
+        cov_wa = fr.cov @ wa
         # a fixed weight's multiplier is -state·(c + λ·d), its gradient's
         # sign flipped at the cap
         c = cov_wa + gamma0
-        d = inst.cov @ wb - mu + gamma1
-        num = np.where(free, np.where(wb < 0.0, 0.0, inst.cap) - wa, -c)
+        d = fr.cov @ wb - mu + gamma1
+        num = np.where(free, np.where(wb < 0.0, 0.0, fr.cap) - wa, -c)
         den = np.where(free, wb, d)
         falls = np.where(free, wb != 0.0, state * d > self.tol)
         hit = np.divide(num, den, out=np.full(mu.size, math.inf), where=falls)
@@ -446,66 +361,88 @@ class _Walk:
 
 
 class Frontier:
-    """One book's constrained frontier, shared by its three projections.
+    """One observed book and its constrained frontier.
 
-    Built from the inputs ``solve`` takes. The GMV book and the walks are
-    computed on first use and kept, so the projections of a book cost one
-    QP and one walk between them, in any order.
+    ``w0`` aligns with ``m.eligible_ids``, and the support is the assets
+    it holds. The book is validated and cut down to the support once;
+    ``reason`` says why it has no feasible point ('' when it has one). The
+    GMV book and the walks are computed on first use and kept, so the
+    book's projections cost one QP and one walk between them, in any order.
+    Malformed inputs raise ValueError.
     """
 
-    def __init__(self, w0, m: MomentEstimates, constraints: ConstraintSet | None = None):
-        self.inst, self.reason = _unpack(w0, m, constraints)
-        mu, cap = self.inst.mu, self.inst.cap
-        self.mu_lo = float(_greedy_vertex(mu, cap, maximize=False) @ mu)
-        self.mu_hi = float(_greedy_vertex(mu, cap, maximize=True) @ mu)
+    def __init__(self, w0, m: MomentEstimates, w_max: float = 0.9):
+        w0 = np.asarray(w0, dtype=float)
+        mu_all = np.asarray(m.shrunk_means, dtype=float)
+        if w0.shape != mu_all.shape:
+            raise ValueError(
+                f"w0 has {w0.size} entries for {mu_all.size} eligible assets"
+            )
+        if np.any(w0 < -1e-9):
+            raise ValueError("observed weights must be long-only")
+        if abs(float(w0.sum()) - 1.0) > 1e-6:
+            raise ValueError(f"observed weights sum to {float(w0.sum())}, not 1")
+        if not 0.0 < w_max <= 1.0:
+            raise ValueError(f"w_max must be in (0, 1], got {w_max}")
+        self.support = np.flatnonzero(w0 > 0.0)
+        if self.support.size < 2:
+            raise ValueError("need at least 2 assets in the support")
+
+        self.n_full = w0.size
+        self.cap = w_max
+        self.mu = mu_all[self.support]
+        self.cov = np.asarray(m.cov, dtype=float)[np.ix_(self.support, self.support)]
+        self.w0 = w0[self.support]
+        self.anchor_mu, self.anchor_sigma = _moments_of(self.w0, self.mu, self.cov)
+        # the observed book is embedded and checked once, not once per solution
+        self.distance = l1_distance_from(self.embed(self.w0))
+        self.reason = ""
+        if self.support.size * w_max < 1.0 - 1e-12:
+            self.reason = "cap excludes every fully-invested portfolio on this support"
+        self.mu_lo = float(_greedy_vertex(self.mu, w_max, maximize=False) @ self.mu)
+        self.mu_hi = float(_greedy_vertex(self.mu, w_max, maximize=True) @ self.mu)
         self._gmv: QPResult | None = None
         self._walks: dict[float, _Walk] = {}
+
+    def embed(self, w_sub: np.ndarray) -> np.ndarray:
+        """Weights on the support as a vector over all eligible assets."""
+        w = np.zeros(self.n_full)
+        w[self.support] = w_sub
+        return w
 
     def gmv(self) -> QPResult:
         """The global minimum-variance book, started from equal weights."""
         if self._gmv is None:
-            n = self.inst.mu.size
-            self._gmv = minimize(self.inst.cov, self.inst.cap, np.full(n, 1.0 / n))
+            n = self.mu.size
+            self._gmv = minimize(self.cov, self.cap, np.full(n, 1.0 / n))
         return self._gmv
 
     def walk(self, sign: float) -> _Walk:
         """The walk up (sign 1) or down (sign -1) the return from the GMV."""
         if sign not in self._walks:
-            self._walks[sign] = _Walk(self.inst, sign, self.gmv())
+            self._walks[sign] = _Walk(self, sign, self.gmv())
         return self._walks[sign]
 
 
 def solve(
-    strategy: Strategy,
-    w0,
-    m: MomentEstimates,
-    constraints: ConstraintSet | None = None,
-    rf_annual: float = 0.0,
-    frontier: Frontier | None = None,
+    strategy: Strategy, frontier: Frontier, rf_annual: float = 0.0
 ) -> FrontierSolution:
-    """Project an observed weight vector onto one frontier strategy.
+    """Project an observed book onto one frontier strategy.
 
-    ``w0`` aligns with ``m.eligible_ids``. Anchored strategies hold the
-    account's own expected return (min-variance) or risk (max-return)
-    fixed: the return anchor binds as an equality whenever the observed
-    return is reachable under the cap and relaxes to at-least-as-much when
-    the observed book itself violates the cap; the risk anchor is an
-    at-most budget, which the optimum exhausts whenever doing so pays. The
-    max-Sharpe projection ignores the anchors entirely and never looks at
-    ``w0``, so identical moments give identical tangency books no matter
-    the observed weights.
-
-    A ``frontier`` built from the same inputs lets a book's projections
-    share one GMV solve and one walk; without it the call builds its own.
+    Anchored strategies hold the account's own expected return
+    (min-variance) or risk (max-return) fixed: the return anchor binds as
+    an equality whenever the observed return is reachable under the cap and
+    relaxes to at-least-as-much when the observed book itself violates the
+    cap; the risk anchor is an at-most budget, which the optimum exhausts
+    whenever doing so pays. The max-Sharpe projection ignores the anchors
+    entirely and never looks at the observed weights, so identical moments
+    give identical tangency books no matter the observed book.
 
     Infeasible anchors come back as non-converged solutions with a reason
-    rather than exceptions; malformed inputs raise ValueError.
+    rather than exceptions.
     """
-    if frontier is None:
-        frontier = Frontier(w0, m, constraints)
-    inst = frontier.inst
     if frontier.reason:
-        return _finish(strategy, inst, inst.w0, False, 0, frontier.reason)
+        return _finish(strategy, frontier, frontier.w0, False, 0, frontier.reason)
     if strategy is Strategy.MIN_VAR:
         return _solve_min_var(frontier)
     if strategy is Strategy.MAX_RET:
@@ -522,44 +459,42 @@ def _solve_min_var(fr: Frontier) -> FrontierSolution:
     met by every feasible book, so the at-least anchor leaves the GMV; one
     below the GMV's return is met on the inefficient branch, walking down.
     """
-    inst = fr.inst
-    if inst.anchor_mu > fr.mu_hi + SOLVER_TOL:
+    if fr.anchor_mu > fr.mu_hi + SOLVER_TOL:
         return _finish(
-            Strategy.MIN_VAR, inst, inst.w0, False, 0,
+            Strategy.MIN_VAR, fr, fr.w0, False, 0,
             "anchor return unreachable under the cap",
         )
     gmv = fr.gmv()
-    check = lambda mu_p, sigma_p: mu_p >= inst.anchor_mu - SOLVER_TOL
-    if not gmv.converged or inst.anchor_mu < fr.mu_lo - SOLVER_TOL:
-        return _finish(Strategy.MIN_VAR, inst, gmv.x, gmv.converged, gmv.iterations, "", check)
-    sign = 1.0 if inst.anchor_mu >= float(gmv.x @ inst.mu) else -1.0
-    target = sign * inst.anchor_mu
+    check = lambda mu_p, sigma_p: mu_p >= fr.anchor_mu - SOLVER_TOL
+    if not gmv.converged or fr.anchor_mu < fr.mu_lo - SOLVER_TOL:
+        return _finish(Strategy.MIN_VAR, fr, gmv.x, gmv.converged, gmv.iterations, "", check)
+    sign = 1.0 if fr.anchor_mu >= float(gmv.x @ fr.mu) else -1.0
+    target = sign * fr.anchor_mu
     seg, walked, ok = fr.walk(sign).find(lambda s: s.m0 + s.m1 * s.end >= target)
     w = seg.at((target - seg.m0) / seg.m1 if seg.m1 > 0.0 else seg.start)
-    return _finish(Strategy.MIN_VAR, inst, w, ok, gmv.iterations + walked, "", check)
+    return _finish(Strategy.MIN_VAR, fr, w, ok, gmv.iterations + walked, "", check)
 
 
 def _solve_max_ret(fr: Frontier) -> FrontierSolution:
     """Max return at variance <= V0: the efficient book whose variance
     meets the budget, at λ² = (V0 − K)/m1, or the frontier's top inside it."""
-    inst = fr.inst
-    budget = inst.anchor_sigma**2
-    check = lambda mu_p, sigma_p: sigma_p <= inst.anchor_sigma + SOLVER_TOL
+    budget = fr.anchor_sigma**2
+    check = lambda mu_p, sigma_p: sigma_p <= fr.anchor_sigma + SOLVER_TOL
     gmv = fr.gmv()
-    var_gmv = float(gmv.x @ inst.cov @ gmv.x)
-    if gmv.converged and math.sqrt(max(var_gmv, 0.0)) > inst.anchor_sigma + SOLVER_TOL:
+    var_gmv = float(gmv.x @ fr.cov @ gmv.x)
+    if gmv.converged and math.sqrt(max(var_gmv, 0.0)) > fr.anchor_sigma + SOLVER_TOL:
         return _finish(
-            Strategy.MAX_RET, inst, inst.w0, False, gmv.iterations,
+            Strategy.MAX_RET, fr, fr.w0, False, gmv.iterations,
             "risk budget below the feasible minimum",
         )
     if not gmv.converged or var_gmv >= budget:
-        return _finish(Strategy.MAX_RET, inst, gmv.x, gmv.converged, gmv.iterations, "", check)
+        return _finish(Strategy.MAX_RET, fr, gmv.x, gmv.converged, gmv.iterations, "", check)
     seg, walked, ok = fr.walk(1.0).find(lambda s: s.K + s.m1 * s.end**2 >= budget)
     w = seg.at(math.sqrt(max(budget - seg.K, 0.0) / seg.m1) if seg.m1 > 0.0 else seg.start)
     # converge only where the budget binds; an interior stop loses return
-    var = float(w @ inst.cov @ w)
+    var = float(w @ fr.cov @ w)
     ok = ok and (seg.end == math.inf or abs(var - budget) <= _BUDGET_TOL * budget)
-    return _finish(Strategy.MAX_RET, inst, w, ok, gmv.iterations + walked, "", check)
+    return _finish(Strategy.MAX_RET, fr, w, ok, gmv.iterations + walked, "", check)
 
 
 def _solve_max_sr(fr: Frontier, rf_daily: float) -> FrontierSolution:
@@ -572,25 +507,24 @@ def _solve_max_sr(fr: Frontier, rf_daily: float) -> FrontierSolution:
     function on the perspective image of the capped simplex, and its
     maximum sits at a vertex, so the vertices are scanned exactly.
     """
-    inst = fr.inst
     if fr.mu_hi - rf_daily <= 0.0:
-        return _finish(Strategy.MAX_SR, inst, _best_vertex(inst, rf_daily), True, 0, "")
+        return _finish(Strategy.MAX_SR, fr, _best_vertex(fr, rf_daily), True, 0, "")
     gmv = fr.gmv()
     if not gmv.converged:
-        return _finish(Strategy.MAX_SR, inst, gmv.x, False, gmv.iterations, "")
+        return _finish(Strategy.MAX_SR, fr, gmv.x, False, gmv.iterations, "")
     seg, walked, ok = fr.walk(1.0).find(lambda s: (s.m0 - rf_daily) * s.end >= s.K)
     w = seg.at(seg.K / (seg.m0 - rf_daily) if seg.m0 > rf_daily else seg.start)
-    return _finish(Strategy.MAX_SR, inst, w, ok, gmv.iterations + walked, "")
+    return _finish(Strategy.MAX_SR, fr, w, ok, gmv.iterations + walked, "")
 
 
-def _best_vertex(inst: _Instance, rf_daily: float) -> np.ndarray:
+def _best_vertex(fr: Frontier, rf_daily: float) -> np.ndarray:
     """The capped-simplex vertex with the highest Sharpe ratio.
 
     A vertex holds k = floor(1/cap) assets at the cap, at most one asset at
     the remainder and the rest at zero. Ties go to the first vertex in
     enumeration order.
     """
-    n, cap = inst.mu.size, inst.cap
+    n, cap = fr.mu.size, fr.cap
     full = min(int(math.floor(1.0 / cap + 1e-12)), n)
     rest = 1.0 - full * cap
     vertices = []
@@ -602,7 +536,7 @@ def _best_vertex(inst: _Instance, rf_daily: float) -> np.ndarray:
             if j is not None:
                 w[j] = rest
             vertices.append(w)
-    return max(vertices, key=lambda w: sharpe(*_moments_of(w, inst.mu, inst.cov), rf_daily))
+    return max(vertices, key=lambda w: sharpe(*_moments_of(w, fr.mu, fr.cov), rf_daily))
 
 
 def naive_weights(
@@ -657,7 +591,7 @@ def grid_oracle(
     strategy: Strategy,
     w0,
     m: MomentEstimates,
-    constraints: ConstraintSet | None = None,
+    w_max: float = 0.9,
     step: float = 0.01,
     rf_annual: float = 0.0,
 ) -> FrontierSolution:
@@ -674,22 +608,22 @@ def grid_oracle(
 
     Supports up to 4 assets; the candidate count explodes beyond that.
     """
-    inst, reason = _unpack(w0, m, constraints)
-    if reason:
-        raise ValueError(reason)
-    n = inst.support.size
+    fr = Frontier(w0, m, w_max)
+    if fr.reason:
+        raise ValueError(fr.reason)
+    n = fr.support.size
     if n > 4:
         raise ValueError("grid oracle supports at most 4 assets")
     M = round(1.0 / step)
     if M < 1 or abs(M * step - 1.0) > 1e-9:
         raise ValueError("step must divide 1 evenly")
-    cap_units = int(math.floor(inst.cap * M + 1e-9))
+    cap_units = int(math.floor(fr.cap * M + 1e-9))
     comps = _compositions(M, n, cap_units)
     if not len(comps):
         raise ValueError("no grid point satisfies the constraints")
     W = comps.astype(float) / M
-    mus = W @ inst.mu
-    variances = np.einsum("ij,jk,ik->i", W, inst.cov, W)
+    mus = W @ fr.mu
+    variances = np.einsum("ij,jk,ik->i", W, fr.cov, W)
     sigmas = np.sqrt(np.clip(variances, 0.0, None))
 
     rf_daily = rf_annual / DAYS_PER_YEAR
@@ -697,13 +631,13 @@ def grid_oracle(
         # admit only points that meet the return anchor as closely as the
         # grid can at all; a wider band would let the oracle trade anchor
         # error for variance and overstate the attainable minimum
-        dev = np.abs(mus - inst.anchor_mu)
+        dev = np.abs(mus - fr.anchor_mu)
         mask = dev <= dev.min() + 1e-12
         objective = -sigmas
     elif strategy is Strategy.MAX_RET:
         # mirror the solver's risk-budget semantics: at most the anchor
         # volatility, falling back to the nearest-risk shell off grid
-        over = sigmas - inst.anchor_sigma
+        over = sigmas - fr.anchor_sigma
         mask = over <= 1e-12
         if not mask.any():
             dev = np.abs(over)
@@ -725,18 +659,18 @@ def grid_oracle(
     best_val = float(np.max(objective[candidates]))
     tie_tol = 1e-12 if math.isfinite(best_val) else 0.0
     ties = [i for i in candidates if objective[i] >= best_val - tie_tol]
-    dists = {i: float(0.5 * np.abs(W[i] - inst.w0).sum()) for i in ties}
+    dists = {i: float(0.5 * np.abs(W[i] - fr.w0).sum()) for i in ties}
     pick = min(ties, key=lambda i: (dists[i], tuple(W[i])))
 
     w = W[pick]
-    full = _embed(inst, w)
+    full = fr.embed(w)
     mu_p, sigma_p = float(mus[pick]), float(sigmas[pick])
     return FrontierSolution(
         strategy=strategy,
         weights=full,
         mu=mu_p,
         sigma=sigma_p,
-        distance=inst.distance(full),
+        distance=fr.distance(full),
         converged=True,
         iterations=len(W),
         reason="",

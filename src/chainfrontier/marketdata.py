@@ -18,27 +18,19 @@ from .prices import ONE_DAY, PriceSeries
 
 @dataclass(frozen=True, eq=False)
 class ReturnWindow:
-    """Daily log-returns for one token over a lookback window.
+    """Daily log-returns for one token over the days ending at ``end_date``.
 
-    ``dates[k]`` is the day of ``returns[k]``; a return exists only where
-    the day and its predecessor both have prices.
+    The window has no gaps, so ``returns[k]`` is the return of the day
+    ``len - 1 - k`` days before ``end_date``. Two windows that end on the
+    same day share their last ``min(len)`` days.
     """
 
     token_id: str
     end_date: dt.date
-    dates: tuple[dt.date, ...]
     returns: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True, eq=False)
-class MarketIndex:
-    """Equal-weighted two-asset benchmark return series."""
-
-    dates: tuple[dt.date, ...]
-    returns: np.ndarray
+        return len(self.returns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,29 +57,41 @@ def log_returns(
 ) -> ReturnWindow:
     """Daily log-returns over the ``window`` days ending at ``end_date``.
 
-    A day contributes ln(p_t / p_{t-1}) only when both closes exist, so a
-    gapped series yields fewer than ``window`` observations rather than
-    fabricated ones.
+    A day contributes ln(p_t / p_{t-1}). A series that starts inside the
+    window yields fewer than ``window`` observations rather than fabricated
+    ones. Raises ValueError when ``end_date`` lies past the series or a
+    close is missing after the first one the window reads, since a gap
+    would leave the window's days unknown.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    dates: list[dt.date] = []
+    if end_date > series.end:
+        raise ValueError(f"{series.token_id!r} prices end before {end_date}")
     rets: list[float] = []
-    day = end_date - (window - 1) * ONE_DAY
-    for _ in range(window):
+    prev: float | None = None
+    day = end_date - window * ONE_DAY
+    for _ in range(window + 1):
         cur = series.close_on(day)
-        prev = series.close_on(day - ONE_DAY)
-        if cur is not None and prev is not None:
-            if cur <= 0 or prev <= 0:
-                raise ValueError(
-                    f"nonpositive close for {series.token_id!r} near {day}"
-                )
-            dates.append(day)
+        if cur is None:
+            if prev is not None:
+                raise ValueError(f"{series.token_id!r} has no close on {day}")
+        elif cur <= 0:
+            raise ValueError(f"nonpositive close for {series.token_id!r} on {day}")
+        elif prev is not None:
             rets.append(float(np.log(cur / prev)))
+        prev = cur
         day += ONE_DAY
-    return ReturnWindow(
-        series.token_id, end_date, tuple(dates), np.asarray(rets, dtype=float)
-    )
+    return ReturnWindow(series.token_id, end_date, np.asarray(rets, dtype=float))
+
+
+def _aligned(*windows: ReturnWindow) -> list[np.ndarray]:
+    """Each window's returns on the days all of them share, the last
+    ``min(len)``. Raises ValueError unless they end on the same day."""
+    ends = sorted({w.end_date for w in windows})
+    if len(ends) > 1:
+        raise ValueError(f"return windows are not aligned: they end on {ends}")
+    n = min(len(w) for w in windows)
+    return [w.returns[len(w) - n :] for w in windows]
 
 
 def estimate_moments(
@@ -104,7 +108,8 @@ def estimate_moments(
     covariance over the dates all eligible assets share, shrunk toward a
     constant-correlation target with the Ledoit-Wolf optimal intensity.
 
-    Raises ValueError when no asset is eligible or asset ids repeat.
+    Raises ValueError when no asset is eligible, asset ids repeat or the
+    eligible assets' windows end on different days.
     """
     if not 0.0 <= shrink_lambda <= 1.0:
         raise ValueError("shrink_lambda must be in [0, 1]")
@@ -121,16 +126,9 @@ def estimate_moments(
     cross = float(np.mean(raw))
     shrunk = shrink_lambda * cross + (1.0 - shrink_lambda) * raw
 
-    common = set(kept[0].dates)
-    for w in kept[1:]:
-        common &= set(w.dates)
-    if len(common) < 2:
+    cols = _aligned(*kept)
+    if len(cols[0]) < 2:
         raise ValueError("fewer than 2 shared return dates across eligible assets")
-    order = sorted(common)
-    cols = []
-    for w in kept:
-        pos = {d: k for k, d in enumerate(w.dates)}
-        cols.append(w.returns[[pos[d] for d in order]])
     X = np.column_stack(cols)
 
     cov, intensity = _shrink_constant_correlation(X)
@@ -143,7 +141,7 @@ def estimate_moments(
         cross_mean=cross,
         cov=cov,
         lw_intensity=intensity,
-        n_obs=len(order),
+        n_obs=len(X),
     )
 
 
@@ -205,27 +203,24 @@ def _psd_floor(cov: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return (fixed + fixed.T) / 2.0
 
 
-def market_index(weth: ReturnWindow, wbtc: ReturnWindow) -> MarketIndex:
-    """Equal-weighted mean of the two benchmark assets' daily log-returns."""
-    if weth.dates != wbtc.dates:
-        raise ValueError("benchmark return series are not date-aligned")
-    return MarketIndex(weth.dates, (weth.returns + wbtc.returns) / 2.0)
+def market_index(weth: ReturnWindow, wbtc: ReturnWindow) -> ReturnWindow:
+    """Equal-weighted mean of the two benchmark assets' daily log-returns,
+    over the days they share."""
+    a, b = _aligned(weth, wbtc)
+    return ReturnWindow("market", weth.end_date, (a + b) / 2.0)
 
 
-def asset_beta(asset: ReturnWindow, market: MarketIndex) -> float:
+def asset_beta(asset: ReturnWindow, market: ReturnWindow) -> float:
     """Regression slope of asset returns on market returns.
 
-    Uses the dates both series share; needs at least two and a moving
+    Uses the days both windows share; needs at least two and a moving
     market (zero market variance has no defined beta).
     """
-    pos_m = {d: k for k, d in enumerate(market.dates)}
-    pairs = [(r, pos_m[d]) for d, r in zip(asset.dates, asset.returns) if d in pos_m]
-    if len(pairs) < 2:
+    a, m = _aligned(asset, market)
+    if len(a) < 2:
         raise ValueError(
             f"fewer than 2 aligned observations for beta of {asset.token_id!r}"
         )
-    a = np.array([p[0] for p in pairs])
-    m = market.returns[[p[1] for p in pairs]]
     var_m = float(np.var(m))
     if var_m <= 0:
         raise ValueError("market variance is zero over the aligned window")
@@ -233,21 +228,21 @@ def asset_beta(asset: ReturnWindow, market: MarketIndex) -> float:
     return cov_am / var_m
 
 
-def market_forward_return(market: MarketIndex, start: dt.date, days: int) -> float:
+def market_forward_return(market: ReturnWindow, start: dt.date, days: int) -> float:
     """Simple market return over the ``days`` days after ``start``.
 
     Compounds the daily index log-returns across (start, start + days] and
-    converts to a simple return. Every day in the span must be present.
+    converts to a simple return. Every day in the span must be in the window.
     """
     if days < 1:
         raise ValueError("days must be >= 1")
-    pos = {d: k for k, d in enumerate(market.dates)}
+    # the index of the day after ``start``
+    first = len(market) - (market.end_date - start).days
+    if first < 0 or first + days > len(market):
+        raise ValueError(
+            f"market index is missing days of ({start}, {start + days * ONE_DAY}]"
+        )
     total = 0.0
-    day = start + ONE_DAY
-    for _ in range(days):
-        k = pos.get(day)
-        if k is None:
-            raise ValueError(f"market index missing {day}")
-        total += float(market.returns[k])
-        day += ONE_DAY
+    for r in market.returns[first : first + days]:
+        total += float(r)
     return float(np.expm1(total))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import concentration, decayfit, frontier, marketdata, metrics, storage, synth
 from .config import PipelineConfig
-from .errors import UnidentifiableFitError
+from .errors import InputError, UnidentifiableFitError
 from .pipeline import (
     BLOCKMAP,
     EVENTS,
@@ -122,7 +122,6 @@ def optimize_month(
     for row in positions:
         by_account.setdefault(row.account, []).append(row)
 
-    constraints = frontier.ConstraintSet(w_max=cfg.w_max)
     rows: list[tuple] = []
     for account in sorted(by_account):
         held = sorted(by_account[account], key=lambda r: r.token_id)
@@ -163,11 +162,9 @@ def optimize_month(
             )
         )
         # the book's projections share one GMV solve and one critical-line walk
-        book = frontier.Frontier(w0, m, constraints)
+        book = frontier.Frontier(w0, m, cfg.w_max)
         for strategy in FRONTIER_STRATEGIES:
-            sol = frontier.solve(
-                strategy, w0, m, constraints, rf_annual=cfg.rf_annual, frontier=book
-            )
+            sol = frontier.solve(strategy, book, rf_annual=cfg.rf_annual)
             rows.append(
                 (
                     snapshot_day,
@@ -190,6 +187,9 @@ def optimize_month(
 def metrics_month(
     prices: dict[str, PriceSeries], cfg: PipelineConfig, month: str
 ) -> None:
+    for token in cfg.market_tokens:
+        if token not in prices:
+            raise InputError(f"market_tokens: {token!r} has no rows in {PRICES}")
     ws = cfg.workspace
     solutions = storage.read_table(ws / SOLUTIONS / f"{month}.csv", storage.SOLUTIONS)
     out_path = ws / PERF / f"{month}.csv"

@@ -41,17 +41,12 @@ class PriceSeries:
 
     @classmethod
     def from_observations(
-        cls,
-        token_id: str,
-        observations: Mapping[dt.date, float],
-        end: dt.date | None = None,
+        cls, token_id: str, observations: Mapping[dt.date, float]
     ) -> "PriceSeries":
         """Build a gapped daily series from sparse (date, close) pairs."""
         if not observations:
             raise ValueError(f"no price observations for {token_id!r}")
-        days = sorted(observations)
-        last = max(days[-1], end) if end is not None else days[-1]
-        start = days[0]
+        start, last = min(observations), max(observations)
         closes: list[float | None] = [None] * ((last - start).days + 1)
         for day, close in observations.items():
             close = float(close)

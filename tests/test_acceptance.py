@@ -20,7 +20,7 @@ from chainfrontier import storage
 from chainfrontier.concentration import gini, hhi, top_share
 from chainfrontier.config import PipelineConfig
 from chainfrontier.decayfit import SizeBin, fit_power_decay
-from chainfrontier.frontier import ConstraintSet, Strategy, grid_oracle, sharpe, solve
+from chainfrontier.frontier import Frontier, Strategy, grid_oracle, sharpe, solve
 from chainfrontier.ingest import (
     ZERO_ACCOUNT,
     account_balances,
@@ -29,7 +29,6 @@ from chainfrontier.ingest import (
     replay_balance,
 )
 from chainfrontier.marketdata import (
-    MarketIndex,
     ReturnWindow,
     asset_beta,
     market_forward_return,
@@ -148,7 +147,7 @@ def test_solver_beats_grid_oracle_within_discretization_slack():
         n = 2 + (i % 2)
         m, mu, cov, w0 = random_instance(rng, n)
         for strategy in Strategy:
-            sol = solve(strategy, w0, m)
+            sol = solve(strategy, Frontier(w0, m))
             assert sol.converged, (i, strategy, sol.reason)
             assert float(sol.weights.sum()) == pytest.approx(1.0, abs=1e-8)
             assert sol.weights.min() >= -1e-8
@@ -183,7 +182,7 @@ def test_two_asset_books_have_zero_min_variance_distance():
         cov = A @ A.T + np.eye(2) * 1e-6
         u = rng.uniform(0.1, 0.9)
         m = moments(["A", "B"], mu, cov)
-        sol = solve(Strategy.MIN_VAR, [u, 1.0 - u], m)
+        sol = solve(Strategy.MIN_VAR, Frontier([u, 1.0 - u], m))
         assert sol.converged
         assert sol.distance == pytest.approx(0.0, abs=1e-8)
 
@@ -201,8 +200,8 @@ def test_max_sharpe_is_invariant_to_starting_weights():
             w0_b = rng.dirichlet(np.ones(n))
             if w0_b.max() <= 0.9:
                 break
-        sol_a = solve(Strategy.MAX_SR, w0_a, m, rf_annual=0.05)
-        sol_b = solve(Strategy.MAX_SR, w0_b, m, rf_annual=0.05)
+        sol_a = solve(Strategy.MAX_SR, Frontier(w0_a, m), rf_annual=0.05)
+        sol_b = solve(Strategy.MAX_SR, Frontier(w0_b, m), rf_annual=0.05)
         assert sol_a.converged and sol_b.converged
         assert np.max(np.abs(sol_a.weights - sol_b.weights)) <= 1e-6
 
@@ -221,15 +220,15 @@ def test_frontier_projections_dominate_the_observed_book():
         mu0 = float(w0 @ mu)
         sigma0 = float(np.sqrt(w0 @ cov @ w0))
 
-        sol = solve(Strategy.MIN_VAR, w0, m)
+        sol = solve(Strategy.MIN_VAR, Frontier(w0, m))
         assert sol.converged
         assert sol.sigma <= sigma0 + 1e-8
 
-        sol = solve(Strategy.MAX_RET, w0, m)
+        sol = solve(Strategy.MAX_RET, Frontier(w0, m))
         assert sol.converged
         assert sol.mu >= mu0 - 1e-8
 
-        sol = solve(Strategy.MAX_SR, w0, m, rf_annual=rf_annual)
+        sol = solve(Strategy.MAX_SR, Frontier(w0, m), rf_annual=rf_annual)
         assert sol.converged
         assert sharpe(sol.mu, sol.sigma, rf_daily) >= (
             sharpe(mu0, sigma0, rf_daily) - 1e-8
@@ -292,9 +291,8 @@ def test_capm_identities():
     market = market_index(weth, wbtc)
 
     # the market held as a portfolio has beta 1 and alpha exactly 0
-    as_asset = ReturnWindow("MKT", end, market.dates, market.returns)
-    beta_m = asset_beta(as_asset, market)
-    r_m = market_forward_return(market, market.dates[0], 20)
+    beta_m = asset_beta(market, market)
+    r_m = market_forward_return(market, end - dt.timedelta(days=20), 20)
     assert abs(capm_alpha(r_m, beta_m, r_m)) <= 1e-12
 
     # beta is linear in portfolio weights
@@ -303,10 +301,7 @@ def test_capm_identities():
     for _ in range(20):
         w = rng.dirichlet(np.ones(3))
         blended = ReturnWindow(
-            "PORT",
-            end,
-            assets[0].dates,
-            sum(wi * a.returns for wi, a in zip(w, assets)),
+            "PORT", end, sum(wi * a.returns for wi, a in zip(w, assets))
         )
         assert abs(asset_beta(blended, market) - float(w @ betas)) <= 1e-10
 
@@ -449,7 +444,7 @@ def test_max_sharpe_insensitive_to_risk_free_rate():
         mu = rng.uniform(0.0015, 0.003, 2)
         m = moments(["A", "B"], mu, cov)
         w0 = np.array([0.5, 0.5])
-        sol_zero = solve(Strategy.MAX_SR, w0, m, rf_annual=0.0)
-        sol_default = solve(Strategy.MAX_SR, w0, m, rf_annual=default_rf)
+        sol_zero = solve(Strategy.MAX_SR, Frontier(w0, m), rf_annual=0.0)
+        sol_default = solve(Strategy.MAX_SR, Frontier(w0, m), rf_annual=default_rf)
         assert sol_zero.converged and sol_default.converged
         assert l1_distance(sol_zero.weights, sol_default.weights) < 0.05

@@ -99,6 +99,16 @@ def test_bad_stage_name_is_exit_1(built, capsys):
     assert "unknown stages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unknown_market_token_is_exit_1(built, tmp_path, capsys, workers):
+    shutil.copytree(built.parent / "ws", tmp_path / "ws")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + f"market_tokens = FOO,BAR\nworkers = {workers}\n")
+    assert main(["--config", str(cfg), "metrics"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: market_tokens: 'FOO' has no rows in input/prices.csv")
+
+
 def test_unexpected_failure_is_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

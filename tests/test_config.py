@@ -67,6 +67,7 @@ def test_line_without_equals_rejected():
     "text",
     [
         "workers = 0",
+        "seed = -1",
         "w_max = 0",
         "w_max = 1.5",
         "mean_shrink_lambda = 1.2",

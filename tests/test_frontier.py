@@ -22,7 +22,6 @@ from chainfrontier import metrics
 from chainfrontier.frontier import (
     DAYS_PER_YEAR,
     SOLVER_TOL,
-    ConstraintSet,
     Frontier,
     NaiveStrategy,
     Strategy,
@@ -60,7 +59,7 @@ def test_min_var_equal_means_reaches_global_minimum():
     # equal means leave the return anchor slack everywhere; the global
     # minimum-variance book weights inversely to variance: (0.2, 0.8)
     m = two_asset([0.01, 0.01], [[0.04, 0.0], [0.0, 0.01]])
-    sol = solve(Strategy.MIN_VAR, [0.5, 0.5], m)
+    sol = solve(Strategy.MIN_VAR, Frontier([0.5, 0.5], m))
     assert sol.converged
     assert sol.weights == pytest.approx([0.2, 0.8], abs=1e-6)
     assert sol.sigma == pytest.approx(math.sqrt(0.2**2 * 0.04 + 0.8**2 * 0.01), abs=1e-8)
@@ -81,7 +80,7 @@ def test_min_var_two_assets_distinct_means_stays_put():
         )
         w0 = rng.uniform(0.1, 0.9)
         w0 = np.array([w0, 1.0 - w0])
-        sol = solve(Strategy.MIN_VAR, w0, two_asset(mu, cov))
+        sol = solve(Strategy.MIN_VAR, Frontier(w0, two_asset(mu, cov)))
         assert sol.converged
         assert sol.distance <= 1e-8
 
@@ -93,7 +92,7 @@ def test_min_var_reduces_risk_at_same_return_three_assets():
         np.diag([0.0004, 0.0009, 0.0025]),
     )
     w0 = np.array([0.2, 0.3, 0.5])
-    sol = solve(Strategy.MIN_VAR, w0, m)
+    sol = solve(Strategy.MIN_VAR, Frontier(w0, m))
     anchor_mu = float(w0 @ m.shrunk_means)
     anchor_sigma = math.sqrt(float(w0 @ m.cov @ w0))
     assert sol.converged
@@ -105,7 +104,7 @@ def test_min_var_reduces_risk_at_same_return_three_assets():
 def test_min_var_unreachable_anchor_is_flagged():
     m = two_asset([0.02, 0.01], [[0.01, 0.0], [0.0, 0.01]])
     # observed book violates the cap and its return tops the reachable range
-    sol = solve(Strategy.MIN_VAR, [0.95, 0.05], m)
+    sol = solve(Strategy.MIN_VAR, Frontier([0.95, 0.05], m))
     assert not sol.converged
     assert "unreachable" in sol.reason
 
@@ -114,7 +113,7 @@ def test_min_var_cap_violating_book_relaxes_to_inequality():
     # anchor return below the reachable range: the solver may raise the
     # return while cutting risk
     m = two_asset([0.01, 0.02], [[0.01, 0.0], [0.0, 0.01]])
-    sol = solve(Strategy.MIN_VAR, [0.95, 0.05], m)
+    sol = solve(Strategy.MIN_VAR, Frontier([0.95, 0.05], m))
     assert sol.converged
     assert sol.mu >= float(np.dot([0.95, 0.05], m.shrunk_means)) - 1e-8
     assert np.all(sol.weights <= 0.9 + 1e-8)
@@ -129,7 +128,7 @@ def test_max_ret_moves_along_iso_risk_ellipse():
     # variances (0.013, 0.007) put the variance vertex at t*=0.35, so the
     # iso-variance partner of t0=0.5 is t1=0.2, which earns more
     m = two_asset([0.01, 0.02], [[0.013, 0.0], [0.0, 0.007]])
-    sol = solve(Strategy.MAX_RET, [0.5, 0.5], m)
+    sol = solve(Strategy.MAX_RET, Frontier([0.5, 0.5], m))
     assert sol.converged
     assert sol.weights == pytest.approx([0.2, 0.8], abs=1e-6)
     assert sol.mu == pytest.approx(0.018, abs=1e-8)
@@ -141,7 +140,7 @@ def test_max_ret_hits_cap_when_better_asset_is_safer():
     # should push B to the cap, leaving risk under budget
     m = two_asset([0.01, 0.02], [[0.04, 0.0], [0.0, 0.01]])
     w0 = np.array([0.6, 0.4])
-    sol = solve(Strategy.MAX_RET, w0, m)
+    sol = solve(Strategy.MAX_RET, Frontier(w0, m))
     assert sol.converged
     assert sol.weights == pytest.approx([0.1, 0.9], abs=1e-6)
     assert sol.sigma <= math.sqrt(float(w0 @ m.cov @ w0)) + 1e-8
@@ -157,7 +156,7 @@ def test_max_ret_never_loses_return():
         if w0.max() > 0.9:
             continue
         m = moments(["A", "B", "C"], mu, cov)
-        sol = solve(Strategy.MAX_RET, w0, m)
+        sol = solve(Strategy.MAX_RET, Frontier(w0, m))
         anchor_mu = float(w0 @ mu)
         anchor_sigma = math.sqrt(float(w0 @ cov @ w0))
         assert sol.converged
@@ -167,7 +166,7 @@ def test_max_ret_never_loses_return():
 
 def test_max_ret_infeasible_risk_budget_is_flagged():
     m = two_asset([0.01, 0.02], [[1e-6, 0.0], [0.0, 0.25]])
-    sol = solve(Strategy.MAX_RET, [0.95, 0.05], m)
+    sol = solve(Strategy.MAX_RET, Frontier([0.95, 0.05], m))
     assert not sol.converged
     assert "risk budget" in sol.reason
 
@@ -182,7 +181,7 @@ def test_max_ret_budget_below_minimum_on_cap_violating_book():
             [0.00020171526303697292, 0.00018405945132404382],
         ],
     )
-    sol = solve(Strategy.MAX_RET, [0.005635010312728259, 0.9943649896872717], m)
+    sol = solve(Strategy.MAX_RET, Frontier([0.005635010312728259, 0.9943649896872717], m))
     assert not sol.converged
     assert sol.reason == "risk budget below the feasible minimum"
 
@@ -199,7 +198,8 @@ def test_max_ret_spends_its_budget():
         w0 = rng.dirichlet(np.ones(n))
         if w0.max() > 0.9:
             continue
-        sol = solve(Strategy.MAX_RET, w0, moments([f"T{i}" for i in range(n)], mu, cov))
+        m = moments([f"T{i}" for i in range(n)], mu, cov)
+        sol = solve(Strategy.MAX_RET, Frontier(w0, m))
         assert sol.converged
         top = np.sort(mu)[::-1]
         mu_hi = 0.9 * top[0] + 0.1 * top[1]
@@ -215,7 +215,7 @@ def test_max_ret_on_rank_one_covariance_returns_a_row():
         n = int(rng.integers(2, 7))
         F = rng.normal(0.0, 0.02, (n, 1))
         m = moments([f"T{i}" for i in range(n)], rng.normal(0.001, 0.01, n), F @ F.T)
-        sol = solve(Strategy.MAX_RET, rng.dirichlet(np.ones(n)), m)
+        sol = solve(Strategy.MAX_RET, Frontier(rng.dirichlet(np.ones(n)), m))
         assert sol.weights.shape == (n,)
 
 
@@ -225,17 +225,18 @@ def test_max_return_vertex_over_budget():
     mu = np.array([0.03, 0.02, 0.01])
     cov = np.array([[0.04, 0.03, 0.0], [0.03, 0.04, 0.0], [0.0, 0.0, 0.001]])
     m = moments(["A", "B", "C"], mu, cov)
-    cons = ConstraintSet(w_max=0.5, support=(0, 1, 2))
     w0 = np.array([0.1, 0.4, 0.5])
     sigma0 = math.sqrt(float(w0 @ cov @ w0))
-    sol = solve(Strategy.MAX_RET, w0, m, cons)
+    sol = solve(Strategy.MAX_RET, Frontier(w0, m, w_max=0.5))
     assert sol.converged
     assert sol.sigma == pytest.approx(sigma0, abs=1e-8)
     assert float(w0 @ mu) < sol.mu < 0.025
-    ora = grid_oracle(Strategy.MAX_RET, w0, m, cons, step=0.01)
+    ora = grid_oracle(Strategy.MAX_RET, w0, m, w_max=0.5, step=0.01)
     assert sol.mu >= ora.mu - 1e-12
-    # anchored at the vertex, min-variance has one feasible point: the vertex
-    sol = solve(Strategy.MIN_VAR, [0.5, 0.5, 0.0], m, cons)
+    # a three-asset book over the cap whose return is the vertex's, 0.025:
+    # min-variance walks to the end of the line, where the vertex is the
+    # only feasible point
+    sol = solve(Strategy.MIN_VAR, Frontier([0.7, 0.1, 0.2], m, w_max=0.5))
     assert sol.converged
     assert sol.weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
 
@@ -247,13 +248,13 @@ def test_means_tied_at_the_cap_boundary():
     cov = np.diag([0.01, 0.04, 0.0025])
     m = moments(["A", "B", "C"], mu, cov)
     w0 = np.array([0.1, 0.8, 0.1])
-    sol = solve(Strategy.MAX_RET, w0, m)
+    sol = solve(Strategy.MAX_RET, Frontier(w0, m))
     assert sol.converged
     assert sol.mu == pytest.approx(0.019, abs=1e-12)
     assert sol.weights[0] == pytest.approx(0.9, abs=1e-9)
     assert sol.weights[2] > sol.weights[1]
     for strategy in Strategy:
-        sol = solve(strategy, w0, m)
+        sol = solve(strategy, Frontier(w0, m))
         ora = grid_oracle(strategy, w0, m, step=0.01)
         assert sol.converged
         if strategy is Strategy.MIN_VAR:
@@ -272,14 +273,14 @@ def test_means_tied_at_the_cap_boundary():
 def test_max_sr_tangency_closed_form():
     # rf=0, equal variances, independent: tangency weights are mean-proportional
     m = two_asset([0.02, 0.01], [[0.01, 0.0], [0.0, 0.01]])
-    sol = solve(Strategy.MAX_SR, [0.5, 0.5], m)
+    sol = solve(Strategy.MAX_SR, Frontier([0.5, 0.5], m))
     assert sol.converged
     assert sol.weights == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-6)
 
 
 def test_max_sr_cap_binds():
     m = two_asset([0.04, 0.004], [[0.01, 0.0], [0.0, 0.01]])
-    sol = solve(Strategy.MAX_SR, [0.5, 0.5], m)
+    sol = solve(Strategy.MAX_SR, Frontier([0.5, 0.5], m))
     assert sol.converged
     assert sol.weights == pytest.approx([0.9, 0.1], abs=1e-6)
 
@@ -293,8 +294,8 @@ def test_max_sr_independent_of_observed_book():
         m = moments(["A", "B", "C"], mu, cov)
         w_a = rng.dirichlet([1, 1, 1])
         w_b = rng.dirichlet([5, 2, 1])
-        sol_a = solve(Strategy.MAX_SR, w_a, m)
-        sol_b = solve(Strategy.MAX_SR, w_b, m)
+        sol_a = solve(Strategy.MAX_SR, Frontier(w_a, m))
+        sol_b = solve(Strategy.MAX_SR, Frontier(w_b, m))
         assert sol_a.converged and sol_b.converged
         assert np.max(np.abs(sol_a.weights - sol_b.weights)) <= 1e-6
 
@@ -309,7 +310,7 @@ def test_max_sr_beats_observed_book():
         if w0.max() > 0.9:
             continue
         m = moments(["A", "B", "C"], mu, cov)
-        sol = solve(Strategy.MAX_SR, w0, m)
+        sol = solve(Strategy.MAX_SR, Frontier(w0, m))
         assert sol.converged
         sr0 = sharpe(float(w0 @ mu), math.sqrt(float(w0 @ cov @ w0)))
         assert sharpe(sol.mu, sol.sigma) >= sr0 - 1e-8
@@ -319,8 +320,8 @@ def test_max_sr_uses_risk_free_rate():
     # a higher risk-free rate tilts the tangency book toward the riskier,
     # higher-return asset
     m = two_asset([0.004, 0.001], [[0.04, 0.0], [0.0, 0.0025]])
-    low = solve(Strategy.MAX_SR, [0.5, 0.5], m, rf_annual=0.0)
-    high = solve(Strategy.MAX_SR, [0.5, 0.5], m, rf_annual=0.3)
+    low = solve(Strategy.MAX_SR, Frontier([0.5, 0.5], m), rf_annual=0.0)
+    high = solve(Strategy.MAX_SR, Frontier([0.5, 0.5], m), rf_annual=0.3)
     assert low.converged and high.converged
     assert high.weights[0] > low.weights[0] + 1e-4
 
@@ -333,21 +334,18 @@ def test_max_sr_uses_risk_free_rate():
 def test_solve_validates_inputs():
     m = two_asset([0.01, 0.02], np.eye(2) * 0.01)
     with pytest.raises(ValueError, match="entries"):
-        solve(Strategy.MIN_VAR, [1.0], m)
+        Frontier([1.0], m)
     with pytest.raises(ValueError, match="long-only"):
-        solve(Strategy.MIN_VAR, [1.2, -0.2], m)
+        Frontier([1.2, -0.2], m)
     with pytest.raises(ValueError, match="sum"):
-        solve(Strategy.MIN_VAR, [0.6, 0.6], m)
+        Frontier([0.6, 0.6], m)
     with pytest.raises(ValueError, match="support"):
-        solve(Strategy.MIN_VAR, [1.0, 0.0], m)
-    m3 = moments(["A", "B", "C"], [0.01, 0.02, 0.015], np.eye(3) * 0.01)
-    with pytest.raises(ValueError, match="mass outside"):
-        solve(Strategy.MIN_VAR, [0.4, 0.3, 0.3], m3, ConstraintSet(support=(0, 1)))
+        Frontier([1.0, 0.0], m)
 
 
 def test_solve_cap_too_small_for_support():
     m = two_asset([0.01, 0.02], np.eye(2) * 0.01)
-    sol = solve(Strategy.MIN_VAR, [0.5, 0.5], m, ConstraintSet(w_max=0.4))
+    sol = solve(Strategy.MIN_VAR, Frontier([0.5, 0.5], m, w_max=0.4))
     assert not sol.converged
     assert "cap" in sol.reason
 
@@ -441,7 +439,7 @@ def test_solver_matches_grid_oracle():
         cases = [(s, 0.0) for s in Strategy] + [(Strategy.MAX_SR, float(mu.max()) + 0.001)]
         for strategy, rf_daily in cases:
             rf_annual = rf_daily * DAYS_PER_YEAR
-            sol = solve(strategy, w0, m, rf_annual=rf_annual)
+            sol = solve(strategy, Frontier(w0, m), rf_annual=rf_annual)
             ora = grid_oracle(strategy, w0, m, step=step, rf_annual=rf_annual)
             assert sol.converged
             if strategy is Strategy.MIN_VAR:
@@ -528,7 +526,7 @@ def test_solver_matches_slsqp_reference_on_larger_books():
             if ref is None:
                 continue
             checked += 1
-            sol = solve(strategy, w0, m, rf_annual=0.05)
+            sol = solve(strategy, Frontier(w0, m), rf_annual=0.05)
             assert sol.converged, (i, strategy, sol.reason)
             r_mu, r_sigma = float(ref @ mu), math.sqrt(float(ref @ cov @ ref))
             if strategy is Strategy.MIN_VAR:
@@ -554,7 +552,7 @@ def test_min_var_below_the_gmv_return_walks_down():
         anchor = float(w0 @ mu)
         low = 0.9 * np.sort(mu)[0] + 0.1 * np.sort(mu)[1]
         assert low < anchor < float(gmv @ mu)
-        sol = solve(Strategy.MIN_VAR, w0, m)
+        sol = solve(Strategy.MIN_VAR, Frontier(w0, m))
         assert sol.converged, (i, sol.reason)
         assert abs(sol.mu - anchor) <= SOLVER_TOL
         ref = _slsqp_reference(Strategy.MIN_VAR, w0, mu, cov, 0.0)
@@ -583,7 +581,7 @@ def test_projections_on_three_segments_match_grid_oracle():
     book = Frontier(w0, m)
     iterations = set()
     for strategy in Strategy:
-        sol = solve(strategy, w0, m, frontier=book)
+        sol = solve(strategy, book)
         ora = grid_oracle(strategy, w0, m, step=0.01)
         assert sol.converged
         iterations.add(sol.iterations)
@@ -603,12 +601,14 @@ def test_shared_frontier_matches_fresh_solves_in_any_order():
         n = 3 + i % 6
         mu, cov, m = _factor_book(rng, n)
         w0 = rng.dirichlet(np.ones(n))
-        cons = ConstraintSet(w_max=0.9 if i % 3 else 0.5)
-        fresh = {s: solve(s, w0, m, cons, rf_annual=0.05) for s in Strategy}
+        cap = 0.9 if i % 3 else 0.5
+        fresh = {
+            s: solve(s, Frontier(w0, m, cap), rf_annual=0.05) for s in Strategy
+        }
         for order in itertools.permutations(Strategy):
-            book = Frontier(w0, m, cons)
+            book = Frontier(w0, m, cap)
             for strategy in order:
-                sol = solve(strategy, w0, m, cons, rf_annual=0.05, frontier=book)
+                sol = solve(strategy, book, rf_annual=0.05)
                 ref = fresh[strategy]
                 assert np.array_equal(sol.weights, ref.weights), (i, order, strategy)
                 assert [getattr(sol, f) for f in fields] == [getattr(ref, f) for f in fields]
@@ -626,9 +626,8 @@ def test_observed_book_is_checked_once_per_frontier(monkeypatch):
     rng = np.random.default_rng(5)
     _, _, m = _factor_book(rng, 4)
     w0 = rng.dirichlet(np.ones(4))
-    cons = ConstraintSet(w_max=0.9)
-    book = Frontier(w0, m, cons)
-    sols = [solve(s, w0, m, cons, rf_annual=0.05, frontier=book) for s in Strategy]
+    book = Frontier(w0, m)
+    sols = [solve(s, book, rf_annual=0.05) for s in Strategy]
     # each solution is still checked before its distance is taken
     assert checked == ["w_actual", "w_target", "w_target", "w_target"]
     monkeypatch.undo()

@@ -2,7 +2,9 @@
 
 The shrinkage oracle below is a deliberately naive loop implementation of
 the published constant-correlation intensity formula, kept independent of
-the vectorized production code.
+the vectorized production code. The window oracle keys every return by its
+day and lines windows up by intersecting their days, so it checks the
+suffix arithmetic that the production code uses instead.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfrontier import marketdata
 from chainfrontier.marketdata import (
-    MarketIndex,
     ReturnWindow,
     asset_beta,
     estimate_moments,
@@ -24,7 +26,7 @@ from chainfrontier.marketdata import (
     market_forward_return,
     market_index,
 )
-from chainfrontier.prices import PriceSeries, forward_fill
+from chainfrontier.prices import ONE_DAY, PriceSeries, forward_fill
 
 D0 = dt.date(2023, 1, 1)
 
@@ -38,9 +40,9 @@ def series(closes, token_id="X", start=D0) -> PriceSeries:
 
 
 def window(returns, start_idx=1, token_id="X") -> ReturnWindow:
+    """The returns of the days from ``day(start_idx)`` on."""
     returns = np.asarray(returns, dtype=float)
-    dates = tuple(day(start_idx + k) for k in range(len(returns)))
-    return ReturnWindow(token_id, dates[-1], dates, returns)
+    return ReturnWindow(token_id, day(start_idx + len(returns) - 1), returns)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,7 @@ def test_log_returns_constant_price_is_zero():
     w = log_returns(s, day(10), window=10)
     assert len(w) == 10
     assert np.allclose(w.returns, 0.0)
-    assert w.dates[0] == day(1) and w.dates[-1] == day(10)
+    assert w.end_date == day(10)
 
 
 def test_log_returns_doubling_price():
@@ -113,19 +115,27 @@ def test_log_returns_doubling_price():
     assert np.allclose(w.returns, [math.log(2.0)] * 2)
 
 
-def test_log_returns_skips_gap_pairs():
+def test_log_returns_rejects_interior_gap():
+    # day 1 lacks a close after day 0 had one, so the window's days are unknown
     s = series([1.0, None, 4.0, 8.0])
-    w = log_returns(s, day(3), window=3)
-    # day1 lacks a close and day2 lacks a predecessor; only day3 survives
-    assert w.dates == (day(3),)
+    with pytest.raises(ValueError, match=f"no close on {day(1)}"):
+        log_returns(s, day(3), window=3)
+    # a gap before the closes the window reads does not matter
+    w = log_returns(s, day(3), window=1)
     assert np.allclose(w.returns, [math.log(2.0)])
+
+
+def test_log_returns_rejects_end_past_series():
+    with pytest.raises(ValueError, match="end before"):
+        log_returns(series([1.0, 2.0, 4.0]), day(3), window=2)
 
 
 def test_log_returns_leading_gap_shortens_window():
     s = series([None, None, 1.0, 2.0, 4.0])
     w = log_returns(s, day(4), window=4)
-    assert w.dates == (day(3), day(4))
+    # the returns of days 3 and 4
     assert len(w) == 2
+    assert np.allclose(w.returns, [math.log(2.0)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +302,9 @@ def test_covariance_uses_shared_dates_only():
     late = window(rng.normal(0, 0.01, 50), start_idx=11, token_id="B")
     m = estimate_moments([full, late], min_obs=45)
     assert m.n_obs == 50  # intersection of the two date ranges
+    early = window(rng.normal(0, 0.01, 50), start_idx=1, token_id="C")
+    with pytest.raises(ValueError, match="not aligned"):
+        estimate_moments([full, early], min_obs=45)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +317,16 @@ def test_market_index_daily_mean():
     wbtc = window([0.04, 0.03], token_id="WBTC")
     idx = market_index(weth, wbtc)
     assert np.allclose(idx.returns, [0.03, 0.02])
-    assert idx.dates == weth.dates
+    assert idx.end_date == weth.end_date
+    # a shorter window shares only its own days
+    short = window([0.05], start_idx=2, token_id="WBTC")
+    assert np.allclose(market_index(weth, short).returns, [0.03])
 
 
 def test_market_index_misaligned_raises():
     weth = window([0.02, 0.01], start_idx=1, token_id="WETH")
     wbtc = window([0.04, 0.03], start_idx=2, token_id="WBTC")
-    with pytest.raises(ValueError, match="align"):
+    with pytest.raises(ValueError, match="not aligned"):
         market_index(weth, wbtc)
 
 
@@ -318,15 +334,13 @@ def test_beta_of_market_itself_is_one():
     rng = np.random.default_rng(10)
     rets = rng.normal(0, 0.02, 100)
     w = window(rets, token_id="M")
-    idx = MarketIndex(w.dates, w.returns)
-    assert asset_beta(w, idx) == pytest.approx(1.0, abs=1e-12)
+    assert asset_beta(w, w) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beta_independent_series_near_zero():
     rng = np.random.default_rng(99)
     a = window(rng.normal(0, 0.02, 10_000), token_id="A")
-    m_rets = rng.normal(0, 0.02, 10_000)
-    idx = MarketIndex(a.dates, m_rets)
+    idx = window(rng.normal(0, 0.02, 10_000), token_id="market")
     assert abs(asset_beta(a, idx)) < 0.05
 
 
@@ -335,9 +349,9 @@ def test_beta_linearity():
     m_rets = rng.normal(0, 0.02, 200)
     x = window(rng.normal(0, 0.01, 200) + 0.5 * m_rets, token_id="X")
     y = window(rng.normal(0, 0.01, 200) - 0.2 * m_rets, token_id="Y")
-    idx = MarketIndex(x.dates, m_rets)
+    idx = window(m_rets, token_id="market")
     for a, b in [(1.0, 1.0), (0.3, 0.7), (-2.0, 5.0)]:
-        combo = ReturnWindow("C", x.end_date, x.dates, a * x.returns + b * y.returns)
+        combo = ReturnWindow("C", x.end_date, a * x.returns + b * y.returns)
         lhs = asset_beta(combo, idx)
         rhs = a * asset_beta(x, idx) + b * asset_beta(y, idx)
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -345,10 +359,13 @@ def test_beta_linearity():
 
 def test_beta_needs_overlap_and_moving_market():
     a = window([0.01, 0.02], start_idx=1, token_id="A")
-    idx = MarketIndex((day(9), day(10)), np.array([0.01, 0.02]))
-    with pytest.raises(ValueError, match="aligned"):
+    idx = window([0.01, 0.02], start_idx=9, token_id="market")
+    with pytest.raises(ValueError, match="not aligned"):
         asset_beta(a, idx)
-    flat = MarketIndex(a.dates, np.zeros(2))
+    one_day = window([0.03], start_idx=2, token_id="market")
+    with pytest.raises(ValueError, match="fewer than 2 aligned"):
+        asset_beta(a, one_day)
+    flat = window(np.zeros(2), start_idx=1, token_id="market")
     with pytest.raises(ValueError, match="variance"):
         asset_beta(a, flat)
 
@@ -359,14 +376,153 @@ def test_beta_needs_overlap_and_moving_market():
 
 
 def test_market_forward_return_compounds_logs():
-    rets = np.full(25, 0.01)
-    dates = tuple(day(1 + k) for k in range(25))
-    idx = MarketIndex(dates, rets)
+    idx = window(np.full(25, 0.01), start_idx=1, token_id="market")
     got = market_forward_return(idx, day(0), days=20)
     assert got == pytest.approx(math.exp(0.2) - 1.0, rel=1e-12)
 
 
 def test_market_forward_return_missing_day_raises():
-    idx = MarketIndex((day(1), day(3)), np.array([0.01, 0.01]))
+    # the index covers days 1 and 2
+    idx = window([0.01, 0.01], start_idx=1, token_id="market")
+    assert market_forward_return(idx, day(0), days=2) == pytest.approx(math.expm1(0.02))
     with pytest.raises(ValueError, match="missing"):
-        market_forward_return(idx, day(0), days=2)
+        market_forward_return(idx, day(0), days=3)
+    with pytest.raises(ValueError, match="missing"):
+        market_forward_return(idx, day(-1), days=2)
+
+
+# ---------------------------------------------------------------------------
+# suffix alignment vs a date-keyed reference
+# ---------------------------------------------------------------------------
+
+
+def dated_returns(s: PriceSeries, end: dt.date, window: int) -> dict[dt.date, float]:
+    """Each day's log-return in the window, keyed by day, where the day and
+    its predecessor both have a close."""
+    out: dict[dt.date, float] = {}
+    d = end - (window - 1) * ONE_DAY
+    for _ in range(window):
+        cur, prev = s.close_on(d), s.close_on(d - ONE_DAY)
+        if cur is not None and prev is not None:
+            out[d] = float(np.log(cur / prev))
+        d += ONE_DAY
+    return out
+
+
+def aligned(*windows: dict[dt.date, float]) -> list[np.ndarray]:
+    """Each window's returns on the days all of them share, in day order."""
+    days = sorted(set.intersection(*(set(w) for w in windows)))
+    return [np.array([w[d] for d in days]) for w in windows]
+
+
+def reference_moments(windows, shrink_lambda, min_obs):
+    """(raw means, shrunk means, covariance, n_obs) by date intersection."""
+    kept = [w for w in windows if len(w) >= min_obs]
+    if not kept:
+        raise ValueError("no eligible assets")
+    raw = np.array([float(np.mean(np.asarray(list(w.values())))) for w in kept])
+    cross = float(np.mean(raw))
+    shrunk = shrink_lambda * cross + (1.0 - shrink_lambda) * raw
+    cols = aligned(*kept)
+    if len(cols[0]) < 2:
+        raise ValueError("fewer than 2 shared return dates")
+    cov, _ = marketdata._shrink_constant_correlation(np.column_stack(cols))
+    return raw, shrunk, cov, len(cols[0])
+
+
+def reference_beta(asset, market) -> float:
+    a, m = aligned(asset, market)
+    if len(a) < 2 or float(np.var(m)) <= 0:
+        raise ValueError("no beta")
+    return float(np.mean((a - a.mean()) * (m - m.mean()))) / float(np.var(m))
+
+
+def reference_forward(market, start: dt.date, days: int) -> float:
+    total = 0.0
+    for k in range(1, days + 1):
+        total += market[start + k * ONE_DAY]  # KeyError on a missing day
+    return float(np.expm1(total))
+
+
+def outcome(fn, *args):
+    """fn's value, or the marker that it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError):
+        return "raised"
+
+
+CALENDAR = 60
+
+
+@st.composite
+def listed_series(draw, token_id: str, listed: int):
+    """A series listed on day ``listed`` whose random gaps are forward
+    filled, as the stages load prices, through the calendar's last day."""
+    closes = draw(
+        st.lists(
+            st.one_of(st.none(), st.floats(0.5, 2.0)),
+            min_size=CALENDAR - listed,
+            max_size=CALENDAR - listed,
+        )
+    )
+    closes[0] = draw(st.floats(0.5, 2.0))
+    raw = PriceSeries(token_id, day(listed), tuple(closes))
+    return forward_fill(raw, through=day(CALENDAR - 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_windows_match_date_keyed_reference(data):
+    listing_days = st.integers(0, CALENDAR - 15)
+    n = data.draw(st.integers(1, 4), label="n")
+    assets = [
+        data.draw(listed_series(f"T{k}", data.draw(listing_days)), label=f"T{k}")
+        for k in range(n)
+    ]
+    # the benchmark assets list on days of their own, and the index covers
+    # the days both have
+    weth = data.draw(listed_series("WETH", data.draw(listing_days)), label="WETH")
+    wbtc = data.draw(listed_series("WBTC", data.draw(listing_days)), label="WBTC")
+    end = day(data.draw(st.integers(20, CALENDAR - 1), label="end"))
+    width = data.draw(st.integers(1, 40), label="window")
+    shrink = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shrink")
+    min_obs = data.draw(st.integers(1, width), label="min_obs")
+
+    got = outcome(
+        estimate_moments,
+        [log_returns(s, end, width) for s in assets],
+        shrink,
+        min_obs,
+    )
+    want = outcome(
+        reference_moments,
+        [dated_returns(s, end, width) for s in assets],
+        shrink,
+        min_obs,
+    )
+    if want == "raised":
+        assert got == "raised"
+    else:
+        raw, shrunk, cov, n_obs = want
+        assert np.array_equal(got.raw_means, raw)
+        assert np.array_equal(got.shrunk_means, shrunk)
+        assert np.array_equal(got.cov, cov)
+        assert got.n_obs == n_obs
+
+    market = market_index(log_returns(weth, end, width), log_returns(wbtc, end, width))
+    ref_w, ref_b = dated_returns(weth, end, width), dated_returns(wbtc, end, width)
+    ref_market = {d: (r + ref_b[d]) / 2.0 for d, r in ref_w.items() if d in ref_b}
+    assert np.array_equal(market.returns, np.array(list(ref_market.values())))
+    for s in assets:
+        assert outcome(asset_beta, log_returns(s, end, width), market) == outcome(
+            reference_beta, dated_returns(s, end, width), ref_market
+        )
+
+    # spans that end up to two days before the index's last day or one day
+    # past it, some of them starting before its first day
+    days = data.draw(st.integers(1, width + 1), label="days")
+    start = end - (days + data.draw(st.integers(-1, 2), label="shift")) * ONE_DAY
+    assert outcome(market_forward_return, market, start, days) == outcome(
+        reference_forward, ref_market, start, days
+    )

@@ -25,6 +25,7 @@ import pytest
 from chainfrontier import frontier, storage
 from chainfrontier.config import PipelineConfig
 from chainfrontier.errors import DependencyError, InputError
+from chainfrontier.ingest import ZERO_ACCOUNT
 from chainfrontier.pipeline import (
     MANIFEST,
     PIPELINE_STAGES,
@@ -308,6 +309,80 @@ def test_token_count_edit_matches_fresh_build(copied, tmp_path):
     fresh = dataclasses.replace(fewer, workspace=tmp_path / "fresh")
     run_pipeline(fresh)
     assert bundle(fewer.workspace) == bundle(fresh.workspace)
+
+
+def _held_token(ws: Path) -> str:
+    first_month = sorted((ws / "snapshots").glob("*.csv"))[0]
+    return storage.read_table(first_month, storage.POSITIONS)[0].token_id
+
+
+def _double_a_mint(cfg: PipelineConfig) -> PipelineConfig:
+    path = cfg.workspace / "input" / "events" / f"{_held_token(cfg.workspace)}.csv"
+    events = storage.read_table(path, storage.EVENTS)
+    k = next(i for i, e in enumerate(events) if e.sender == ZERO_ACCOUNT)
+    events[k] = events[k]._replace(amount=2 * events[k].amount)
+    storage.write_table(path, storage.EVENTS, events)
+    return cfg
+
+
+def _move_a_snapshot_block(cfg: PipelineConfig) -> PipelineConfig:
+    """Move the anchor of the first snapshot's block halfway back to the
+    anchor before it."""
+    path = cfg.workspace / "input" / "blockmap.csv"
+    anchors = storage.read_table(path, storage.BLOCKMAP)
+    block = snapshot_calendar(cfg)[0].block
+    k = next(i for i, (b, _) in enumerate(anchors) if b == block)
+    anchors[k] = ((anchors[k - 1][0] + block) // 2, anchors[k][1])
+    storage.write_table(path, storage.BLOCKMAP, anchors)
+    return cfg
+
+
+def _bump_a_probe(cfg: PipelineConfig) -> PipelineConfig:
+    path = cfg.workspace / "input" / "probes.csv"
+    probes = storage.read_table(path, storage.PROBES)
+    token, account, block, balance = probes[0]
+    probes[0] = (token, account, block, balance + 1)
+    storage.write_table(path, storage.PROBES, probes)
+    return cfg
+
+
+def _screen_out_a_held_token(cfg: PipelineConfig) -> PipelineConfig:
+    held = _held_token(cfg.workspace)
+    metas = storage.read_table(cfg.workspace / "input" / "meta.csv", storage.META)
+    volume = next(m.total_volume for m in metas if m.token_id == held)
+    return dataclasses.replace(cfg, min_volume=volume * 1.001)
+
+
+# one edit of an input file or of a key of the optimize, metrics or
+# ingest.filters row each; every one must change some output
+EDITS = {
+    "event-amount": _double_a_mint,
+    "blockmap-block": _move_a_snapshot_block,
+    "probe-balance": _bump_a_probe,
+    "w_max": lambda cfg: dataclasses.replace(cfg, w_max=0.6),
+    "rf_annual": lambda cfg: dataclasses.replace(cfg, rf_annual=cfg.rf_annual + 0.5),
+    "mean_shrink_lambda": lambda cfg: dataclasses.replace(cfg, mean_shrink_lambda=0.1),
+    "forward_days": lambda cfg: dataclasses.replace(
+        cfg, forward_days=cfg.forward_days + 10
+    ),
+    "min_volume": _screen_out_a_held_token,
+}
+
+
+@pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS.keys())
+def test_edited_input_or_key_matches_fresh_build(copied, tmp_path, edit):
+    def outputs(ws):
+        return {
+            rel: data
+            for rel, data in bundle(ws).items()
+            if not rel.startswith("input") and rel != "manifest.json"
+        }
+
+    before = outputs(copied.workspace)
+    edited = edit(copied)
+    run_pipeline(edited, PIPELINE_STAGES[1:])
+    assert outputs(edited.workspace) != before
+    assert_matches_fresh_build(edited, tmp_path)
 
 
 def test_seed_change_rebuilds_everything(copied):
