@@ -59,28 +59,15 @@ def log_returns(
 
     A day contributes ln(p_t / p_{t-1}). A series that starts inside the
     window yields fewer than ``window`` observations rather than fabricated
-    ones. Raises ValueError when ``end_date`` lies past the series or a
-    close is missing after the first one the window reads, since a gap
-    would leave the window's days unknown.
+    ones. Raises ValueError when ``end_date`` lies past the series.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if end_date > series.end:
         raise ValueError(f"{series.token_id!r} prices end before {end_date}")
-    rets: list[float] = []
-    prev: float | None = None
-    day = end_date - window * ONE_DAY
-    for _ in range(window + 1):
-        cur = series.close_on(day)
-        if cur is None:
-            if prev is not None:
-                raise ValueError(f"{series.token_id!r} has no close on {day}")
-        elif cur <= 0:
-            raise ValueError(f"nonpositive close for {series.token_id!r} on {day}")
-        elif prev is not None:
-            rets.append(float(np.log(cur / prev)))
-        prev = cur
-        day += ONE_DAY
+    i = (end_date - series.start).days
+    closes = series.closes[max(i - window, 0) : max(i + 1, 0)]
+    rets = [float(np.log(cur / prev)) for prev, cur in zip(closes, closes[1:])]
     return ReturnWindow(series.token_id, end_date, np.asarray(rets, dtype=float))
 
 

@@ -50,22 +50,9 @@ FRONTIER_STRATEGIES = (
 # synth stage
 
 
-def _synth_config(cfg: PipelineConfig) -> synth.SynthConfig:
-    return synth.SynthConfig(
-        n_tokens=cfg.synth_tokens,
-        n_accounts=cfg.synth_accounts,
-        n_months=cfg.synth_months,
-        seed=cfg.seed,
-        start=cfg.synth_start,
-        transfers_per_account_month=cfg.transfers_per_account_month,
-        min_portfolio_size=cfg.synth_min_size,
-        max_portfolio_size=cfg.synth_max_size,
-    )
-
-
 def synth_all(cfg: PipelineConfig) -> None:
     ws = cfg.workspace
-    market = synth.generate_market(_synth_config(cfg))
+    market = synth.generate_market(cfg)
 
     by_token: dict[str, list] = {tid: [] for tid in market.token_ids}
     for event in market.events:

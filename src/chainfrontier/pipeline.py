@@ -66,7 +66,7 @@ from .ingest import (
     ledger_from_entries,
 )
 from .portfolio import BlockTimeMap, Snapshot, monthly_snapshots, reconstruct_snapshot
-from .prices import PriceSeries, forward_fill, price_series
+from .prices import PriceSeries, price_series
 
 log = logging.getLogger(__name__)
 
@@ -413,54 +413,46 @@ def _passed_tokens(ws: Path) -> list[str]:
     return [r.token_id for r in reports if r.passed]
 
 
-def _load_series(path: Path) -> dict[str, PriceSeries]:
+def _load_prices(ws: Path) -> dict[str, PriceSeries]:
+    """Every token's gap-free closes from ``prices.csv``."""
+    path = _require(ws, PRICES)
     rows = storage.read_table(path, storage.PRICES)
     try:
         return price_series(rows)
-    except ValueError as exc:  # a close that is not positive and finite
+    except ValueError as exc:  # no rows, a repeated day or a bad close
         raise InputError(f"{path}: {exc}") from None
 
 
-def _filled_prices(
-    ws: Path, series: dict[str, PriceSeries] | None = None
-) -> dict[str, PriceSeries]:
-    """Every token's closes, forward-filled through the last priced day.
-
-    ``series`` is an already parsed ``prices.csv``; it is read when absent.
-    """
-    if series is None:
-        series = _load_series(Path(ws) / PRICES)
-    last = max(s.end for s in series.values())
-    return {tid: forward_fill(s, through=last) for tid, s in series.items()}
-
-
 def snapshot_calendar(
-    cfg: PipelineConfig, series: dict[str, PriceSeries] | None = None
+    cfg: PipelineConfig, prices: dict[str, PriceSeries] | None = None
 ) -> list[Snapshot]:
     """First-of-month snapshots with a full lookback and forward window.
 
-    ``series`` is an already parsed ``prices.csv``; it is read when absent.
+    ``prices`` is an already loaded ``prices.csv``; it is read when absent.
     """
     ws = cfg.workspace
-    if series is None:
-        series = _load_series(_require(ws, PRICES))
-    anchors = storage.read_table(_require(ws, BLOCKMAP), storage.BLOCKMAP)
-    block_map = BlockTimeMap(tuple(anchors))
-    first_day = min(s.start for s in series.values())
-    last_day = max(s.end for s in series.values())
+    if prices is None:
+        prices = _load_prices(ws)
+    path = _require(ws, BLOCKMAP)
+    anchors = storage.read_table(path, storage.BLOCKMAP)
+    first_day = min(s.start for s in prices.values())
+    last_day = max(s.end for s in prices.values())
     start = first_day + dt.timedelta(days=cfg.lookback_days)
     end = last_day - dt.timedelta(days=cfg.forward_days)
     if end < start:
         raise InputError(
             "price history too short for the configured lookback and forward windows"
         )
-    return monthly_snapshots(start, end, block_map)
+    try:
+        return monthly_snapshots(start, end, BlockTimeMap(tuple(anchors)))
+    except ValueError as exc:  # no anchors, anchors out of order, or none early enough
+        raise InputError(f"{path}: {exc}") from None
 
 
 @dataclasses.dataclass(frozen=True)
 class _Holdings:
     """What every snapshot month reads: the passed tokens' ledgers, the
-    accounts they touch and the filled prices."""
+    accounts they touch and the prices."""
 
     ledgers: dict[str, TokenLedger]
     accounts: list[str]
@@ -468,12 +460,13 @@ class _Holdings:
 
 
 def _load_holdings(
-    cfg: PipelineConfig, series: dict[str, PriceSeries] | None
+    cfg: PipelineConfig, prices: dict[str, PriceSeries] | None
 ) -> _Holdings:
     ws = cfg.workspace
     # prices first: parsing them is the larger transient, so it should not
     # overlap the ledgers
-    prices = _filled_prices(ws, series)
+    if prices is None:
+        prices = _load_prices(ws)
     decimals = _token_decimals(ws)
     ledgers: dict[str, TokenLedger] = {}
     for tid in _passed_tokens(ws):
@@ -485,11 +478,11 @@ def _load_holdings(
 
 
 def _snapshot_plan(cfg: PipelineConfig) -> tuple[list[Part], Callable]:
-    series = _load_series(Path(cfg.workspace) / PRICES)
-    calendar = snapshot_calendar(cfg, series)
+    prices = _load_prices(cfg.workspace)
+    calendar = snapshot_calendar(cfg, prices)
     # in-process, the load reuses the calendar's parse of prices.csv; pool
     # workers parse their own, so the forked pool inherits no copy of it
-    load = functools.partial(_load_holdings, cfg, series if cfg.workers == 1 else None)
+    load = functools.partial(_load_holdings, cfg, prices if cfg.workers == 1 else None)
     parts = [
         Part(snap.month, (f"{SNAPSHOTS}/{snap.month}.csv",), args=(snap,))
         for snap in calendar
@@ -530,7 +523,7 @@ def _snapshot_month(
 
 def _per_month(src: str, dst: str) -> Callable:
     """A plan with one partition per ``src`` month file, writing the same
-    month under ``dst``, that loads the filled prices."""
+    month under ``dst``, that loads the prices."""
 
     def plan(cfg: PipelineConfig) -> tuple[list[Part], Callable]:
         ws = Path(cfg.workspace)
@@ -538,7 +531,7 @@ def _per_month(src: str, dst: str) -> Callable:
         parts = [
             Part(m, (f"{dst}/{m}.csv",), (f"{src}/{m}.csv",), (m,)) for m in months
         ]
-        return parts, functools.partial(_filled_prices, ws)
+        return parts, functools.partial(_load_prices, ws)
 
     return plan
 

@@ -122,10 +122,9 @@ def reconstruct_snapshot(
 ) -> Portfolio | None:
     """Price an account's balances at a snapshot into a weight vector.
 
-    Price series must already be forward-filled through the snapshot day;
-    tokens without a close on that day are excluded and recorded. Returns
-    None when nothing prices to a positive value, which callers treat as
-    an empty portfolio and keep out of downstream statistics.
+    Tokens without a close on the snapshot day are excluded and recorded.
+    Returns None when nothing prices to a positive value, which callers
+    treat as an empty portfolio and keep out of downstream statistics.
     """
     positions: list[Position] = []
     excluded: list[str] = []

@@ -1,4 +1,4 @@
-"""Daily price series on a consecutive calendar with explicit gaps.
+"""Gap-free daily price series on a consecutive calendar.
 
 Plain Python, so that the stages which only read or carry prices forward
 (the snapshot calendar, portfolio valuation) never load NumPy. A
@@ -15,19 +15,31 @@ from typing import Iterable, Mapping, Sequence
 
 ONE_DAY = dt.timedelta(days=1)
 
+# marks a day without a row while ``price_series`` fills a token's grid
+_GAP = object()
+
 
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily USD closes for one token.
 
-    ``closes[i]`` belongs to ``start + i days``; ``None`` marks a day with
-    no observation. The grid is consecutive, so day arithmetic is pure
-    index arithmetic.
+    ``closes[i]`` belongs to ``start + i days``, so day arithmetic is pure
+    index arithmetic. Every day of the series has a close, and every close
+    is positive and finite.
     """
 
     token_id: str
     start: dt.date
-    closes: tuple[float | None, ...]
+    closes: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        for i, close in enumerate(self.closes):
+            if close is None or not 0.0 < close < math.inf:
+                day = self.start + i * ONE_DAY
+                raise ValueError(
+                    f"close {close} for {self.token_id!r} on {day} "
+                    "is not positive and finite"
+                )
 
     @property
     def end(self) -> dt.date:
@@ -39,64 +51,64 @@ class PriceSeries:
             return self.closes[i]
         return None
 
-    @classmethod
-    def from_observations(
-        cls, token_id: str, observations: Mapping[dt.date, float]
-    ) -> "PriceSeries":
-        """Build a gapped daily series from sparse (date, close) pairs."""
-        if not observations:
-            raise ValueError(f"no price observations for {token_id!r}")
-        start, last = min(observations), max(observations)
-        closes: list[float | None] = [None] * ((last - start).days + 1)
-        for day, close in observations.items():
-            close = float(close)
-            if not math.isfinite(close) or close <= 0:
-                raise ValueError(f"nonpositive close {close} for {token_id!r} on {day}")
-            closes[(day - start).days] = close
-        return cls(token_id, start, tuple(closes))
-
-
-def forward_fill(series: PriceSeries, through: dt.date | None = None) -> PriceSeries:
-    """Fill gaps with the last observed close.
-
-    Days before the first observation stay absent. ``through`` extends the
-    calendar past the last observation so stale prices keep carrying
-    forward (positions are valued at the last known close). Idempotent.
-    """
-    closes = list(series.closes)
-    if through is not None and through > series.end:
-        closes.extend([None] * (through - series.end).days)
-    last: float | None = None
-    for i, c in enumerate(closes):
-        if c is None:
-            closes[i] = last
-        else:
-            last = c
-    return PriceSeries(series.token_id, series.start, tuple(closes))
-
 
 def price_rows(
     prices: Mapping[str, PriceSeries],
     mcaps: Mapping[str, Sequence[float]],
     volumes: Mapping[str, Sequence[float]],
 ) -> Iterable[tuple]:
-    """One row per token and priced day, tokens in sorted order; ``mcaps``
-    and ``volumes`` parallel each series by day."""
+    """One row per token and day, tokens in sorted order; ``mcaps`` and
+    ``volumes`` parallel each series by day."""
     for tid in sorted(prices):
         series = prices[tid]
         for i, close in enumerate(series.closes):
-            if close is None:
-                continue
             day = series.start + i * ONE_DAY
             yield (tid, day, close, mcaps[tid][i], volumes[tid][i])
 
 
 def price_series(rows: Iterable[Sequence]) -> dict[str, PriceSeries]:
-    """Group price rows into one gapped daily series per token."""
-    observations: dict[str, dict[dt.date, float]] = {}
+    """One gap-free daily series per token from price rows, in any order.
+
+    A token's series runs from its first row through the last day any
+    token has a row; a day without a row carries the previous close
+    forward. Raises ValueError when there are no rows, when two rows share
+    a token and day, or on a close that is not positive and finite.
+    """
+    # per token: the ordinal of its first day and one slot per day since
+    starts: dict[str, int] = {}
+    grids: dict[str, list] = {}
     for tid, day, close, *_ in rows:
-        observations.setdefault(tid, {})[day] = close
-    return {
-        tid: PriceSeries.from_observations(tid, obs)
-        for tid, obs in observations.items()
-    }
+        n = day.toordinal()
+        grid = grids.get(tid)
+        if grid is None:
+            starts[tid] = n
+            grids[tid] = [close]
+            continue
+        i = n - starts[tid]
+        if i == len(grid):
+            grid.append(close)
+        elif i > len(grid):
+            grid.extend([_GAP] * (i - len(grid)))
+            grid.append(close)
+        elif i < 0:
+            grid[:0] = [close] + [_GAP] * (-i - 1)
+            starts[tid] = n
+        elif grid[i] is _GAP:
+            grid[i] = close
+        else:
+            raise ValueError(f"two rows for {tid!r} on {day}")
+    if not grids:
+        raise ValueError("no price rows")
+
+    last = max(starts[tid] + len(grid) for tid, grid in grids.items())
+    out: dict[str, PriceSeries] = {}
+    for tid, grid in grids.items():
+        grid.extend([_GAP] * (last - starts[tid] - len(grid)))
+        prev = grid[0]
+        for i, close in enumerate(grid):
+            if close is _GAP:
+                grid[i] = prev
+            else:
+                prev = close
+        out[tid] = PriceSeries(tid, dt.date.fromordinal(starts[tid]), tuple(grid))
+    return out

@@ -16,62 +16,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import BENCHMARK_TOKENS
+from .config import BENCHMARK_TOKENS, PipelineConfig
 from .ingest import ZERO_ACCOUNT, TokenMeta, TransferEvent
 from .portfolio import BlockTimeMap
 from .prices import PriceSeries
 
-__all__ = ["SynthConfig", "SynthMarket", "generate_market", "simulate_log_returns"]
+__all__ = ["SynthMarket", "generate_market", "simulate_log_returns"]
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for one synthetic market.
-
-    Price-model ranges are sampled per token: drift is a mean daily log
-    return, volatility its daily standard deviation, and the factor
-    loading sets cross-token correlation through a one-factor structure
-    (which keeps the implied correlation matrix PSD by construction).
-    """
-
-    n_tokens: int = 20
-    n_accounts: int = 100
-    n_months: int = 12
-    seed: int = 0
-    start: dt.date = dt.date(2021, 1, 1)
-    lead_days: int = 70
-    tail_days: int = 25
-    transfers_per_account_month: float = 4.0
-    drift_range: tuple[float, float] = (-0.002, 0.003)
-    vol_range: tuple[float, float] = (0.01, 0.05)
-    factor_loading_range: tuple[float, float] = (0.2, 0.9)
-    blocks_per_day: int = 7200
-    min_portfolio_size: int = 2
-    max_portfolio_size: int = 8
-
-    def __post_init__(self) -> None:
-        if self.n_tokens < 2:
-            raise ValueError("need at least the two benchmark tokens")
-        if self.n_accounts < 1 or self.n_months < 1:
-            raise ValueError("need at least one account and one month")
-        for name in ("drift_range", "vol_range", "factor_loading_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} is reversed")
-        if self.vol_range[0] < 0:
-            raise ValueError("volatility must be non-negative")
-        if not 0.0 <= self.factor_loading_range[0] <= self.factor_loading_range[1] < 1.0:
-            raise ValueError("factor loadings must lie in [0, 1)")
-        if self.min_portfolio_size < 2:
-            raise ValueError("portfolios need at least two tokens")
-        if self.max_portfolio_size < self.min_portfolio_size:
-            raise ValueError("portfolio size range is reversed")
-        if self.max_portfolio_size > self.n_tokens:
-            raise ValueError("portfolio size cannot exceed the token count")
-        if self.blocks_per_day < 1:
-            raise ValueError("need at least one block per day")
-        if self.transfers_per_account_month < 0:
-            raise ValueError("transfer rate must be non-negative")
+# the price model's per-token ranges: drift is a mean daily log return,
+# volatility its daily standard deviation, and the factor loading sets
+# cross-token correlation through a one-factor structure (which keeps the
+# implied correlation matrix PSD by construction)
+DRIFT_RANGE = (-0.002, 0.003)
+VOL_RANGE = (0.01, 0.05)
+FACTOR_LOADING_RANGE = (0.2, 0.9)
+# priced days before the first snapshot (at least) and after the last one
+LEAD_DAYS = 70
+TAIL_DAYS = 25
+BLOCKS_PER_DAY = 7200
 
 
 def simulate_log_returns(
@@ -124,7 +87,6 @@ class SynthMarket:
     guaranteed full lookback and forward coverage for.
     """
 
-    config: SynthConfig
     token_ids: tuple[str, ...]
     metas: tuple[TokenMeta, ...]
     prices: dict[str, PriceSeries]
@@ -204,26 +166,29 @@ class _Emitter:
         return self.balances.get((token, account), 0)
 
 
-def generate_market(cfg: SynthConfig) -> SynthMarket:
-    """Generate one deterministic market from the config seed."""
+def generate_market(cfg: PipelineConfig) -> SynthMarket:
+    """Generate one deterministic market from ``cfg.seed`` and the
+    ``synth_*`` fields and ``transfers_per_account_month`` of ``cfg``."""
     rng = np.random.default_rng(cfg.seed)
     token_ids = tuple(BENCHMARK_TOKENS) + tuple(
-        f"TOK{i:03d}" for i in range(2, cfg.n_tokens)
+        f"TOK{i:03d}" for i in range(2, cfg.synth_tokens)
     )
 
-    snapshot_start = _first_of_next_month(cfg.start + dt.timedelta(days=cfg.lead_days))
-    snapshot_end = _add_months(snapshot_start, cfg.n_months - 1)
-    price_end = snapshot_end + dt.timedelta(days=cfg.tail_days)
-    n_days = (price_end - cfg.start).days + 1
+    snapshot_start = _first_of_next_month(
+        cfg.synth_start + dt.timedelta(days=LEAD_DAYS)
+    )
+    snapshot_end = _add_months(snapshot_start, cfg.synth_months - 1)
+    price_end = snapshot_end + dt.timedelta(days=TAIL_DAYS)
+    n_days = (price_end - cfg.synth_start).days + 1
 
     # --- price model -------------------------------------------------------
-    drifts = rng.uniform(*cfg.drift_range, size=cfg.n_tokens)
-    vols = rng.uniform(*cfg.vol_range, size=cfg.n_tokens)
-    loadings = rng.uniform(*cfg.factor_loading_range, size=cfg.n_tokens)
-    p0 = np.empty(cfg.n_tokens)
+    drifts = rng.uniform(*DRIFT_RANGE, size=cfg.synth_tokens)
+    vols = rng.uniform(*VOL_RANGE, size=cfg.synth_tokens)
+    loadings = rng.uniform(*FACTOR_LOADING_RANGE, size=cfg.synth_tokens)
+    p0 = np.empty(cfg.synth_tokens)
     p0[0] = 1800.0 * rng.uniform(0.9, 1.1)
     p0[1] = 28000.0 * rng.uniform(0.9, 1.1)
-    p0[2:] = rng.uniform(0.5, 200.0, size=cfg.n_tokens - 2)
+    p0[2:] = rng.uniform(0.5, 200.0, size=cfg.synth_tokens - 2)
 
     log_returns = simulate_log_returns(rng, n_days - 1, drifts, vols, loadings)
     closes = np.vstack([p0, p0 * np.exp(np.cumsum(log_returns, axis=0))])
@@ -231,15 +196,15 @@ def generate_market(cfg: SynthConfig) -> SynthMarket:
     decimals = {tid: int(rng.choice((6, 8, 18))) for tid in token_ids}
 
     # --- holdings and mints ------------------------------------------------
-    accounts = tuple(f"0x{i:040x}" for i in range(1, cfg.n_accounts + 1))
+    accounts = tuple(f"0x{i:040x}" for i in range(1, cfg.synth_accounts + 1))
     sizes = rng.integers(
-        cfg.min_portfolio_size, cfg.max_portfolio_size + 1, size=cfg.n_accounts
+        cfg.synth_min_size, cfg.synth_max_size + 1, size=cfg.synth_accounts
     )
     holder_lists: dict[str, list[str]] = {tid: [] for tid in token_ids}
     emitter = _Emitter()
-    bpd = cfg.blocks_per_day
+    bpd = BLOCKS_PER_DAY
     for account, size in zip(accounts, sizes):
-        chosen = rng.choice(cfg.n_tokens, size=int(size), replace=False)
+        chosen = rng.choice(cfg.synth_tokens, size=int(size), replace=False)
         # one mint per held token, landed somewhere in day zero
         for idx in sorted(int(i) for i in chosen):
             tid = token_ids[idx]
@@ -251,7 +216,7 @@ def generate_market(cfg: SynthConfig) -> SynthMarket:
 
     # --- transfer stream ---------------------------------------------------
     n_transfers = round(
-        cfg.transfers_per_account_month * cfg.n_accounts * cfg.n_months
+        cfg.transfers_per_account_month * cfg.synth_accounts * cfg.synth_months
     )
     active = [tid for tid in token_ids if len(holder_lists[tid]) >= 2]
     if n_transfers and active:
@@ -302,10 +267,10 @@ def generate_market(cfg: SynthConfig) -> SynthMarket:
             e.amount / 10 ** decimals[e.token_id] * closes[day, col]
         )
 
-    base_volume = rng.uniform(1e3, 1e6, size=(n_days, cfg.n_tokens))
+    base_volume = rng.uniform(1e3, 1e6, size=(n_days, cfg.synth_tokens))
     for col, tid in enumerate(token_ids):
         series_closes = tuple(float(c) for c in closes[:, col])
-        prices[tid] = PriceSeries(token_id=tid, start=cfg.start, closes=series_closes)
+        prices[tid] = PriceSeries(tid, cfg.synth_start, series_closes)
         vol_path = base_volume[:, col] + transfer_notional[tid]
         volumes[tid] = tuple(float(v) for v in vol_path)
         qty = minted[tid] / 10 ** decimals[tid]
@@ -329,13 +294,12 @@ def generate_market(cfg: SynthConfig) -> SynthMarket:
     # anchor each day at its last block so snapshots see the full day
     block_map = BlockTimeMap(
         anchors=tuple(
-            ((k + 1) * bpd - 1, cfg.start + dt.timedelta(days=k))
+            ((k + 1) * bpd - 1, cfg.synth_start + dt.timedelta(days=k))
             for k in range(n_days)
         )
     )
 
     return SynthMarket(
-        config=cfg,
         token_ids=token_ids,
         metas=metas,
         prices=prices,

@@ -141,6 +141,51 @@ def _negate_a_close(ws: Path) -> Path:
     return path
 
 
+def _keep_price_header_only(ws: Path) -> str:
+    path = ws / "input" / "prices.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return f"{path}: no price rows"
+
+
+def _repeat_a_price_row(ws: Path) -> str:
+    path = ws / "input" / "prices.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(2, lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    token, day = lines[1].split(",")[:2]
+    return f"{path}: two rows for {token!r} on {day}"
+
+
+def _edit_blockmap(edit):
+    """Apply ``edit(ws, lines)`` to the lines of the block map; it returns
+    the error message that should follow the file's name."""
+
+    def corrupt(ws: Path) -> str:
+        path = ws / "input" / "blockmap.csv"
+        lines = path.read_text().splitlines()
+        message = edit(ws, lines)
+        path.write_text("\n".join(lines) + "\n")
+        return f"{path}: {message}"
+
+    return corrupt
+
+
+def _keep_blockmap_header_only(ws: Path, lines: list[str]) -> str:
+    del lines[1:]
+    return "block-time map needs at least one anchor"
+
+
+def _swap_two_anchors(ws: Path, lines: list[str]) -> str:
+    lines[1], lines[2] = lines[2], lines[1]
+    return "anchor blocks must be strictly increasing"
+
+
+def _start_anchors_after_first_snapshot(ws: Path, lines: list[str]) -> str:
+    first = sorted((ws / "snapshots").glob("*.csv"))[0].stem + "-01"
+    lines[1:] = [line for line in lines[1:] if line.split(",")[1] > first]
+    return f"{first} precedes the first block anchor"
+
+
 def _probed_token(ws: Path) -> str:
     return (ws / "input" / "probes.csv").read_text().splitlines()[1].split(",")[0]
 
@@ -212,6 +257,11 @@ def _delete_probed(directory: str, stage: str):
         (_cut_probe_row_short, ["validate"]),
         (_rename_ledger_column, ["validate"]),
         (_negate_a_close, ["snapshot"]),
+        (_keep_price_header_only, ["snapshot"]),
+        (_repeat_a_price_row, ["snapshot"]),
+        (_edit_blockmap(_keep_blockmap_header_only), ["snapshot"]),
+        (_edit_blockmap(_swap_two_anchors), ["snapshot"]),
+        (_edit_blockmap(_start_anchors_after_first_snapshot), ["snapshot"]),
         (_set_event_cell(1, lambda cell: "abc"), ["ingest"]),
         (_set_event_cell(6, lambda cell: "-" + cell), ["ingest"]),
         (_set_event_cell(3, lambda cell: "airdrop"), ["ingest"]),
@@ -226,6 +276,11 @@ def _delete_probed(directory: str, stage: str):
         "short-probe-row",
         "renamed-ledger-column",
         "negative-close",
+        "header-only-prices",
+        "repeated-price-row",
+        "header-only-blockmap",
+        "swapped-anchors",
+        "late-first-anchor",
         "bad-event-block",
         "negative-event-amount",
         "unknown-event-kind",

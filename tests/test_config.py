@@ -77,6 +77,7 @@ def test_line_without_equals_rejected():
         "distance_bin_edges = 10,5",
         "size_bin_min = 1",
         "synth_max_size = 99",
+        "synth_min_size = 1",
         "top_k_pcts = 0",
     ],
 )

@@ -26,7 +26,7 @@ from chainfrontier.marketdata import (
     market_forward_return,
     market_index,
 )
-from chainfrontier.prices import ONE_DAY, PriceSeries, forward_fill
+from chainfrontier.prices import ONE_DAY, PriceSeries, price_rows, price_series
 
 D0 = dt.date(2023, 1, 1)
 
@@ -46,54 +46,108 @@ def window(returns, start_idx=1, token_id="X") -> ReturnWindow:
 
 
 # ---------------------------------------------------------------------------
-# forward_fill
+# price_series
 # ---------------------------------------------------------------------------
 
 
+def rows_of(token_id, closes_by_day):
+    return [(token_id, day(i), close, 0.0, 0.0) for i, close in closes_by_day.items()]
+
+
 def test_forward_fill_fills_interior_gaps():
-    filled = forward_fill(series([10.0, None, None, 12.0]))
-    assert filled.closes == (10.0, 10.0, 10.0, 12.0)
+    s = price_series(rows_of("X", {0: 10.0, 3: 12.0}))["X"]
+    assert s.closes == (10.0, 10.0, 10.0, 12.0)
+    assert s.start == day(0)
 
 
 def test_forward_fill_keeps_leading_gap():
-    filled = forward_fill(series([None, 5.0, None]))
-    assert filled.closes == (None, 5.0, 5.0)
+    # the series starts at the token's first row, later than another's
+    got = price_series(rows_of("X", {1: 5.0, 2: 6.0}) + rows_of("Y", {0: 1.0}))
+    assert got["X"].start == day(1)
+    assert got["X"].close_on(day(0)) is None
+    assert got["X"].close_on(day(1)) == 5.0
 
 
 def test_forward_fill_extends_through():
-    filled = forward_fill(series([7.0, 8.0]), through=day(4))
-    assert filled.closes == (7.0, 8.0, 8.0, 8.0, 8.0)
-    assert filled.end == day(4)
+    # every series runs through the last day any token has a row
+    got = price_series(rows_of("X", {0: 7.0, 1: 8.0}) + rows_of("Y", {4: 1.0}))
+    assert got["X"].closes == (7.0, 8.0, 8.0, 8.0, 8.0)
+    assert got["X"].end == got["Y"].end == day(4)
+    assert got["X"].close_on(day(5)) is None
+
+
+def refilled(prices: dict[str, PriceSeries]) -> dict[str, PriceSeries]:
+    """The series read back from the rows they write."""
+    zeros = {tid: (0.0,) * len(s.closes) for tid, s in prices.items()}
+    return price_series(price_rows(prices, zeros, zeros))
 
 
 def test_forward_fill_idempotent():
-    s = series([None, 3.0, None, 4.0, None])
-    once = forward_fill(s)
-    twice = forward_fill(once)
-    assert once.closes == twice.closes
+    once = price_series(rows_of("X", {0: 3.0, 2: 4.0}) + rows_of("Y", {5: 2.0}))
+    assert refilled(once) == once
+
+
+# price tables over up to three tokens and 31 days, with random days missing
+price_tables = st.dictionaries(
+    st.sampled_from(["A", "B", "C"]),
+    st.dictionaries(st.integers(0, 30), st.floats(0.01, 1e6), min_size=1),
+    min_size=1,
+)
+
+
+def table_rows(table) -> list[tuple]:
+    return [row for tid, obs in table.items() for row in rows_of(tid, obs)]
 
 
 @settings(deadline=None, max_examples=60)
-@given(
-    closes=st.lists(
-        st.one_of(st.none(), st.floats(0.01, 1e6, allow_nan=False)), min_size=1, max_size=30
-    )
-)
-def test_forward_fill_idempotence_property(closes):
-    s = series(closes)
-    assert forward_fill(forward_fill(s)).closes == forward_fill(s).closes
+@given(table=price_tables)
+def test_forward_fill_idempotence_property(table):
+    once = price_series(table_rows(table))
+    assert refilled(once) == once
 
 
-def test_from_observations_builds_gapped_grid():
-    s = PriceSeries.from_observations("X", {day(0): 10.0, day(3): 12.0})
-    assert s.closes == (10.0, None, None, 12.0)
-    assert s.close_on(day(1)) is None
-    assert s.close_on(day(9)) is None
+def test_price_series_accepts_rows_in_any_order():
+    rows = rows_of("X", {3: 12.0, 0: 10.0, 5: 9.0, 1: 11.0})
+    s = price_series(rows)["X"]
+    assert s.start == day(0)
+    assert s.closes == (10.0, 11.0, 11.0, 12.0, 12.0, 9.0)
 
 
-def test_from_observations_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        PriceSeries.from_observations("X", {day(0): 0.0})
+@settings(deadline=None, max_examples=100)
+@given(table=price_tables, order=st.randoms())
+def test_price_series_carries_latest_row_property(table, order):
+    """Each day reads the token's latest row on or before it, through the
+    table's last day, and nothing before the token's first row."""
+    rows = table_rows(table)
+    order.shuffle(rows)
+    got = price_series(rows)
+    last = max(i for obs in table.values() for i in obs)
+    assert set(got) == set(table)
+    for tid, obs in table.items():
+        for i in range(-2, last + 3):
+            seen = [j for j in obs if j <= i]
+            want = obs[max(seen)] if seen and i <= last else None
+            assert got[tid].close_on(day(i)) == want
+
+
+def test_price_series_rejects_repeated_day():
+    with pytest.raises(ValueError, match=f"two rows for 'X' on {day(1)}"):
+        price_series(rows_of("X", {0: 1.0, 1: 2.0}) + rows_of("X", {1: 2.0}))
+    with pytest.raises(ValueError, match=f"two rows for 'X' on {day(0)}"):
+        price_series(rows_of("X", {2: 1.0, 0: 2.0}) + rows_of("X", {0: 3.0}))
+
+
+def test_price_series_rejects_no_rows():
+    with pytest.raises(ValueError, match="no price rows"):
+        price_series([])
+
+
+def test_series_rejects_bad_close():
+    for bad in (math.nan, math.inf, 0.0, -1.0, None):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            PriceSeries("X", D0, (1.0, bad))
+        with pytest.raises(ValueError, match=f"on {day(2)} is not positive"):
+            price_series(rows_of("X", {0: 1.0, 2: bad}))
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +169,13 @@ def test_log_returns_doubling_price():
     assert np.allclose(w.returns, [math.log(2.0)] * 2)
 
 
-def test_log_returns_rejects_interior_gap():
-    # day 1 lacks a close after day 0 had one, so the window's days are unknown
-    s = series([1.0, None, 4.0, 8.0])
-    with pytest.raises(ValueError, match=f"no close on {day(1)}"):
-        log_returns(s, day(3), window=3)
-    # a gap before the closes the window reads does not matter
-    w = log_returns(s, day(3), window=1)
-    assert np.allclose(w.returns, [math.log(2.0)])
-
-
 def test_log_returns_rejects_end_past_series():
     with pytest.raises(ValueError, match="end before"):
         log_returns(series([1.0, 2.0, 4.0]), day(3), window=2)
 
 
 def test_log_returns_leading_gap_shortens_window():
-    s = series([None, None, 1.0, 2.0, 4.0])
+    s = series([1.0, 2.0, 4.0], start=day(2))
     w = log_returns(s, day(4), window=4)
     # the returns of days 3 and 4
     assert len(w) == 2
@@ -456,9 +500,9 @@ CALENDAR = 60
 
 
 @st.composite
-def listed_series(draw, token_id: str, listed: int):
-    """A series listed on day ``listed`` whose random gaps are forward
-    filled, as the stages load prices, through the calendar's last day."""
+def listed_rows(draw, token_id: str, listed: int, last: bool = False):
+    """The price rows of a token listed on day ``listed``, with random days
+    missing after the first; ``last`` keeps the calendar's last day."""
     closes = draw(
         st.lists(
             st.one_of(st.none(), st.floats(0.5, 2.0)),
@@ -467,8 +511,13 @@ def listed_series(draw, token_id: str, listed: int):
         )
     )
     closes[0] = draw(st.floats(0.5, 2.0))
-    raw = PriceSeries(token_id, day(listed), tuple(closes))
-    return forward_fill(raw, through=day(CALENDAR - 1))
+    if last:
+        closes[-1] = draw(st.floats(0.5, 2.0))
+    return [
+        (token_id, day(listed + k), close, 0.0, 0.0)
+        for k, close in enumerate(closes)
+        if close is not None
+    ]
 
 
 @settings(deadline=None, max_examples=150)
@@ -476,14 +525,18 @@ def listed_series(draw, token_id: str, listed: int):
 def test_windows_match_date_keyed_reference(data):
     listing_days = st.integers(0, CALENDAR - 15)
     n = data.draw(st.integers(1, 4), label="n")
-    assets = [
-        data.draw(listed_series(f"T{k}", data.draw(listing_days)), label=f"T{k}")
-        for k in range(n)
-    ]
+    rows = []
+    for k in range(n):
+        rows += data.draw(listed_rows(f"T{k}", data.draw(listing_days)), label=f"T{k}")
     # the benchmark assets list on days of their own, and the index covers
-    # the days both have
-    weth = data.draw(listed_series("WETH", data.draw(listing_days)), label="WETH")
-    wbtc = data.draw(listed_series("WBTC", data.draw(listing_days)), label="WBTC")
+    # the days both have; WETH's last row ends the table on the calendar's
+    # last day, and every series is filled through it, as the stages load
+    # prices
+    rows += data.draw(listed_rows("WETH", data.draw(listing_days), True), label="WETH")
+    rows += data.draw(listed_rows("WBTC", data.draw(listing_days)), label="WBTC")
+    prices = price_series(rows)
+    assets = [prices[f"T{k}"] for k in range(n)]
+    weth, wbtc = prices["WETH"], prices["WBTC"]
     end = day(data.draw(st.integers(20, CALENDAR - 1), label="end"))
     width = data.draw(st.integers(1, 40), label="window")
     shrink = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shrink")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import datetime as dt
 import json
 import math
 import shutil
@@ -353,12 +354,28 @@ def _screen_out_a_held_token(cfg: PipelineConfig) -> PipelineConfig:
     return dataclasses.replace(cfg, min_volume=volume * 1.001)
 
 
-# one edit of an input file or of a key of the optimize, metrics or
-# ingest.filters row each; every one must change some output
+def _drop_a_held_price(cfg: PipelineConfig) -> PipelineConfig:
+    """Delete the row of a held token ten days before the first snapshot,
+    inside its lookback window, so that day carries the previous close."""
+    ws = cfg.workspace
+    first_month = sorted((ws / "snapshots").glob("*.csv"))[0]
+    held = storage.read_table(first_month, storage.POSITIONS)[0]
+    gap = held.snapshot_date - dt.timedelta(days=10)
+    path = ws / "input" / "prices.csv"
+    rows = storage.read_table(path, storage.PRICES)
+    kept = [r for r in rows if (r[0], r[1]) != (held.token_id, gap)]
+    assert len(kept) == len(rows) - 1
+    storage.write_table(path, storage.PRICES, kept)
+    return cfg
+
+
+# one edit of an input file or of a key of the optimize, metrics,
+# ingest.filters or report row each; every one must change some output
 EDITS = {
     "event-amount": _double_a_mint,
     "blockmap-block": _move_a_snapshot_block,
     "probe-balance": _bump_a_probe,
+    "price-gap": _drop_a_held_price,
     "w_max": lambda cfg: dataclasses.replace(cfg, w_max=0.6),
     "rf_annual": lambda cfg: dataclasses.replace(cfg, rf_annual=cfg.rf_annual + 0.5),
     "mean_shrink_lambda": lambda cfg: dataclasses.replace(cfg, mean_shrink_lambda=0.1),
@@ -366,6 +383,10 @@ EDITS = {
         cfg, forward_days=cfg.forward_days + 10
     ),
     "min_volume": _screen_out_a_held_token,
+    "dust_threshold": lambda cfg: dataclasses.replace(cfg, dust_threshold=1000.0),
+    "distance_bin_edges": lambda cfg: dataclasses.replace(
+        cfg, distance_bin_edges=(0.0, 50.0, 100.0)
+    ),
 }
 
 

@@ -16,7 +16,7 @@ from chainfrontier.portfolio import (
     monthly_snapshots,
     reconstruct_snapshot,
 )
-from chainfrontier.prices import PriceSeries, forward_fill
+from chainfrontier.prices import PriceSeries
 
 D = dt.date
 
@@ -40,12 +40,8 @@ def golden_ledgers():
 
 def golden_prices(snapshot_day):
     return {
-        "X": forward_fill(
-            PriceSeries.from_observations("X", {snapshot_day: 2.0}), through=snapshot_day
-        ),
-        "Y": forward_fill(
-            PriceSeries.from_observations("Y", {snapshot_day: 1.0}), through=snapshot_day
-        ),
+        "X": PriceSeries("X", snapshot_day, (2.0,)),
+        "Y": PriceSeries("Y", snapshot_day, (1.0,)),
     }
 
 
@@ -137,7 +133,7 @@ def test_decimals_scale_quantity():
     events = [TransferEvent("X", 1, 0, ZERO_ACCOUNT, "alice", 2_500_000)]
     ledgers = {"X": build_ledger(events, decimals=6)}
     day = D(2023, 2, 1)
-    prices = {"X": PriceSeries.from_observations("X", {day: 4.0})}
+    prices = {"X": PriceSeries("X", day, (4.0,))}
     p = reconstruct_snapshot(ledgers, prices, "alice", Snapshot(day, 1))
     assert p is not None
     assert p.positions[0].quantity == pytest.approx(2.5)

@@ -107,21 +107,20 @@ def test_meta_round_trip_with_missing_fields(tmp_path):
 
 
 def test_prices_round_trip_with_gap(tmp_path):
-    series = {
-        "X": PriceSeries("X", D(2021, 1, 1), (1.0, None, 3.0)),
-    }
-    mcaps = {"X": (10.0, None, 30.0)}
-    volumes = {"X": (5.0, None, 7.0)}
     path = tmp_path / "prices.csv"
-    storage.write_table(path, storage.PRICES, price_rows(series, mcaps, volumes))
-    rows = storage.read_table(path, storage.PRICES)
-    assert rows == [
+    rows = [
         ("X", D(2021, 1, 1), 1.0, 10.0, 5.0),
         ("X", D(2021, 1, 3), 3.0, 30.0, 7.0),
     ]
-    back = price_series(rows)
-    assert back["X"].closes == (1.0, None, 3.0)
-    assert back["X"].start == D(2021, 1, 1)
+    storage.write_table(path, storage.PRICES, rows)
+    assert storage.read_table(path, storage.PRICES) == rows
+    # the day without a row reads back with the previous close
+    series = price_series(storage.read_table(path, storage.PRICES))
+    assert series["X"] == PriceSeries("X", D(2021, 1, 1), (1.0, 1.0, 3.0))
+    mcaps = {"X": (10.0, 10.0, 30.0)}
+    volumes = {"X": (5.0, 0.0, 7.0)}
+    storage.write_table(path, storage.PRICES, price_rows(series, mcaps, volumes))
+    assert price_series(storage.read_table(path, storage.PRICES)) == series
 
 
 def test_read_prices_rejects_unexpected_columns(tmp_path):

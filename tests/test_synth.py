@@ -3,41 +3,20 @@
 import numpy as np
 import pytest
 
+from chainfrontier import synth
+from chainfrontier.config import PipelineConfig
 from chainfrontier.ingest import ZERO_ACCOUNT, balance_at, build_ledger
-from chainfrontier.synth import (
-    SynthConfig,
-    generate_market,
-    simulate_log_returns,
-)
+from chainfrontier.synth import generate_market, simulate_log_returns
 
 from helpers import net_minted
 
 
-def small_config(**overrides):
+def small_config(**overrides) -> PipelineConfig:
     defaults = dict(
-        n_tokens=6, n_accounts=12, n_months=3, seed=7, max_portfolio_size=4
+        synth_tokens=6, synth_accounts=12, synth_months=3, seed=7, synth_max_size=4
     )
     defaults.update(overrides)
-    return SynthConfig(**defaults)
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="benchmark"):
-        SynthConfig(n_tokens=1)
-    with pytest.raises(ValueError, match="reversed"):
-        SynthConfig(vol_range=(0.5, 0.1))
-    with pytest.raises(ValueError, match="non-negative"):
-        SynthConfig(vol_range=(-0.1, 0.1))
-    with pytest.raises(ValueError, match="loadings"):
-        SynthConfig(factor_loading_range=(0.5, 1.0))
-    with pytest.raises(ValueError, match="exceed the token count"):
-        SynthConfig(n_tokens=4, max_portfolio_size=5)
-    with pytest.raises(ValueError, match="at least two tokens"):
-        SynthConfig(min_portfolio_size=1)
+    return PipelineConfig(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +48,10 @@ def test_simulate_log_returns_validation():
         simulate_log_returns(rng, 10, [0.0], [0.1], [1.0])
 
 
-def test_flat_model_gives_constant_prices():
-    market = generate_market(
-        small_config(drift_range=(0.0, 0.0), vol_range=(0.0, 0.0))
-    )
+def test_flat_model_gives_constant_prices(monkeypatch):
+    monkeypatch.setattr(synth, "DRIFT_RANGE", (0.0, 0.0))
+    monkeypatch.setattr(synth, "VOL_RANGE", (0.0, 0.0))
+    market = generate_market(small_config())
     for series in market.prices.values():
         closes = set(series.closes)
         assert len(closes) == 1
@@ -82,9 +61,9 @@ def test_price_series_cover_snapshots_and_tail():
     cfg = small_config()
     market = generate_market(cfg)
     for series in market.prices.values():
-        assert series.start == cfg.start
+        assert series.start == cfg.synth_start
         assert series.end >= market.snapshot_end
-        assert (series.end - market.snapshot_end).days >= cfg.tail_days
+        assert (series.end - market.snapshot_end).days >= synth.TAIL_DAYS
         assert all(c is not None and c > 0 for c in series.closes)
 
 
@@ -154,22 +133,22 @@ def test_oracle_matches_ledger_reconstruction():
 
 
 def test_portfolio_sizes_respect_bounds():
-    cfg = small_config(min_portfolio_size=2, max_portfolio_size=4)
+    cfg = small_config(synth_min_size=2, synth_max_size=4)
     market = generate_market(cfg)
     held: dict[str, set[str]] = {}
     for e in market.events:
         if e.sender == ZERO_ACCOUNT:
             held.setdefault(e.recipient, set()).add(e.token_id)
-    assert len(held) == cfg.n_accounts
+    assert len(held) == cfg.synth_accounts
     assert all(2 <= len(tokens) <= 4 for tokens in held.values())
 
 
 def test_block_map_points_at_day_ends():
     cfg = small_config()
     market = generate_market(cfg)
-    bpd = cfg.blocks_per_day
-    assert market.block_map.block_for(cfg.start) == bpd - 1
-    day5 = cfg.start.replace(day=6)
+    bpd = synth.BLOCKS_PER_DAY
+    assert market.block_map.block_for(cfg.synth_start) == bpd - 1
+    day5 = cfg.synth_start.replace(day=6)
     assert market.block_map.block_for(day5) == 6 * bpd - 1
 
 
