@@ -34,9 +34,12 @@ partition, and then in this process before any pool forks, so pool
 workers inherit it. A no-op run, a repair that stops at snapshot and
 ``validate`` therefore never import NumPy.
 
-The load runs only when some partition is stale: once in-process at
-``workers = 1``, or once per pool worker otherwise. Each partition is a
-pure function of the loaded inputs and its own files, so the worker count
+The load runs only when some partition is stale, once and in this
+process, before any pool forks; pool workers inherit its result. The
+prices and the ledgers it reads are parsed at most once per run: the run
+keeps them in a table keyed by file and content digest until the last
+selected row that declares the file has run. Each partition is a pure
+function of the loaded inputs and its own files, so the worker count
 changes wall time and nothing else.
 """
 
@@ -50,7 +53,7 @@ import hashlib
 import logging
 import posixpath
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import storage
 from .config import BENCHMARK_TOKENS, PipelineConfig
@@ -69,6 +72,8 @@ from .portfolio import BlockTimeMap, Snapshot, monthly_snapshots, reconstruct_sn
 from .prices import PriceSeries, price_series
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 # workspace layout, relative to the workspace root
 EVENTS = "input/events"
@@ -121,7 +126,9 @@ class Stage:
     it takes from there. ``writes`` are globs of every file the row
     writes. ``plan(cfg)`` returns the partitions and an optional load,
     whose result goes to every call of ``body`` ahead of ``cfg`` and the
-    partition's arguments. A stage that crunches numbers names its body in
+    partition's arguments. A file that a load parsed stays parsed until
+    the last selected row that declares it in ``shared`` or ``index`` has
+    run. A stage that crunches numbers names its body in
     ``numeric`` instead; see ``_body``. Rows run in table order; a dotted
     name is a later step of the stage named before the dot.
     """
@@ -143,20 +150,60 @@ class Stage:
 # content hashing and the partition driver
 
 
-def _digest(ws: Path, rels: Sequence[str], digests: dict[Path, str]) -> str:
-    """Hash of the relative paths and contents of every file under ``rels``.
+def _file_digest(path: Path, digests: dict[Path, str]) -> str:
+    """The content hash of one file; ``digests`` holds the run's file
+    digests, so each file is read once."""
+    if path not in digests:
+        digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests[path]
 
-    ``digests`` holds the run's file digests, so each file is read once.
-    """
+
+def _digest(ws: Path, rels: Sequence[str], digests: dict[Path, str]) -> str:
+    """Hash of the relative paths and contents of every file under ``rels``."""
     out = hashlib.sha256()
     for rel in rels:
         root = ws / rel
         files = sorted(p for p in root.rglob("*") if p.is_file()) if root.is_dir() else [root]
         for path in files:
-            if path not in digests:
-                digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
-            out.update(f"{path.relative_to(ws).as_posix()}={digests[path]};".encode())
+            digest = _file_digest(path, digests)
+            out.update(f"{path.relative_to(ws).as_posix()}={digest};".encode())
     return out.hexdigest()
+
+
+class _Parsed:
+    """The shared inputs parsed in one run, keyed by file and content digest.
+
+    The digest is the one the run records for hashing, so a key costs no
+    extra read of the file, and a file that an earlier row of the run
+    rewrote misses rather than returning its old contents.
+    """
+
+    def __init__(self, digests: dict[Path, str]) -> None:
+        self.digests = digests
+        self.entries: dict[tuple[Path, str], object] = {}
+
+    def get(self, path: Path, parse: Callable[[Path], T]) -> T:
+        key = (path, _file_digest(path, self.digests))
+        if key not in self.entries:
+            self.entries[key] = parse(path)
+        return self.entries[key]
+
+    def keep_under(self, ws: Path, rels: set[str]) -> None:
+        """Drop every entry whose file lies under none of ``rels``."""
+        keep = {ws / rel for rel in rels}
+        for key in list(self.entries):
+            if not keep.intersection((key[0], *key[0].parents)):
+                del self.entries[key]
+
+
+# the running pipeline's parsed inputs; run_pipeline sets it for the length
+# of one run, and outside a run every load parses its file afresh
+_parsed: _Parsed | None = None
+
+
+def _read_through(path: Path, parse: Callable[[Path], T]) -> T:
+    """``parse(path)``, or the current run's copy of it."""
+    return parse(path) if _parsed is None else _parsed.get(path, parse)
 
 
 def _producer(rel: str) -> str:
@@ -194,14 +241,10 @@ def _drop_stale(
                 digests.pop(path, None)
 
 
-# a pool worker's loaded stage inputs, set by its initializer; they live as
-# long as the worker, and the pool ends with the stage
+# the stage's loaded inputs while its pool runs: set in the parent just
+# before the pool forks, so every worker inherits them instead of loading
+# or unpickling its own, and released when the pool closes
 _worker_inputs: tuple = ()
-
-
-def _load_worker(load: Callable | None) -> None:
-    global _worker_inputs
-    _worker_inputs = () if load is None else (load(),)
 
 
 def _run_in_worker(fn: Callable, args: tuple) -> None:
@@ -213,24 +256,29 @@ def _run_tasks(
 ) -> None:
     """Call ``fn`` once per argument tuple, in a pool when ``workers > 1``.
 
-    When ``load`` is given, it runs once in-process, or once per pool
-    worker, and its result is passed to every call ahead of the arguments.
+    When ``load`` is given, it runs once, in this process, and its result
+    is passed to every call ahead of the arguments.
     """
+    global _worker_inputs
+    inputs = () if load is None else (load(),)
     if workers > 1 and len(arglists) > 1:
         # imported here so that a serial run never loads multiprocessing
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # every worker pays for one load, so start no more than have work
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(arglists)),
-            initializer=_load_worker,
-            initargs=(load,),
-        ) as pool:
-            futures = [pool.submit(_run_in_worker, fn, args) for args in arglists]
-            for future in futures:
-                future.result()
+        # workers inherit the inputs and NumPy only from a forked parent
+        _worker_inputs = inputs
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(arglists)),
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
+                futures = [pool.submit(_run_in_worker, fn, args) for args in arglists]
+                for future in futures:
+                    future.result()
+        finally:
+            _worker_inputs = ()
     else:
-        inputs = () if load is None else (load(),)
         for args in arglists:
             fn(*inputs, *args)
 
@@ -360,8 +408,13 @@ def _ingest_token(cfg: PipelineConfig, token_id: str, decimals: int) -> None:
 
 
 def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger | None:
-    entries = storage.read_table(Path(ws) / LEDGERS / f"{token_id}.csv", storage.LEDGER)
-    return ledger_from_entries(entries, decimals) if entries else None
+    # ``decimals`` comes from meta.csv, which only synth writes, so every
+    # reader in a run passes the same value for a file
+    def parse(path: Path) -> TokenLedger | None:
+        entries = storage.read_table(path, storage.LEDGER)
+        return ledger_from_entries(entries, decimals) if entries else None
+
+    return _read_through(Path(ws) / LEDGERS / f"{token_id}.csv", parse)
 
 
 def _probe_check(ledger: TokenLedger | None, probes) -> str:
@@ -413,9 +466,7 @@ def _passed_tokens(ws: Path) -> list[str]:
     return [r.token_id for r in reports if r.passed]
 
 
-def _load_prices(ws: Path) -> dict[str, PriceSeries]:
-    """Every token's gap-free closes from ``prices.csv``."""
-    path = _require(ws, PRICES)
+def _parse_prices(path: Path) -> dict[str, PriceSeries]:
     rows = storage.read_table(path, storage.PRICES)
     try:
         return price_series(rows)
@@ -423,16 +474,15 @@ def _load_prices(ws: Path) -> dict[str, PriceSeries]:
         raise InputError(f"{path}: {exc}") from None
 
 
-def snapshot_calendar(
-    cfg: PipelineConfig, prices: dict[str, PriceSeries] | None = None
-) -> list[Snapshot]:
-    """First-of-month snapshots with a full lookback and forward window.
+def _load_prices(ws: Path) -> dict[str, PriceSeries]:
+    """Every token's gap-free closes from ``prices.csv``."""
+    return _read_through(_require(ws, PRICES), _parse_prices)
 
-    ``prices`` is an already loaded ``prices.csv``; it is read when absent.
-    """
+
+def snapshot_calendar(cfg: PipelineConfig) -> list[Snapshot]:
+    """First-of-month snapshots with a full lookback and forward window."""
     ws = cfg.workspace
-    if prices is None:
-        prices = _load_prices(ws)
+    prices = _load_prices(ws)
     path = _require(ws, BLOCKMAP)
     anchors = storage.read_table(path, storage.BLOCKMAP)
     first_day = min(s.start for s in prices.values())
@@ -459,14 +509,9 @@ class _Holdings:
     prices: dict[str, PriceSeries]
 
 
-def _load_holdings(
-    cfg: PipelineConfig, prices: dict[str, PriceSeries] | None
-) -> _Holdings:
+def _load_holdings(cfg: PipelineConfig) -> _Holdings:
     ws = cfg.workspace
-    # prices first: parsing them is the larger transient, so it should not
-    # overlap the ledgers
-    if prices is None:
-        prices = _load_prices(ws)
+    prices = _load_prices(ws)
     decimals = _token_decimals(ws)
     ledgers: dict[str, TokenLedger] = {}
     for tid in _passed_tokens(ws):
@@ -478,16 +523,11 @@ def _load_holdings(
 
 
 def _snapshot_plan(cfg: PipelineConfig) -> tuple[list[Part], Callable]:
-    prices = _load_prices(cfg.workspace)
-    calendar = snapshot_calendar(cfg, prices)
-    # in-process, the load reuses the calendar's parse of prices.csv; pool
-    # workers parse their own, so the forked pool inherits no copy of it
-    load = functools.partial(_load_holdings, cfg, prices if cfg.workers == 1 else None)
     parts = [
         Part(snap.month, (f"{SNAPSHOTS}/{snap.month}.csv",), args=(snap,))
-        for snap in calendar
+        for snap in snapshot_calendar(cfg)
     ]
-    return parts, load
+    return parts, functools.partial(_load_holdings, cfg)
 
 
 def _snapshot_month(
@@ -724,12 +764,23 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None) -> di
     unknown = [s for s in selected if s not in PIPELINE_STAGES]
     if unknown:
         raise InputError(f"unknown stages: {', '.join(unknown)}")
+    global _parsed
+    ws = Path(cfg.workspace)
     digests: dict[Path, str] = {}
-    manifest = storage.read_manifest(Path(cfg.workspace) / MANIFEST)
+    manifest = storage.read_manifest(ws / MANIFEST)
+    rows = [row for row in STAGES if row.stage in selected]
     ran: dict[str, list[str]] = {}
-    for row in STAGES:
-        if row.stage in selected:
+    _parsed = _Parsed(digests)
+    try:
+        for i, row in enumerate(rows):
             computed = _run_stage(cfg, row, digests, manifest)
             ran.setdefault(row.stage, []).extend(computed)
             log.info("stage %s: %d partitions computed", row.name, len(computed))
+            # drop what no later selected row declares: the ledgers after
+            # snapshot, the prices after metrics
+            _parsed.keep_under(
+                ws, {rel for later in rows[i + 1 :] for rel in later.index + later.shared}
+            )
+    finally:
+        _parsed = None
     return ran

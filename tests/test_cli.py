@@ -234,6 +234,19 @@ def _swap_two_events(ws: Path) -> Path:
     return _edit_events(ws, edit)
 
 
+def _set_held_ledger_block(ws: Path) -> str:
+    """Replace the block on line 5 of a held token's ledger with text."""
+    first = sorted((ws / "snapshots").glob("*.csv"))[0]
+    token = first.read_text().splitlines()[1].split(",")[3]
+    path = ws / "ledgers" / f"{token}.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[2] = "abc"
+    lines[4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}, line 5"
+
+
 def _probe_unknown_token(ws: Path) -> Path:
     path = ws / "input" / "probes.csv"
     lines = path.read_text().splitlines()
@@ -257,6 +270,10 @@ def _delete_probed(directory: str, stage: str):
         (_cut_probe_row_short, ["validate"]),
         (_rename_ledger_column, ["validate"]),
         (_negate_a_close, ["snapshot"]),
+        # a pool's inputs are loaded before it starts, so a bad file is
+        # reported as such whatever the worker count
+        (_negate_a_close, ["--workers", "2", "optimize"]),
+        (_set_held_ledger_block, ["--workers", "2", "snapshot"]),
         (_keep_price_header_only, ["snapshot"]),
         (_repeat_a_price_row, ["snapshot"]),
         (_edit_blockmap(_keep_blockmap_header_only), ["snapshot"]),
@@ -276,6 +293,8 @@ def _delete_probed(directory: str, stage: str):
         "short-probe-row",
         "renamed-ledger-column",
         "negative-close",
+        "negative-close-optimize-workers-2",
+        "bad-ledger-block-snapshot-workers-2",
         "header-only-prices",
         "repeated-price-row",
         "header-only-blockmap",

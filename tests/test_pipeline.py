@@ -5,9 +5,9 @@ reads only what its row in the stage table declares, a rerun with
 unchanged inputs touches nothing and hashes each file once, a deleted or
 corrupted partition is rebuilt byte-identically, an edited input reaches
 every file that depends on it and no partition that does not read it, a
-stage parses its shared inputs once rather than once per partition,
-stages fail loudly when their upstream outputs are missing, and the worker
-count changes wall time only, never bytes.
+run parses each shared input once, in the parent rather than in each pool
+worker, stages fail loudly when their upstream outputs are missing, and
+the worker count changes wall time only, never bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import dataclasses
 import datetime as dt
 import json
 import math
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -41,10 +42,11 @@ from helpers import REPORT_TABLES
 
 SMALL = dict(
     seed=11,
-    synth_tokens=6,
+    synth_tokens=8,
     synth_accounts=15,
     synth_months=3,
-    synth_max_size=4,
+    # books of up to six tokens give the four size bins a decay fit needs
+    synth_max_size=6,
     validation_samples=30,
     min_holders=5,
 )
@@ -387,6 +389,8 @@ EDITS = {
     "distance_bin_edges": lambda cfg: dataclasses.replace(
         cfg, distance_bin_edges=(0.0, 50.0, 100.0)
     ),
+    # at the default of 30 no size bin is full enough to fit
+    "min_bin_count": lambda cfg: dataclasses.replace(cfg, min_bin_count=2),
 }
 
 
@@ -432,8 +436,6 @@ def test_same_seed_reproduces_bundle(built, tmp_path):
 
 
 def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
-    cfg = dataclasses.replace(small_config(tmp_path / "ws"), workers=1)
-    run_pipeline(cfg, ["synth"])
     prices: list[str] = []
     ledgers: list[str] = []
     read_table = storage.read_table
@@ -448,6 +450,16 @@ def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(storage, "read_table", counted)
 
+    # a whole cold run parses prices.csv and each ledger once, though
+    # snapshot, optimize and metrics all read the prices and ingest.filters
+    # and snapshot both read the ledgers
+    whole = dataclasses.replace(small_config(tmp_path / "whole"), workers=1)
+    run_pipeline(whole)
+    assert prices == ["prices.csv"]
+    assert ledgers and set(Counter(ledgers).values()) == {1}
+
+    cfg = dataclasses.replace(small_config(tmp_path / "ws"), workers=1)
+    run_pipeline(cfg, ["synth"])
     for name in (*PIPELINE_STAGES[1:], "validate"):
         prices.clear()
         ledgers.clear()
@@ -469,6 +481,25 @@ def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
     assert not any(ran.values())
     assert prices == ["prices.csv"]
     assert ledgers == []
+
+
+def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
+    cfg, _ = built
+    parent = os.getpid()
+    read_table = storage.read_table
+
+    def parent_only(path, table):
+        path = Path(path)
+        shared = path.name == "prices.csv" or path.parent.name == "ledgers"
+        if shared and os.getpid() != parent:
+            raise AssertionError(f"pool worker {os.getpid()} parsed {path}")
+        return read_table(path, table)
+
+    # forked pool workers inherit the patch
+    monkeypatch.setattr(storage, "read_table", parent_only)
+    parallel = dataclasses.replace(cfg, workspace=tmp_path / "ws2", workers=2)
+    run_pipeline(parallel)
+    assert bundle(parallel.workspace) == bundle(cfg.workspace)
 
 
 def test_optimize_solves_one_gmv_per_book(tmp_path, monkeypatch):
