@@ -182,26 +182,6 @@ def _index_add(
         cums.append(total)
 
 
-def ledger_from_entries(entries: Sequence[LedgerEntry], decimals: int) -> TokenLedger:
-    """Rehydrate a TokenLedger from stored entries (already expanded).
-
-    Entries must be in non-decreasing (block, log_index) order, the order
-    ``build_ledger`` wrote them in.
-    """
-    index: dict[str, tuple[list[int], list[int]]] = {}
-    token_id = entries[0].token_id if entries else ""
-    prev: tuple[int, int] | None = None
-    for e in entries:
-        if e.token_id != token_id:
-            raise ValueError("mixed token stream in ledger entries")
-        key = (e.block, e.log_index)
-        if prev is not None and key < prev:
-            raise LedgerOrderError("ledger entries not sorted by (block, log_index)")
-        prev = key
-        _index_add(index, e.account, e.block, e.delta)
-    return TokenLedger(token_id, decimals, tuple(entries), index)
-
-
 def balance_at(ledger: TokenLedger, account: str, block: int) -> int:
     """Exact balance of ``account`` after all entries with block <= ``block``.
 
@@ -248,7 +228,7 @@ def filter_tokens(
     """Screen tokens, recording the first failing stage per token.
 
     Stage order is fixed: compliance, pricing depth, cumulative volume,
-    supply plausibility. Balance consistency is the filters stage's probe
+    supply plausibility. Balance consistency is the ingest stage's probe
     check (``pipeline._probe_check``), run afterwards on each passed
     token's ledger. Unknown volume or pricing depth fails its stage;
     unknown market cap or FDV passes the supply check because there is

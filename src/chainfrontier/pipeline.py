@@ -1,17 +1,19 @@
 """Stage orchestration over a partitioned workspace.
 
-Six stages run in dependency order: synth writes raw inputs, ingest turns
-event files into per-token ledgers and a screening report, snapshot
-reconstructs monthly account portfolios, optimize projects each book onto
-the frontier strategies, metrics realises forward performance, and report
-collapses everything into five summary tables.
+Six stages run in dependency order: synth writes raw inputs, ingest
+screens the tokens and checks each passed token's ledger against the
+ground-truth probes, snapshot reconstructs monthly account portfolios,
+optimize projects each book onto the frontier strategies, metrics realises
+forward performance, and report collapses everything into five summary
+tables. A token's ledger is never written: whoever reads it builds it from
+the token's event file.
 
-One table, ``STAGES``, wires them. Each row names the config keys its
-results depend on, the workspace files or directories all of its
-partitions read, the globs of the files it writes, and a plan that lists
-its partitions (per token or per snapshot month), each with its own reads,
-writes and arguments, plus an optional once-per-stage load. Everything the
-cache does follows from the rows:
+One table, ``STAGES``, wires them, one row per stage. Each row names the
+config keys its results depend on, the workspace files or directories all
+of its partitions read, the globs of the files it writes, and a plan that
+lists its partitions (one, or one per snapshot month), each with its own
+reads, writes and arguments, plus an optional once-per-stage load.
+Everything the cache does follows from the rows:
 
 - a partition's input hash covers the row's config keys, the shared reads,
   and its own reads and arguments, so an edit reaches exactly the
@@ -36,11 +38,11 @@ workers inherit it. A no-op run, a repair that stops at snapshot and
 
 The load runs only when some partition is stale, once and in this
 process, before any pool forks; pool workers inherit its result. The
-prices and the ledgers it reads are parsed at most once per run: the run
-keeps them in a table keyed by file and content digest until the last
-selected row that declares the file has run. Each partition is a pure
-function of the loaded inputs and its own files, so the worker count
-changes wall time and nothing else.
+prices and the event files behind the ledgers are parsed at most once per
+run: the run keeps the series and the ledgers in a table keyed by file and
+content digest until the last selected row that declares the file has
+run. Each partition is a pure function of the loaded inputs and its own
+files, so the worker count changes wall time and nothing else.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ from .ingest import (
     FilterReport,
     FilterStage,
     TokenLedger,
+    TransferEvent,
     balance_at,
     build_ledger,
     filter_tokens,
-    ledger_from_entries,
 )
 from .portfolio import BlockTimeMap, Snapshot, monthly_snapshots, reconstruct_snapshot
 from .prices import PriceSeries, price_series
@@ -81,7 +83,6 @@ META = "input/meta.csv"
 PRICES = "input/prices.csv"
 BLOCKMAP = "input/blockmap.csv"
 PROBES = "input/probes.csv"
-LEDGERS = "ledgers"
 FILTERS = "filters.csv"
 SNAPSHOTS = "snapshots"
 SOLUTIONS = "solutions"
@@ -129,8 +130,7 @@ class Stage:
     partition's arguments. A file that a load parsed stays parsed until
     the last selected row that declares it in ``shared`` or ``index`` has
     run. A stage that crunches numbers names its body in
-    ``numeric`` instead; see ``_body``. Rows run in table order; a dotted
-    name is a later step of the stage named before the dot.
+    ``numeric`` instead; see ``_body``. Rows run in table order.
     """
 
     name: str
@@ -140,10 +140,6 @@ class Stage:
     writes: tuple[str, ...]
     plan: Callable[[PipelineConfig], tuple[list[Part], Callable | None]]
     body: Callable | str
-
-    @property
-    def stage(self) -> str:
-        return self.name.partition(".")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +207,7 @@ def _producer(rel: str) -> str:
     for row in STAGES:
         for pattern in row.writes:
             if fnmatch.fnmatchcase(rel, pattern) or posixpath.dirname(pattern) == rel:
-                return row.stage
+                return row.name
     raise KeyError(f"no stage writes {rel}")
 
 
@@ -376,50 +372,36 @@ def _token_decimals(ws: Path) -> dict[str, int]:
     return {m.token_id: m.decimals for m in metas}
 
 
-def _ingest_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
-    decimals = _token_decimals(cfg.workspace)
-    parts = [
-        Part(
-            tid,
-            (f"{LEDGERS}/{tid}.csv",),
-            (f"{EVENTS}/{tid}.csv",),
-            (tid, decimals[tid]),
-        )
-        for tid in sorted(decimals)
-    ]
-    return parts, None
+def _parse_events(
+    path: Path, token_id: str, decimals: int
+) -> tuple[list[TransferEvent], TokenLedger]:
+    """One token's raw events and the ledger they build.
 
-
-def _ingest_token(cfg: PipelineConfig, token_id: str, decimals: int) -> None:
-    ws = cfg.workspace
-    path = ws / EVENTS / f"{token_id}.csv"
+    An event file whose first row names another token, or whose events
+    mix tokens or run out of (block, log_index) order, is an InputError
+    naming the file.
+    """
     events = storage.read_table(path, storage.EVENTS)
     if events and events[0].token_id != token_id:
         raise InputError(
             f"{path}, line 2: token {events[0].token_id!r}, expected {token_id!r}"
         )
     try:
-        ledger = build_ledger(events, decimals)
+        return events, build_ledger(events, decimals)
     except (ValueError, LedgerOrderError) as exc:
         raise InputError(f"{path}: {exc}") from None
-    storage.write_table(
-        ws / LEDGERS / f"{token_id}.csv", storage.LEDGER, ledger.entries
-    )
 
 
-def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger | None:
+def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger:
     # ``decimals`` comes from meta.csv, which only synth writes, so every
     # reader in a run passes the same value for a file
-    def parse(path: Path) -> TokenLedger | None:
-        entries = storage.read_table(path, storage.LEDGER)
-        return ledger_from_entries(entries, decimals) if entries else None
-
-    return _read_through(Path(ws) / LEDGERS / f"{token_id}.csv", parse)
+    path = _require(ws, f"{EVENTS}/{token_id}.csv")
+    return _read_through(path, lambda p: _parse_events(p, token_id, decimals)[1])
 
 
-def _probe_check(ledger: TokenLedger | None, probes) -> str:
+def _probe_check(ledger: TokenLedger, probes) -> str:
     for _, account, block, expected in probes:
-        got = balance_at(ledger, account, block) if ledger else 0
+        got = balance_at(ledger, account, block)
         if got != expected:
             return (
                 f"account {account} at block {block}: "
@@ -433,8 +415,14 @@ def _filters_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
 
 
 def _ingest_filters(cfg: PipelineConfig) -> None:
+    """Screen every token and probe-check the ledger of each that passes.
+
+    Every token's ledger is built, so a malformed event file fails here
+    whether or not its token passes the screen.
+    """
     ws = cfg.workspace
     metas = storage.read_table(ws / META, storage.META)
+    ledgers = {m.token_id: _load_ledger(ws, m.token_id, m.decimals) for m in metas}
     reports = filter_tokens(
         metas, min_price_days=cfg.min_price_days, min_volume=cfg.min_volume
     )
@@ -442,13 +430,11 @@ def _ingest_filters(cfg: PipelineConfig) -> None:
     for probe in storage.read_table(ws / PROBES, storage.PROBES):
         probes_by_token.setdefault(probe[0], []).append(probe)
 
-    decimals = {m.token_id: m.decimals for m in metas}
     final: list[FilterReport] = []
     for report in reports:
         tid = report.token_id
         if report.passed and probes_by_token.get(tid):
-            ledger = _load_ledger(ws, tid, decimals[tid])
-            detail = _probe_check(ledger, probes_by_token[tid])
+            detail = _probe_check(ledgers[tid], probes_by_token[tid])
             if detail:
                 report = FilterReport(
                     tid, False, FilterStage.INCONSISTENT_BALANCE, detail
@@ -513,11 +499,7 @@ def _load_holdings(cfg: PipelineConfig) -> _Holdings:
     ws = cfg.workspace
     prices = _load_prices(ws)
     decimals = _token_decimals(ws)
-    ledgers: dict[str, TokenLedger] = {}
-    for tid in _passed_tokens(ws):
-        ledger = _load_ledger(ws, tid, decimals[tid])
-        if ledger is not None:
-            ledgers[tid] = ledger
+    ledgers = {tid: _load_ledger(ws, tid, decimals[tid]) for tid in _passed_tokens(ws)}
     accounts = sorted({a for lg in ledgers.values() for a in lg.accounts})
     return _Holdings(ledgers, accounts, prices)
 
@@ -613,19 +595,8 @@ STAGES = (
     ),
     Stage(
         "ingest",
-        keys=(),
-        shared=(),
-        index=(META,),
-        writes=(f"{LEDGERS}/*.csv",),
-        plan=_ingest_plan,
-        body=_ingest_token,
-    ),
-    # the screening report depends on every ledger, so it runs serially
-    # after the token partitions
-    Stage(
-        "ingest.filters",
         keys=("min_price_days", "min_volume"),
-        shared=(META, PROBES, LEDGERS),
+        shared=(META, PROBES, EVENTS),
         index=(),
         writes=(FILTERS,),
         plan=_filters_plan,
@@ -634,7 +605,7 @@ STAGES = (
     Stage(
         "snapshot",
         keys=("lookback_days", "forward_days"),
-        shared=(LEDGERS, FILTERS, META, PRICES, BLOCKMAP),
+        shared=(EVENTS, FILTERS, META, PRICES, BLOCKMAP),
         index=(),
         writes=(f"{SNAPSHOTS}/*.csv",),
         plan=_snapshot_plan,
@@ -677,18 +648,17 @@ STAGES = (
     ),
 )
 
-PIPELINE_STAGES = tuple(dict.fromkeys(row.stage for row in STAGES))
+PIPELINE_STAGES = tuple(row.name for row in STAGES)
 
 
 # ---------------------------------------------------------------------------
 # validate
 
 
-def _mint_flows(path: Path) -> list[tuple[int, int]]:
-    """(block, signed amount) of each mint and burn in a raw event file,
-    sorted by block."""
+def _mint_flows(events: Sequence[TransferEvent]) -> list[tuple[int, int]]:
+    """(block, signed amount) of each mint and burn, sorted by block."""
     flows: list[tuple[int, int]] = []
-    for e in storage.read_table(path, storage.EVENTS):
+    for e in events:
         if e.sender == ZERO_ACCOUNT:
             flows.append((e.block, e.amount))
         elif e.recipient == ZERO_ACCOUNT:
@@ -697,15 +667,15 @@ def _mint_flows(path: Path) -> list[tuple[int, int]]:
 
 
 def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
-    """Check rebuilt ledgers against ground-truth probes and conservation.
+    """Check the ledgers rebuilt from the raw event files against
+    ground-truth probes and conservation.
 
     Every probe must match ``balance_at`` exactly, and at each probed
     block the sum of all account balances must equal mints minus burns up
-    to that block (recomputed from the raw event files, a separate route
-    from the ledger index). Raises InputError on any violation.
+    to that block (summed from the same parse of the events, a separate
+    route from the ledger index). Raises InputError on any violation.
     """
     ws = cfg.workspace
-    _require(ws, LEDGERS)
     probes_path = _require(ws, PROBES)
     probes = storage.read_table(probes_path, storage.PROBES)
     decimals = _token_decimals(ws)
@@ -720,23 +690,18 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
                 raise InputError(
                     f"{probes_path}: token {token_id!r} has no row in {ws / META}"
                 )
-            _require(ws, f"{LEDGERS}/{token_id}.csv")
-            ledgers[token_id] = _load_ledger(ws, token_id, decimals[token_id])
-            events = _require(ws, f"{EVENTS}/{token_id}.csv")
+            path = _require(ws, f"{EVENTS}/{token_id}.csv")
+            events, ledgers[token_id] = _parse_events(path, token_id, decimals[token_id])
             mint_flows[token_id] = _mint_flows(events)
         ledger = ledgers[token_id]
-        got = balance_at(ledger, account, block) if ledger else 0
+        got = balance_at(ledger, account, block)
         if got != expected:
             failures.append(
                 f"{token_id}: {account} at {block}: ledger {got} != reference {expected}"
             )
             continue
         net_minted = sum(a for b, a in mint_flows[token_id] if b <= block)
-        total = (
-            sum(balance_at(ledger, a, block) for a in ledger.accounts)
-            if ledger
-            else 0
-        )
+        total = sum(balance_at(ledger, a, block) for a in ledger.accounts)
         if total != net_minted:
             failures.append(
                 f"{token_id}: balances at {block} sum to {total}, mint flow {net_minted}"
@@ -768,14 +733,13 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None) -> di
     ws = Path(cfg.workspace)
     digests: dict[Path, str] = {}
     manifest = storage.read_manifest(ws / MANIFEST)
-    rows = [row for row in STAGES if row.stage in selected]
+    rows = [row for row in STAGES if row.name in selected]
     ran: dict[str, list[str]] = {}
     _parsed = _Parsed(digests)
     try:
         for i, row in enumerate(rows):
-            computed = _run_stage(cfg, row, digests, manifest)
-            ran.setdefault(row.stage, []).extend(computed)
-            log.info("stage %s: %d partitions computed", row.name, len(computed))
+            ran[row.name] = _run_stage(cfg, row, digests, manifest)
+            log.info("stage %s: %d partitions computed", row.name, len(ran[row.name]))
             # drop what no later selected row declares: the ledgers after
             # snapshot, the prices after metrics
             _parsed.keep_under(

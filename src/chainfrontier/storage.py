@@ -38,7 +38,6 @@ from .ingest import (
     ZERO_ACCOUNT,
     FilterReport,
     FilterStage,
-    LedgerEntry,
     TokenMeta,
     TransferEvent,
 )
@@ -79,10 +78,20 @@ def write_manifest(path: Path, manifest: Mapping) -> None:
 
 
 def read_manifest(path: Path) -> dict:
+    """The stage manifest, one object per stage; ``{}`` when there is none.
+    Text that is not JSON, or not an object of objects, is an InputError."""
     path = Path(path)
     if not path.exists():
         return {}
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict) or not all(
+        isinstance(entry, dict) for entry in manifest.values()
+    ):
+        raise InputError(f"{path}: expected a JSON object of objects")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +280,6 @@ EVENTS = Table(
     ),
     record=_event,
     cells=event_row,
-)
-
-LEDGER = Table(
-    (
-        ("token_id", str),
-        ("account", str),
-        ("block", int),
-        ("log_index", int),
-        ("delta", int),
-    ),
-    record=LedgerEntry,
-    cells=attrgetter("token_id", "account", "block", "log_index", "delta"),
 )
 
 META = Table(

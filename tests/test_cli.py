@@ -124,13 +124,6 @@ def _cut_probe_row_short(ws: Path) -> Path:
     return path
 
 
-def _rename_ledger_column(ws: Path) -> Path:
-    probed = (ws / "input" / "probes.csv").read_text().splitlines()[1].split(",")[0]
-    path = ws / "ledgers" / f"{probed}.csv"
-    path.write_text(path.read_text().replace("token_id,account,", "token_id,acct,", 1))
-    return path
-
-
 def _negate_a_close(ws: Path) -> Path:
     path = ws / "input" / "prices.csv"
     lines = path.read_text().splitlines()
@@ -234,17 +227,37 @@ def _swap_two_events(ws: Path) -> Path:
     return _edit_events(ws, edit)
 
 
-def _set_held_ledger_block(ws: Path) -> str:
-    """Replace the block on line 5 of a held token's ledger with text."""
+def _rename_event_column(ws: Path) -> Path:
+    def edit(lines):
+        lines[0] = lines[0].replace(",event_kind,", ",kind,", 1)
+
+    return _edit_events(ws, edit)
+
+
+def _set_held_event_block(ws: Path) -> str:
+    """Replace the block on line 5 of a held token's event file with text."""
     first = sorted((ws / "snapshots").glob("*.csv"))[0]
     token = first.read_text().splitlines()[1].split(",")[3]
-    path = ws / "ledgers" / f"{token}.csv"
+    path = ws / "input" / "events" / f"{token}.csv"
     lines = path.read_text().splitlines()
     cells = lines[4].split(",")
-    cells[2] = "abc"
+    cells[1] = "abc"
     lines[4] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    return f"{path}, line 5"
+    return f"{path}, line 5, column block"
+
+
+def _truncate_manifest(ws: Path) -> str:
+    path = ws / "manifest.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    return f"{path}: not a JSON manifest"
+
+
+def _replace_manifest_with_a_list(ws: Path) -> str:
+    path = ws / "manifest.json"
+    path.write_text("[1, 2]\n")
+    return f"{path}: expected a JSON object of objects"
 
 
 def _probe_unknown_token(ws: Path) -> Path:
@@ -268,12 +281,12 @@ def _delete_probed(directory: str, stage: str):
     "corrupt, command",
     [
         (_cut_probe_row_short, ["validate"]),
-        (_rename_ledger_column, ["validate"]),
+        (_rename_event_column, ["validate"]),
         (_negate_a_close, ["snapshot"]),
         # a pool's inputs are loaded before it starts, so a bad file is
         # reported as such whatever the worker count
         (_negate_a_close, ["--workers", "2", "optimize"]),
-        (_set_held_ledger_block, ["--workers", "2", "snapshot"]),
+        (_set_held_event_block, ["--workers", "2", "snapshot"]),
         (_keep_price_header_only, ["snapshot"]),
         (_repeat_a_price_row, ["snapshot"]),
         (_edit_blockmap(_keep_blockmap_header_only), ["snapshot"]),
@@ -286,15 +299,16 @@ def _delete_probed(directory: str, stage: str):
         (_move_every_event_to_another_token, ["ingest"]),
         (_swap_two_events, ["ingest"]),
         (_probe_unknown_token, ["validate"]),
-        (_delete_probed("ledgers", "ingest"), ["validate"]),
         (_delete_probed("input/events", "synth"), ["validate"]),
+        (_truncate_manifest, ["snapshot"]),
+        (_replace_manifest_with_a_list, ["snapshot"]),
     ],
     ids=[
         "short-probe-row",
-        "renamed-ledger-column",
+        "renamed-event-column",
         "negative-close",
         "negative-close-optimize-workers-2",
-        "bad-ledger-block-snapshot-workers-2",
+        "bad-event-block-snapshot-workers-2",
         "header-only-prices",
         "repeated-price-row",
         "header-only-blockmap",
@@ -307,8 +321,9 @@ def _delete_probed(directory: str, stage: str):
         "events-of-another-token",
         "unsorted-events",
         "probe-of-unknown-token",
-        "probed-ledger-missing",
         "probed-events-missing",
+        "truncated-manifest",
+        "manifest-not-an-object",
     ],
 )
 def test_malformed_workspace_csv_is_exit_1(built, tmp_path, corrupt, command):
@@ -416,7 +431,7 @@ run_stage = pipeline._run_stage
 
 
 def tagged(cfg, row, *args):
-    stage[:] = [row.stage]
+    stage[:] = [row.name]
     return run_stage(cfg, row, *args)
 
 
@@ -443,11 +458,11 @@ def test_pools_fork_after_numpy_loads_only_where_numbers_are_crunched(tmp_path):
     lines = _run_script(POOL_STARTS, str(cfg))
     pools = [line.split()[1:] for line in lines if line.startswith("pool ")]
     # optimize and metrics workers inherit NumPy from the parent instead of
-    # each importing it; ingest and snapshot workers never need it
+    # each importing it; snapshot workers never need it, and ingest is one
+    # partition, so it starts no pool
     assert dict(pools) == {
-        "ingest": "False",
         "snapshot": "False",
         "optimize": "True",
         "metrics": "True",
     }
-    assert len(pools) == 4
+    assert len(pools) == 3

@@ -25,7 +25,6 @@ from chainfrontier.ingest import (
     balance_at,
     build_ledger,
     filter_tokens,
-    ledger_from_entries,
     replay_balance,
 )
 from helpers import net_minted, random_stream
@@ -215,17 +214,6 @@ def test_mixed_token_stream_raises():
     ]
     with pytest.raises(ValueError, match="mixed token"):
         build_ledger(events, decimals=0)
-
-
-def test_ledger_from_entries_round_trip():
-    ledger = build_ledger(golden_events(), decimals=6)
-    again = ledger_from_entries(ledger.entries, 6)
-    assert again.entries == ledger.entries
-    for account in ledger.accounts:
-        for block in range(5):
-            assert balance_at(again, account, block) == balance_at(
-                ledger, account, block
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
+import fnmatch
 import json
 import math
 import os
@@ -24,10 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from chainfrontier import frontier, storage
+from chainfrontier import frontier, pipeline, storage
 from chainfrontier.config import PipelineConfig
 from chainfrontier.errors import DependencyError, InputError
-from chainfrontier.ingest import ZERO_ACCOUNT
+from chainfrontier.ingest import ZERO_ACCOUNT, TransferEvent
 from chainfrontier.pipeline import (
     MANIFEST,
     PIPELINE_STAGES,
@@ -103,7 +104,7 @@ def test_all_stages_ran(built):
     cfg, ran = built
     assert list(ran) == list(PIPELINE_STAGES)
     assert ran["synth"] == ["all"]
-    assert len(ran["ingest"]) == cfg.synth_tokens + 1  # per token + filters
+    assert ran["ingest"] == ["filters"]
     assert len(ran["snapshot"]) == cfg.synth_months
     assert ran["report"] == ["bundle"]
 
@@ -239,11 +240,11 @@ def test_deleted_partition_rebuilt_identically(copied):
 
 def test_corrupted_partition_rebuilt_identically(copied):
     ws = copied.workspace
-    victim = sorted((ws / "ledgers").glob("*.csv"))[0]
+    victim = sorted((ws / "snapshots").glob("*.csv"))[0]
     original = victim.read_bytes()
     victim.write_bytes(original[: len(original) // 2])
-    ran = run_pipeline(copied, ["ingest"])["ingest"]
-    assert victim.stem in ran
+    ran = run_pipeline(copied, ["snapshot"])["snapshot"]
+    assert ran == [victim.stem]
     assert victim.read_bytes() == original
 
 
@@ -259,9 +260,8 @@ def test_config_change_invalidates_only_dependent_stage(copied):
 
 
 def test_decimals_edit_matches_fresh_build(copied, tmp_path):
-    """Snapshot quantities scale by token decimals, which live in meta.csv;
-    of the ingest partitions only the edited token's ledger and the
-    screening report read them."""
+    """Snapshot quantities scale by token decimals, which live in meta.csv,
+    and the screening report reads them too."""
     ws = copied.workspace
     first_month = sorted((ws / "snapshots").glob("*.csv"))[0]
     held = storage.read_table(first_month, storage.POSITIONS)[0].token_id
@@ -275,7 +275,7 @@ def test_decimals_edit_matches_fresh_build(copied, tmp_path):
         ],
     )
     ran = run_pipeline(copied, PIPELINE_STAGES[1:])
-    assert ran["ingest"] == [held, "filters"]
+    assert ran["ingest"] == ["filters"]
     assert len(ran["snapshot"]) == copied.synth_months
     assert_matches_fresh_build(copied, tmp_path)
 
@@ -305,7 +305,7 @@ def test_lookback_edit_matches_fresh_build(copied, tmp_path):
 
 
 def test_token_count_edit_matches_fresh_build(copied, tmp_path):
-    """Fewer synthetic tokens drop event files and ledgers, which must go too."""
+    """Fewer synthetic tokens drop event files, which must go too."""
     fewer = dataclasses.replace(copied, synth_tokens=copied.synth_tokens - 2)
     run_pipeline(fewer)
 
@@ -372,7 +372,7 @@ def _drop_a_held_price(cfg: PipelineConfig) -> PipelineConfig:
 
 
 # one edit of an input file or of a key of the optimize, metrics,
-# ingest.filters or report row each; every one must change some output
+# ingest or report row each; every one must change some output
 EDITS = {
     "event-amount": _double_a_mint,
     "blockmap-block": _move_a_snapshot_block,
@@ -437,32 +437,33 @@ def test_same_seed_reproduces_bundle(built, tmp_path):
 
 def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
     prices: list[str] = []
-    ledgers: list[str] = []
+    events: list[str] = []
     read_table = storage.read_table
 
     def counted(path, table):
         path = Path(path)
         if path.name == "prices.csv":
             prices.append(path.name)
-        elif path.parent.name == "ledgers":
-            ledgers.append(path.name)
+        elif path.parent.name == "events":
+            events.append(path.name)
         return read_table(path, table)
 
     monkeypatch.setattr(storage, "read_table", counted)
 
-    # a whole cold run parses prices.csv and each ledger once, though
-    # snapshot, optimize and metrics all read the prices and ingest.filters
-    # and snapshot both read the ledgers
+    # a whole cold run parses prices.csv and each event file once, though
+    # snapshot, optimize and metrics all read the prices and ingest and
+    # snapshot both build ledgers from the events
     whole = dataclasses.replace(small_config(tmp_path / "whole"), workers=1)
     run_pipeline(whole)
     assert prices == ["prices.csv"]
-    assert ledgers and set(Counter(ledgers).values()) == {1}
+    assert len(events) == whole.synth_tokens
+    assert set(Counter(events).values()) == {1}
 
     cfg = dataclasses.replace(small_config(tmp_path / "ws"), workers=1)
     run_pipeline(cfg, ["synth"])
     for name in (*PIPELINE_STAGES[1:], "validate"):
         prices.clear()
-        ledgers.clear()
+        events.clear()
         if name == "validate":
             validate_workspace(cfg)
         else:
@@ -470,17 +471,19 @@ def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
         # snapshot's calendar shares the one parse of prices.csv
         expected = 1 if name in ("snapshot", "optimize", "metrics") else 0
         assert len(prices) == expected, name
-        assert max(Counter(ledgers).values(), default=0) <= 1, (name, ledgers)
-        if name == "snapshot":
-            assert ledgers
+        assert max(Counter(events).values(), default=0) <= 1, (name, events)
+        if name in ("ingest", "snapshot", "validate"):
+            assert events, name
+        else:
+            assert events == [], name
 
     # a no-op rerun loads nothing; only the snapshot calendar reads prices
     prices.clear()
-    ledgers.clear()
+    events.clear()
     ran = run_pipeline(cfg)
     assert not any(ran.values())
     assert prices == ["prices.csv"]
-    assert ledgers == []
+    assert events == []
 
 
 def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
@@ -490,7 +493,7 @@ def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
 
     def parent_only(path, table):
         path = Path(path)
-        shared = path.name == "prices.csv" or path.parent.name == "ledgers"
+        shared = path.name == "prices.csv" or path.parent.name == "events"
         if shared and os.getpid() != parent:
             raise AssertionError(f"pool worker {os.getpid()} parsed {path}")
         return read_table(path, table)
@@ -556,25 +559,39 @@ def test_every_stage_reads_only_what_its_row_declares(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "read_bytes", hashing)
 
-    for stage in PIPELINE_STAGES:
+    for row in STAGES:
         parsed.clear()
         hashed.clear()
-        run_pipeline(cfg, [stage])
+        run_pipeline(cfg, [row.name])
         seen = {p.relative_to(ws).as_posix() for p in parsed}
         digested = {p.relative_to(ws).as_posix() for p in hashed}
-        reads, writes = set(), set()
-        for row in STAGES:
-            if row.stage == stage:
-                parts, _ = row.plan(cfg)
-                reads |= {*row.index, *row.shared}
-                reads |= {rel for part in parts for rel in part.reads}
-                writes |= {rel for part in parts for rel in part.writes}
-        assert seen or stage == "synth"
+        parts, _ = row.plan(cfg)
+        reads = {*row.index, *row.shared, *(rel for part in parts for rel in part.reads)}
+        writes = {rel for part in parts for rel in part.writes}
+        assert seen or row.name == "synth"
         for rel in seen:
-            assert _under(rel, reads), (stage, rel)
+            assert _under(rel, reads), (row.name, rel)
         # hashing also reads back what the stage wrote
         for rel in digested:
-            assert _under(rel, reads | writes), (stage, rel)
+            assert _under(rel, reads | writes), (row.name, rel)
+
+
+def test_every_built_file_is_written_by_exactly_one_row(built):
+    """``_drop_stale`` deletes only declared files, and ``_producer`` takes
+    the first row that declares one, so each file needs exactly one row."""
+    cfg, _ = built
+    ws = cfg.workspace
+    files = [p.relative_to(ws).as_posix() for p in ws.rglob("*") if p.is_file()]
+    assert MANIFEST in files
+    for rel in files:
+        if rel == MANIFEST:
+            continue
+        rows = [
+            row.name
+            for row in STAGES
+            if any(fnmatch.fnmatchcase(rel, pattern) for pattern in row.writes)
+        ]
+        assert len(rows) == 1, (rel, rows)
 
 
 def test_every_config_key_is_declared_by_a_stage():
@@ -584,10 +601,10 @@ def test_every_config_key_is_declared_by_a_stage():
 
 
 MISSING_READS = [
-    (row.stage, rel)
+    (row.name, rel)
     for row in STAGES
     for rel in row.index + row.shared
-    if _producer(rel) != row.stage
+    if _producer(rel) != row.name
 ]
 
 
@@ -616,7 +633,7 @@ def test_missing_upstream_names_the_stage(tmp_path):
         run_pipeline(cfg, ["ingest"])
     with pytest.raises(DependencyError, match="run the 'metrics' stage first"):
         run_pipeline(cfg, ["report"])
-    with pytest.raises(DependencyError, match="run the 'ingest' stage first"):
+    with pytest.raises(DependencyError, match="run the 'synth' stage first"):
         validate_workspace(cfg)
 
 
@@ -635,24 +652,27 @@ def test_stage_subset_runs_in_dependency_order(tmp_path):
 
 def test_validate_catches_probe_mismatch(copied):
     ws = copied.workspace
-    tid = storage.read_table(ws / "input" / "probes.csv", storage.PROBES)[0][0]
-    account = storage.read_table(ws / "input" / "probes.csv", storage.PROBES)[0][1]
-    path = ws / "ledgers" / f"{tid}.csv"
-    lines = path.read_text().splitlines()
-    # a spurious credit at block zero shifts every later balance up by one
-    lines.insert(1, f"{tid},{account},0,0,1")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InputError, match="validation failed"):
+    tid, account = storage.read_table(ws / "input" / "probes.csv", storage.PROBES)[0][:2]
+    path = ws / "input" / "events" / f"{tid}.csv"
+    events = storage.read_table(path, storage.EVENTS)
+    assert (events[0].block, events[0].log_index) > (0, 0)
+    # a spurious mint at block zero shifts every later balance up by one;
+    # the mint flow moves with it, so only the probes can catch it
+    mint = TransferEvent(tid, 0, 0, ZERO_ACCOUNT, account, 1)
+    storage.write_table(path, storage.EVENTS, [mint, *events])
+    with pytest.raises(InputError, match="validation failed .*ledger .* != reference"):
         validate_workspace(copied)
 
 
-def test_validate_catches_conservation_break(copied):
-    ws = copied.workspace
-    tid = storage.read_table(ws / "input" / "probes.csv", storage.PROBES)[0][0]
-    path = ws / "ledgers" / f"{tid}.csv"
-    lines = path.read_text().splitlines()
-    # credit an account no probe ever looks at: probes pass, totals do not
-    lines.insert(1, f"{tid},0xphantom,0,0,1")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InputError, match="validation failed"):
+def test_validate_catches_conservation_break(copied, monkeypatch):
+    build_ledger = pipeline.build_ledger
+
+    def phantom(events, decimals):
+        # credit an account no probe ever looks at: probes pass, totals do not
+        ledger = build_ledger(events, decimals)
+        ledger._index["0xphantom"] = ([0], [1])
+        return ledger
+
+    monkeypatch.setattr(pipeline, "build_ledger", phantom)
+    with pytest.raises(InputError, match="validation failed .* mint flow"):
         validate_workspace(copied)

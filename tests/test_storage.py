@@ -22,10 +22,8 @@ from chainfrontier.ingest import (
     ZERO_ACCOUNT,
     FilterReport,
     FilterStage,
-    LedgerEntry,
     TokenMeta,
     TransferEvent,
-    build_ledger,
 )
 from chainfrontier.metrics import AggregateReport, ExcessPoint, PerfRecord, StrategySummary
 from chainfrontier.portfolio import BlockTimeMap
@@ -83,17 +81,6 @@ def test_huge_amounts_survive_exactly(tmp_path):
     storage.write_table(path, storage.EVENTS, events)
 
     assert storage.read_table(path, storage.EVENTS)[0].amount == amount
-
-
-def test_ledger_entries_round_trip(tmp_path):
-    events = (
-        TransferEvent("X", 1, 0, ZERO_ACCOUNT, "0xa", 500),
-        TransferEvent("X", 2, 0, "0xa", "0xb", 100),
-    )
-    entries = build_ledger(events, decimals=18).entries
-    path = tmp_path / "ledger.csv"
-    storage.write_table(path, storage.LEDGER, entries)
-    assert tuple(storage.read_table(path, storage.LEDGER)) == entries
 
 
 def test_meta_round_trip_with_missing_fields(tmp_path):
@@ -265,6 +252,24 @@ def test_manifest_round_trip_and_stability(tmp_path):
     assert storage.read_manifest(tmp_path / "missing.json") == {}
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"snapshot": {"2021-01": ', "not a JSON manifest"),
+        (b"\xff\xfe{}", "not a JSON manifest"),
+        (b"[1, 2]", "expected a JSON object of objects"),
+        (b'{"snapshot": []}', "expected a JSON object of objects"),
+    ],
+    ids=["truncated", "not-utf8", "list", "entry-not-an-object"],
+)
+def test_malformed_manifest_is_an_input_error(tmp_path, text, message):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(text)
+    with pytest.raises(InputError) as exc:
+        storage.read_manifest(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
 def test_float_repr_round_trip_is_exact(tmp_path):
     values = [1 / 3, math.pi, 1e-17, 123456.789012345, 5e-324]
     table = storage.Table((("v", float),))
@@ -293,7 +298,6 @@ TABLES = {
 
 SAMPLES = {
     "EVENTS": TransferEvent("X", 1, 0, ZERO_ACCOUNT, "0xa", 500),
-    "LEDGER": LedgerEntry("X", "0xa", 1, 0, 10**30),
     "META": TokenMeta("Y", 6, None, None, None, None, False, None),
     "PRICES": ("X", D(2021, 1, 1), 1.0, 10.0, 5.0),
     "BLOCKMAP": (99, D(2021, 1, 1)),
