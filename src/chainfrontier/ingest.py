@@ -1,9 +1,10 @@
 """Event-sourced token ledgers.
 
-Rebuilds exact per-account balance histories from ordered transfer-event
-streams and screens tokens for inclusion before any statistics run. All
-amounts are integers in base units; nothing here touches floats, so
-reconstruction is exact by construction.
+Replays ordered transfer-event streams into exact per-account balance
+histories, rejecting any event that would overdraw an account, and
+screens tokens for inclusion before any statistics run. All amounts are
+integers in base units; nothing here touches floats, so reconstruction is
+exact by construction.
 """
 
 from __future__ import annotations
@@ -34,22 +35,6 @@ class TransferEvent(NamedTuple):
     sender: str
     recipient: str
     amount: int
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """A signed balance change for one account.
-
-    Every transfer between two live accounts yields a debit entry
-    (negative delta) followed by a credit entry (positive delta); mints
-    and burns yield only the credit or only the debit.
-    """
-
-    token_id: str
-    account: str
-    block: int
-    log_index: int
-    delta: int
 
 
 class FilterStage(Enum):
@@ -90,46 +75,38 @@ class FilterReport:
 
 @dataclass(frozen=True)
 class TokenLedger:
-    """Full reconstructed entry stream for one token plus a query index.
+    """One token's ledger: each account's balance history.
 
-    ``entries`` keep event order: sorted by (block, log_index), debit
-    before credit within an event. A mint keeps only its credit and a burn
-    only its debit, so the deltas sum to the net minted supply.
+    ``history`` maps every account the events touched to parallel lists
+    ``(blocks, balances)``, one point per block that moved the account,
+    holding its balance after that block's last event. No balance is ever
+    negative.
     """
 
     token_id: str
     decimals: int
-    entries: tuple[LedgerEntry, ...]
-    # per account: parallel (blocks, cumulative balances), one point per
-    # block that touched the account, used for O(log n) balance queries
-    _index: dict[str, tuple[list[int], list[int]]] = field(
-        repr=False, compare=False, default_factory=dict
-    )
+    history: dict[str, tuple[list[int], list[int]]] = field(repr=False)
 
     @property
     def accounts(self) -> tuple[str, ...]:
-        return tuple(sorted(self._index))
-
-    @property
-    def max_block(self) -> int:
-        return self.entries[-1].block if self.entries else 0
+        return tuple(sorted(self.history))
 
 
 def build_ledger(events: Sequence[TransferEvent], decimals: int) -> TokenLedger:
-    """Expand an ordered single-token event stream into ledger entries.
+    """Replay an ordered single-token event stream into balance histories.
 
-    Each transfer produces a debit for the sender and a credit for the
-    recipient; mints skip the debit, burns skip the credit. Events must be
-    strictly ordered by (block, log_index); mixing tokens or handing over
-    unsorted input is an error rather than something we silently repair.
+    Each transfer debits the sender and then credits the recipient; a mint
+    skips the debit and a burn the credit. Events must be strictly ordered
+    by (block, log_index), and no event may take an account below zero:
+    mixed tokens, unsorted input, a negative amount and an overdraft are
+    errors rather than something we silently repair.
     """
     if decimals < 0:
         raise ValueError("decimals must be >= 0")
 
-    entries: list[LedgerEntry] = []
     token_id: str | None = None
     prev_key: tuple[int, int] | None = None
-    index: dict[str, tuple[list[int], list[int]]] = {}
+    history: dict[str, tuple[list[int], list[int]]] = {}
 
     for ev in events:
         if token_id is None:
@@ -147,73 +124,60 @@ def build_ledger(events: Sequence[TransferEvent], decimals: int) -> TokenLedger:
         if ev.amount < 0:
             raise ValueError("negative amount reached the ledger builder")
 
-        from_zero = ev.sender == ZERO_ACCOUNT
-        to_zero = ev.recipient == ZERO_ACCOUNT
-        if from_zero and to_zero:
-            continue  # degenerate zero-to-zero event moves nothing
-        if not from_zero:
-            entries.append(
-                LedgerEntry(token_id, ev.sender, ev.block, ev.log_index, -ev.amount)
-            )
-            _index_add(index, ev.sender, ev.block, -ev.amount)
-        if not to_zero:
-            entries.append(
-                LedgerEntry(token_id, ev.recipient, ev.block, ev.log_index, ev.amount)
-            )
-            _index_add(index, ev.recipient, ev.block, ev.amount)
+        # the zero account mints and burns; it keeps no balance
+        for account, delta in ((ev.sender, -ev.amount), (ev.recipient, ev.amount)):
+            if account == ZERO_ACCOUNT:
+                continue
+            blocks, balances = history.setdefault(account, ([], []))
+            balance = (balances[-1] if balances else 0) + delta
+            if balance < 0:
+                raise ValueError(f"event {key} overdraws {account!r} by {-balance}")
+            if blocks and blocks[-1] == ev.block:
+                balances[-1] = balance
+            else:
+                blocks.append(ev.block)
+                balances.append(balance)
 
     return TokenLedger(
         token_id=token_id if token_id is not None else "",
         decimals=decimals,
-        entries=tuple(entries),
-        _index=index,
+        history=history,
     )
 
 
-def _index_add(
-    index: dict[str, tuple[list[int], list[int]]], account: str, block: int, delta: int
-) -> None:
-    blocks, cums = index.setdefault(account, ([], []))
-    total = (cums[-1] if cums else 0) + delta
-    if blocks and blocks[-1] == block:
-        cums[-1] = total
-    else:
-        blocks.append(block)
-        cums.append(total)
-
-
 def balance_at(ledger: TokenLedger, account: str, block: int) -> int:
-    """Exact balance of ``account`` after all entries with block <= ``block``.
+    """Exact balance of ``account`` after every event with block <= ``block``.
 
     Pure integer arithmetic; accounts the ledger never saw, and blocks
-    before an account's first entry, are zero.
+    before an account's first event, are zero.
     """
-    pair = ledger._index.get(account)
+    pair = ledger.history.get(account)
     if pair is None:
         return 0
-    blocks, cums = pair
+    blocks, balances = pair
     i = bisect.bisect_right(blocks, block)
-    return cums[i - 1] if i else 0
+    return balances[i - 1] if i else 0
 
 
 def replay_balance(
-    entries: Iterable[LedgerEntry], account: str, block: int
+    events: Iterable[TransferEvent], account: str, block: int
 ) -> int:
-    """Naive linear-scan balance, kept as an independent cross-check
-    for the indexed ``balance_at`` path."""
+    """Naive linear-scan balance over the raw events, kept as an
+    independent cross-check for the ledger and ``balance_at``."""
     total = 0
-    for e in entries:
-        if e.block <= block and e.account == account:
-            total += e.delta
+    for e in events:
+        if e.block <= block:
+            if e.sender == account:
+                total -= e.amount
+            if e.recipient == account:
+                total += e.amount
     return total
 
 
-def account_balances(ledger: TokenLedger, block: int | None = None) -> dict[str, int]:
-    """All account balances at ``block`` (default: ledger head)."""
-    if block is None:
-        block = ledger.max_block
+def account_balances(ledger: TokenLedger, block: int) -> dict[str, int]:
+    """Every nonzero account balance at ``block``."""
     out: dict[str, int] = {}
-    for account in ledger._index:
+    for account in ledger.history:
         bal = balance_at(ledger, account, block)
         if bal:
             out[account] = bal

@@ -66,6 +66,7 @@ from .ingest import (
     FilterStage,
     TokenLedger,
     TransferEvent,
+    account_balances,
     balance_at,
     build_ledger,
     filter_tokens,
@@ -324,12 +325,13 @@ def _run_stage(
         digest.update(_digest(ws, part.reads, digests).encode())
         digest.update(repr(part.args).encode())
         inputs = digest.hexdigest()
+        # an entry that is not an object of both hashes counts as absent
         known = prior.get(part.name)
         if (
-            known is not None
-            and known["inputs"] == inputs
+            isinstance(known, dict)
+            and known.get("inputs") == inputs
             and all((ws / rel).exists() for rel in part.writes)
-            and _digest(ws, part.writes, digests) == known["outputs"]
+            and _digest(ws, part.writes, digests) == known.get("outputs")
         ):
             recorded[part.name] = known
         else:
@@ -378,8 +380,8 @@ def _parse_events(
     """One token's raw events and the ledger they build.
 
     An event file whose first row names another token, or whose events
-    mix tokens or run out of (block, log_index) order, is an InputError
-    naming the file.
+    mix tokens, run out of (block, log_index) order or overdraw an
+    account, is an InputError naming the file.
     """
     events = storage.read_table(path, storage.EVENTS)
     if events and events[0].token_id != token_id:
@@ -701,7 +703,7 @@ def validate_workspace(cfg: PipelineConfig) -> dict[str, int]:
             )
             continue
         net_minted = sum(a for b, a in mint_flows[token_id] if b <= block)
-        total = sum(balance_at(ledger, a, block) for a in ledger.accounts)
+        total = sum(account_balances(ledger, block).values())
         if total != net_minted:
             failures.append(
                 f"{token_id}: balances at {block} sum to {total}, mint flow {net_minted}"

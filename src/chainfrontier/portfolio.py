@@ -133,10 +133,6 @@ def reconstruct_snapshot(
         units = balance_at(ledger, account, snapshot.block)
         if units == 0:
             continue
-        if units < 0:
-            raise ValueError(
-                f"negative balance for {account!r} in {token_id!r}: {units}"
-            )
         series = prices.get(token_id)
         close = series.close_on(snapshot.timestamp) if series is not None else None
         if close is None:

@@ -7,6 +7,7 @@ subprocess where the exit code or the loaded modules are what is checked.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -234,17 +235,38 @@ def _rename_event_column(ws: Path) -> Path:
     return _edit_events(ws, edit)
 
 
+def _held_token(ws: Path) -> str:
+    first = sorted((ws / "snapshots").glob("*.csv"))[0]
+    return first.read_text().splitlines()[1].split(",")[3]
+
+
 def _set_held_event_block(ws: Path) -> str:
     """Replace the block on line 5 of a held token's event file with text."""
-    first = sorted((ws / "snapshots").glob("*.csv"))[0]
-    token = first.read_text().splitlines()[1].split(",")[3]
-    path = ws / "input" / "events" / f"{token}.csv"
+    path = ws / "input" / "events" / f"{_held_token(ws)}.csv"
     lines = path.read_text().splitlines()
     cells = lines[4].split(",")
     cells[1] = "abc"
     lines[4] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     return f"{path}, line 5, column block"
+
+
+def _overdraw(token_of):
+    """Raise the first debit in the event file of ``token_of(ws)`` past the
+    token's whole minted supply, which no balance can cover."""
+
+    def corrupt(ws: Path) -> str:
+        path = ws / "input" / "events" / f"{token_of(ws)}.csv"
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        minted = sum(int(row[6]) for row in rows if row[3] == "deposit")
+        k, row = next((k, row) for k, row in enumerate(rows) if row[3] != "deposit")
+        row[6] = str(minted + 1)
+        lines[k + 1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        return f"{path}: event ({row[1]}, {row[2]}) overdraws {row[4]!r}"
+
+    return corrupt
 
 
 def _truncate_manifest(ws: Path) -> str:
@@ -298,6 +320,9 @@ def _delete_probed(directory: str, stage: str):
         (_move_an_event_to_another_token, ["ingest"]),
         (_move_every_event_to_another_token, ["ingest"]),
         (_swap_two_events, ["ingest"]),
+        (_overdraw(_held_token), ["ingest"]),
+        (_overdraw(_held_token), ["--workers", "2", "snapshot"]),
+        (_overdraw(_probed_token), ["validate"]),
         (_probe_unknown_token, ["validate"]),
         (_delete_probed("input/events", "synth"), ["validate"]),
         (_truncate_manifest, ["snapshot"]),
@@ -320,6 +345,9 @@ def _delete_probed(directory: str, stage: str):
         "event-of-another-token",
         "events-of-another-token",
         "unsorted-events",
+        "overdrawn-event",
+        "overdrawn-event-snapshot-workers-2",
+        "overdrawn-event-validate",
         "probe-of-unknown-token",
         "probed-events-missing",
         "truncated-manifest",
@@ -339,6 +367,29 @@ def test_malformed_workspace_csv_is_exit_1(built, tmp_path, corrupt, command):
     )
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith(f"error: {expected}"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "stage, entry", [("synth", 5), ("snapshot", {})], ids=["number", "empty-object"]
+)
+def test_unreadable_manifest_entry_is_recomputed(built, tmp_path, stage, entry):
+    """A partition entry that is not an object of both hashes counts as
+    absent: its partition is recomputed and the workspace ends up as the
+    fresh build of the same config, which ``built`` is."""
+    ws = tmp_path / "ws"
+    shutil.copytree(built.parent / "ws", ws)
+    path = ws / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[stage][min(manifest[stage])] = entry
+    path.write_text(json.dumps(manifest))
+    for command in (stage, "validate"):
+        assert main(["--config", str(built), "--workspace", str(ws), command]) == 0
+
+    def bundle(root: Path) -> dict:
+        files = (p for p in root.rglob("*") if p.is_file())
+        return {p.relative_to(root): p.read_bytes() for p in files}
+
+    assert bundle(ws) == bundle(built.parent / "ws")
 
 
 def test_console_script_help():

@@ -2,16 +2,17 @@
 
 The golden stream below is the worked three-transfer example: after a
 500 X mint to alice, transfers alice->bob 100, bob->carol 50 and
-alice->carol 30 must expand to six signed entries and leave alice with
-exactly 370 X.
+alice->carol 30 must leave each account's balance history as written out
+in the test, and alice with exactly 370 X.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainfrontier import storage
@@ -144,19 +145,15 @@ def golden_events() -> list[TransferEvent]:
     ]
 
 
-def test_golden_ledger_entries_and_balances():
+def test_golden_ledger_histories_and_balances():
     ledger = build_ledger(golden_events(), decimals=0)
-    # mint credits alice, each transfer expands to debit then credit
-    flat = [(e.account, e.delta) for e in ledger.entries]
-    assert flat == [
-        ("alice", 500),
-        ("alice", -100),
-        ("bob", 100),
-        ("bob", -50),
-        ("carol", 50),
-        ("alice", -30),
-        ("carol", 30),
-    ]
+    # one (block, balance) point per block that moved the account
+    assert ledger.history == {
+        "alice": ([1, 2, 4], [500, 400, 370]),
+        "bob": ([2, 3], [100, 50]),
+        "carol": ([3, 4], [50, 80]),
+    }
+    assert ledger.accounts == ("alice", "bob", "carol")
     assert balance_at(ledger, "alice", 4) == 370
     assert balance_at(ledger, "bob", 4) == 50
     assert balance_at(ledger, "carol", 4) == 80
@@ -174,10 +171,8 @@ def test_burn_produces_debit_only():
         TransferEvent("X", 2, 0, "alice", ZERO_ACCOUNT, 40),
     ]
     ledger = build_ledger(events, decimals=0)
-    assert [(e.account, e.delta) for e in ledger.entries] == [
-        ("alice", 100),
-        ("alice", -40),
-    ]
+    # the zero account keeps no balance
+    assert ledger.history == {"alice": ([1, 2], [100, 60])}
     assert balance_at(ledger, "alice", 2) == 60
 
 
@@ -188,7 +183,8 @@ def test_self_transfer_keeps_balance():
     ]
     ledger = build_ledger(events, decimals=0)
     assert balance_at(ledger, "alice", 2) == 100
-    assert len(ledger.entries) == 3  # mint credit + paired debit/credit
+    # the paired debit and credit land on one point of block 2
+    assert ledger.history == {"alice": ([1, 2], [100, 100])}
 
 
 def test_unsorted_stream_raises():
@@ -226,11 +222,12 @@ def test_indexed_balance_matches_replay_on_random_streams():
     for trial in range(20):
         events = random_stream(rng, f"T{trial}", n_events=300)
         ledger = build_ledger(events, decimals=0)
+        head = events[-1].block
         for _ in range(50):
             account = f"acct{rng.randrange(8):03d}"
-            block = rng.randint(0, ledger.max_block + 2)
+            block = rng.randint(0, head + 2)
             assert balance_at(ledger, account, block) == replay_balance(
-                ledger.entries, account, block
+                events, account, block
             )
 
 
@@ -239,7 +236,7 @@ def test_conservation_on_random_streams():
     for trial in range(10):
         events = random_stream(rng, f"T{trial}", n_events=500)
         ledger = build_ledger(events, decimals=0)
-        totals = account_balances(ledger)
+        totals = account_balances(ledger, events[-1].block)
         assert sum(totals.values()) == net_minted(events)
         assert all(v > 0 for v in totals.values())
 
@@ -249,7 +246,30 @@ def test_conservation_on_random_streams():
 def test_conservation_property(seed, n):
     events = random_stream(random.Random(seed), "T", n_events=n)
     ledger = build_ledger(events, decimals=0)
-    assert sum(account_balances(ledger).values()) == net_minted(events)
+    head = events[-1].block
+    assert sum(account_balances(ledger, head).values()) == net_minted(events)
+
+
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), pick=st.integers(0))
+def test_overdraft_is_rejected_at_its_event(seed, n, pick):
+    """Every generated stream builds; raising one debit past the sender's
+    running balance makes that event, and no earlier one, an error."""
+    events = random_stream(random.Random(seed), "T", n_events=n)
+    build_ledger(events, decimals=0)
+    debits = [k for k, e in enumerate(events) if e.sender != ZERO_ACCOUNT]
+    assume(debits)
+    k = debits[pick % len(debits)]
+    e = events[k]
+    # the sender's balance just before event k, in event order
+    before = events[:k]
+    running = sum(d.amount for d in before if d.recipient == e.sender) - sum(
+        d.amount for d in before if d.sender == e.sender
+    )
+    events[k] = e._replace(amount=running + 1)
+    message = f"event ({e.block}, {e.log_index}) overdraws {e.sender!r} by 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_ledger(events, decimals=0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import fnmatch
 import json
 import math
 import os
+import random
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -410,6 +411,59 @@ def test_edited_input_or_key_matches_fresh_build(copied, tmp_path, edit):
     assert_matches_fresh_build(edited, tmp_path)
 
 
+# for each input file: its table, the rows an edit may pick, and the edit of
+# row k, which keeps the file valid
+ROW_EDITS = {
+    "meta": (
+        "input/meta.csv",
+        storage.META,
+        lambda rows: range(len(rows)),
+        lambda rows, k: dataclasses.replace(rows[k], decimals=rows[k].decimals + 1),
+    ),
+    "prices": (
+        "input/prices.csv",
+        storage.PRICES,
+        lambda rows: range(len(rows)),
+        lambda rows, k: (*rows[k][:2], rows[k][2] * 1.01, *rows[k][3:]),
+    ),
+    "blockmap": (
+        "input/blockmap.csv",
+        storage.BLOCKMAP,
+        lambda rows: range(1, len(rows)),
+        lambda rows, k: ((rows[k - 1][0] + rows[k][0]) // 2, rows[k][1]),
+    ),
+    "probes": (
+        "input/probes.csv",
+        storage.PROBES,
+        lambda rows: range(len(rows)),
+        lambda rows, k: (*rows[k][:3], rows[k][3] + 1),
+    ),
+    "events": (
+        "input/events/TOK002.csv",
+        storage.EVENTS,
+        lambda rows: [k for k, e in enumerate(rows) if e.sender == ZERO_ACCOUNT],
+        lambda rows, k: rows[k]._replace(amount=2 * rows[k].amount),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rel, table, candidates, edit", ROW_EDITS.values(), ids=ROW_EDITS.keys()
+)
+def test_seeded_random_row_edit_matches_fresh_build(
+    copied, tmp_path, rel, table, candidates, edit
+):
+    """An edit of one row picked by a fixed seed; unlike ``EDITS``, it need
+    not change any output."""
+    path = copied.workspace / rel
+    rows = storage.read_table(path, table)
+    k = random.Random(2718).choice(candidates(rows))
+    rows[k] = edit(rows, k)
+    storage.write_table(path, table, rows)
+    run_pipeline(copied, PIPELINE_STAGES[1:])
+    assert_matches_fresh_build(copied, tmp_path)
+
+
 def test_seed_change_rebuilds_everything(copied):
     reseeded = dataclasses.replace(copied, seed=copied.seed + 1)
     ran = run_pipeline(reseeded)
@@ -670,7 +724,7 @@ def test_validate_catches_conservation_break(copied, monkeypatch):
     def phantom(events, decimals):
         # credit an account no probe ever looks at: probes pass, totals do not
         ledger = build_ledger(events, decimals)
-        ledger._index["0xphantom"] = ([0], [1])
+        ledger.history["0xphantom"] = ([0], [1])
         return ledger
 
     monkeypatch.setattr(pipeline, "build_ledger", phantom)

@@ -5,7 +5,12 @@ import pytest
 
 from chainfrontier import synth
 from chainfrontier.config import PipelineConfig
-from chainfrontier.ingest import ZERO_ACCOUNT, balance_at, build_ledger
+from chainfrontier.ingest import (
+    ZERO_ACCOUNT,
+    balance_at,
+    build_ledger,
+    replay_balance,
+)
 from chainfrontier.synth import generate_market, simulate_log_returns
 
 from helpers import net_minted
@@ -107,9 +112,9 @@ def test_events_build_clean_ledgers():
         saw_transfer |= any(
             e.sender != ZERO_ACCOUNT and e.recipient != ZERO_ACCOUNT for e in events
         )
-        balances = {
-            a: balance_at(ledger, a, ledger.max_block) for a in ledger.accounts
-        }
+        head = events[-1].block
+        balances = {a: balance_at(ledger, a, head) for a in ledger.accounts}
+        assert balances == {a: replay_balance(events, a, head) for a in balances}
         assert all(v >= 0 for v in balances.values())
         assert sum(balances.values()) == net_minted(events)
     assert saw_transfer
