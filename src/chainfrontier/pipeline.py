@@ -1,8 +1,9 @@
 """Stage orchestration over a partitioned workspace.
 
 Six stages run in dependency order: synth writes raw inputs, ingest
-screens the tokens and checks each passed token's ledger against the
-ground-truth probes, snapshot reconstructs monthly account portfolios,
+screens the tokens, checks each passed token's ledger against the
+ground-truth probes and records the first and last priced day, from which
+snapshot lists its months, snapshot reconstructs monthly account portfolios,
 optimize projects each book onto the frontier strategies, metrics realises
 forward performance, and report collapses everything into five summary
 tables. A token's ledger is never written: whoever reads it builds it from
@@ -41,8 +42,10 @@ process, before any pool forks; pool workers inherit its result. The
 prices and the event files behind the ledgers are parsed at most once per
 run: the run keeps the series and the ledgers in a table keyed by file and
 content digest until the last selected row that declares the file has
-run. Each partition is a pure function of the loaded inputs and its own
-files, so the worker count changes wall time and nothing else.
+run. No plan parses a raw input, so a no-op run parses only the price span
+and the block map, for the snapshot calendar. Each partition is a pure
+function of the loaded inputs and its own files, so the worker count
+changes wall time and nothing else.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ PRICES = "input/prices.csv"
 BLOCKMAP = "input/blockmap.csv"
 PROBES = "input/probes.csv"
 FILTERS = "filters.csv"
+PRICE_SPAN = "price_span.csv"
 SNAPSHOTS = "snapshots"
 SOLUTIONS = "solutions"
 PERF = "perf"
@@ -401,6 +405,19 @@ def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger:
     return _read_through(path, lambda p: _parse_events(p, token_id, decimals)[1])
 
 
+def _parse_prices(path: Path) -> dict[str, PriceSeries]:
+    rows = storage.read_table(path, storage.PRICES)
+    try:
+        return price_series(rows)
+    except ValueError as exc:  # no rows, a repeated day or a bad close
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _load_prices(ws: Path) -> dict[str, PriceSeries]:
+    """Every token's gap-free closes from ``prices.csv``."""
+    return _read_through(_require(ws, PRICES), _parse_prices)
+
+
 def _probe_check(ledger: TokenLedger, probes) -> str:
     for _, account, block, expected in probes:
         got = balance_at(ledger, account, block)
@@ -413,18 +430,21 @@ def _probe_check(ledger: TokenLedger, probes) -> str:
 
 
 def _filters_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
-    return [Part("filters", (FILTERS,))], None
+    return [Part("filters", (FILTERS, PRICE_SPAN))], None
 
 
 def _ingest_filters(cfg: PipelineConfig) -> None:
-    """Screen every token and probe-check the ledger of each that passes.
+    """Screen every token, probe-check the ledger of each that passes, and
+    record the first and last priced day for the snapshot calendar.
 
-    Every token's ledger is built, so a malformed event file fails here
-    whether or not its token passes the screen.
+    Every token's ledger is built and every price parsed, so a malformed
+    event file or ``prices.csv`` fails here whether or not its token
+    passes the screen.
     """
     ws = cfg.workspace
     metas = storage.read_table(ws / META, storage.META)
     ledgers = {m.token_id: _load_ledger(ws, m.token_id, m.decimals) for m in metas}
+    prices = _load_prices(ws)
     reports = filter_tokens(
         metas, min_price_days=cfg.min_price_days, min_volume=cfg.min_volume
     )
@@ -443,6 +463,8 @@ def _ingest_filters(cfg: PipelineConfig) -> None:
                 )
         final.append(report)
     storage.write_table(ws / FILTERS, storage.FILTERS, final)
+    span = (min(s.start for s in prices.values()), max(s.end for s in prices.values()))
+    storage.write_table(ws / PRICE_SPAN, storage.PRICE_SPAN, [span])
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +476,17 @@ def _passed_tokens(ws: Path) -> list[str]:
     return [r.token_id for r in reports if r.passed]
 
 
-def _parse_prices(path: Path) -> dict[str, PriceSeries]:
-    rows = storage.read_table(path, storage.PRICES)
-    try:
-        return price_series(rows)
-    except ValueError as exc:  # no rows, a repeated day or a bad close
-        raise InputError(f"{path}: {exc}") from None
-
-
-def _load_prices(ws: Path) -> dict[str, PriceSeries]:
-    """Every token's gap-free closes from ``prices.csv``."""
-    return _read_through(_require(ws, PRICES), _parse_prices)
-
-
 def snapshot_calendar(cfg: PipelineConfig) -> list[Snapshot]:
-    """First-of-month snapshots with a full lookback and forward window."""
+    """First-of-month snapshots with a full lookback and forward window,
+    between the first and last priced day that ingest recorded."""
     ws = cfg.workspace
-    prices = _load_prices(ws)
+    span_path = _require(ws, PRICE_SPAN)
+    spans = storage.read_table(span_path, storage.PRICE_SPAN)
+    if len(spans) != 1:
+        raise InputError(f"{span_path}: expected one row, got {len(spans)}")
+    [(first_day, last_day)] = spans
     path = _require(ws, BLOCKMAP)
     anchors = storage.read_table(path, storage.BLOCKMAP)
-    first_day = min(s.start for s in prices.values())
-    last_day = max(s.end for s in prices.values())
     start = first_day + dt.timedelta(days=cfg.lookback_days)
     end = last_day - dt.timedelta(days=cfg.forward_days)
     if end < start:
@@ -598,16 +610,16 @@ STAGES = (
     Stage(
         "ingest",
         keys=("min_price_days", "min_volume"),
-        shared=(META, PROBES, EVENTS),
+        shared=(META, PROBES, EVENTS, PRICES),
         index=(),
-        writes=(FILTERS,),
+        writes=(FILTERS, PRICE_SPAN),
         plan=_filters_plan,
         body=_ingest_filters,
     ),
     Stage(
         "snapshot",
         keys=("lookback_days", "forward_days"),
-        shared=(EVENTS, FILTERS, META, PRICES, BLOCKMAP),
+        shared=(EVENTS, FILTERS, META, PRICES, PRICE_SPAN, BLOCKMAP),
         index=(),
         writes=(f"{SNAPSHOTS}/*.csv",),
         plan=_snapshot_plan,

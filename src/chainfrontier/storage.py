@@ -19,7 +19,8 @@ naming the file and the line, like a bad cell.
 Writes go through a temp file in the target directory followed by an
 atomic rename, so a crashed stage never leaves a half-written partition
 behind. Floats are serialized with ``repr``, which round-trips exactly and
-is stable across runs, making reruns byte-comparable.
+is stable across runs, making reruns byte-comparable; a column that
+``_bool`` parses is written as ``true`` or ``false``.
 """
 
 from __future__ import annotations
@@ -43,19 +44,6 @@ from .ingest import (
 )
 
 
-def fmt(value) -> str:
-    """Serialize one CSV cell; None becomes the empty string."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return str(value)
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -65,11 +53,14 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``rows`` under ``header``. The csv module writes None as the
+    empty cell, a float by ``repr`` and any other cell, a date included, by
+    ``str``; it would write a bool as ``True``, so ``write_table`` formats
+    boolean columns first."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -123,6 +114,8 @@ class Table:
         self.parsers = tuple(parse for _, parse in columns)
         self.record = record
         self.cells = cells
+        # the columns written as true/false
+        self.bools = tuple(i for i, parse in enumerate(self.parsers) if parse is _bool)
 
 
 def read_table(path: Path, table: Table) -> list:
@@ -167,7 +160,16 @@ def write_table(path: Path, table: Table, records: Iterable) -> None:
     """Write ``records`` as one CSV file of ``table``'s schema."""
     if table.cells is not None:
         records = map(table.cells, records)
+    if table.bools:
+        records = (_format_bools(table.bools, cells) for cells in records)
     write_csv(path, table.header, records)
+
+
+def _format_bools(columns: tuple[int, ...], cells: Sequence) -> list:
+    cells = list(cells)
+    for i in columns:
+        cells[i] = "true" if cells[i] else "false"
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,10 @@ PRICES = Table(
         ("volume_usd", float),
     )
 )
+
+# the first and last priced day of prices.csv, one row; ingest writes it
+# for the snapshot calendar
+PRICE_SPAN = Table((("first_day", _date), ("last_day", _date)))
 
 # BlockTimeMap anchors
 BLOCKMAP = Table((("block", int), ("date", _date)))

@@ -150,6 +150,12 @@ def _repeat_a_price_row(ws: Path) -> str:
     return f"{path}: two rows for {token!r} on {day}"
 
 
+def _keep_price_span_header_only(ws: Path) -> str:
+    path = ws / "price_span.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return f"{path}: expected one row, got 0"
+
+
 def _edit_blockmap(edit):
     """Apply ``edit(ws, lines)`` to the lines of the block map; it returns
     the error message that should follow the file's name."""
@@ -311,6 +317,10 @@ def _delete_probed(directory: str, stage: str):
         (_set_held_event_block, ["--workers", "2", "snapshot"]),
         (_keep_price_header_only, ["snapshot"]),
         (_repeat_a_price_row, ["snapshot"]),
+        # ingest parses the prices for the snapshot calendar's span
+        (_keep_price_header_only, ["ingest"]),
+        (_negate_a_close, ["ingest"]),
+        (_keep_price_span_header_only, ["snapshot"]),
         (_edit_blockmap(_keep_blockmap_header_only), ["snapshot"]),
         (_edit_blockmap(_swap_two_anchors), ["snapshot"]),
         (_edit_blockmap(_start_anchors_after_first_snapshot), ["snapshot"]),
@@ -336,6 +346,9 @@ def _delete_probed(directory: str, stage: str):
         "bad-event-block-snapshot-workers-2",
         "header-only-prices",
         "repeated-price-row",
+        "header-only-prices-ingest",
+        "negative-close-ingest",
+        "header-only-price-span",
         "header-only-blockmap",
         "swapped-anchors",
         "late-first-anchor",

@@ -16,11 +16,13 @@ import csv
 import dataclasses
 import datetime as dt
 import fnmatch
+import importlib.util
 import json
 import math
 import os
 import random
 import shutil
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -281,10 +283,12 @@ def test_decimals_edit_matches_fresh_build(copied, tmp_path):
     assert_matches_fresh_build(copied, tmp_path)
 
 
-def test_prices_edit_skips_ingest_and_matches_fresh_build(copied, tmp_path):
-    """Ingest never reads prices, so one edited close recomputes none of
-    its partitions, while every snapshot month reads the prices."""
+def test_prices_edit_matches_fresh_build(copied, tmp_path):
+    """Ingest parses the prices for the priced-day span, so one edited
+    close recomputes its one partition, which writes the same screening
+    report, while every snapshot month reads the closes."""
     path = copied.workspace / "input" / "prices.csv"
+    filters = (copied.workspace / pipeline.FILTERS).read_bytes()
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     row = rows[len(rows) // 2]
@@ -292,9 +296,47 @@ def test_prices_edit_skips_ingest_and_matches_fresh_build(copied, tmp_path):
     with path.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     ran = run_pipeline(copied, PIPELINE_STAGES[1:])
-    assert ran["ingest"] == []
+    assert ran["ingest"] == ["filters"]
+    assert (copied.workspace / pipeline.FILTERS).read_bytes() == filters
     assert len(ran["snapshot"]) == copied.synth_months
     assert_matches_fresh_build(copied, tmp_path)
+
+
+@pytest.mark.parametrize("lost", [0, 1], ids=["last-day", "last-month"])
+def test_shorter_price_history_matches_fresh_build(copied, tmp_path, lost):
+    """Dropping the last priced days ends the span earlier; once the last
+    snapshot's forward window no longer fits, that month's files must go."""
+    ws = copied.workspace
+    months = snapshot_calendar(copied)
+    path = ws / "input" / "prices.csv"
+    rows = storage.read_table(path, storage.PRICES)
+    first, last = min(r[1] for r in rows), max(r[1] for r in rows)
+    if lost:
+        cut = months[-1].timestamp + dt.timedelta(days=copied.forward_days)
+    else:
+        cut = last
+    storage.write_table(path, storage.PRICES, [r for r in rows if r[1] < cut])
+    ran = run_pipeline(copied, PIPELINE_STAGES[1:])
+    assert ran["ingest"] == ["filters"]
+    span = storage.read_table(ws / pipeline.PRICE_SPAN, storage.PRICE_SPAN)
+    assert span == [(first, cut - dt.timedelta(days=1))]
+    kept = [s.month for s in months[: len(months) - lost]]
+    assert [s.month for s in snapshot_calendar(copied)] == kept
+    for sub in ("snapshots", "solutions", "perf"):
+        assert sorted(p.stem for p in (ws / sub).glob("*.csv")) == kept
+    assert_matches_fresh_build(copied, tmp_path)
+
+
+def test_deleted_price_span_recomputes_only_ingest(copied):
+    """Ingest writes the span again byte for byte, so no snapshot month,
+    which hashes it, recomputes."""
+    ws = copied.workspace
+    before = bundle(ws)
+    (ws / pipeline.PRICE_SPAN).unlink()
+    ran = run_pipeline(copied)
+    assert ran.pop("ingest") == ["filters"]
+    assert not any(ran.values())
+    assert bundle(ws) == before
 
 
 def test_lookback_edit_matches_fresh_build(copied, tmp_path):
@@ -522,8 +564,9 @@ def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
             validate_workspace(cfg)
         else:
             run_pipeline(cfg, [name])
-        # snapshot's calendar shares the one parse of prices.csv
-        expected = 1 if name in ("snapshot", "optimize", "metrics") else 0
+        # ingest parses prices.csv for the priced-day span, from which the
+        # snapshot calendar lists the months without a parse of its own
+        expected = 1 if name in ("ingest", "snapshot", "optimize", "metrics") else 0
         assert len(prices) == expected, name
         assert max(Counter(events).values(), default=0) <= 1, (name, events)
         if name in ("ingest", "snapshot", "validate"):
@@ -531,13 +574,26 @@ def test_stages_parse_shared_inputs_once(tmp_path, monkeypatch):
         else:
             assert events == [], name
 
-    # a no-op rerun loads nothing; only the snapshot calendar reads prices
+    # a no-op rerun loads nothing, and the snapshot calendar reads the span
     prices.clear()
     events.clear()
     ran = run_pipeline(cfg)
     assert not any(ran.values())
-    assert prices == ["prices.csv"]
+    assert prices == []
     assert events == []
+
+
+def test_noop_rerun_parses_only_the_calendar_inputs(copied, monkeypatch):
+    parsed: list[str] = []
+    read_table = storage.read_table
+
+    def recorded(path, table):
+        parsed.append(Path(path).relative_to(copied.workspace).as_posix())
+        return read_table(path, table)
+
+    monkeypatch.setattr(storage, "read_table", recorded)
+    assert not any(run_pipeline(copied).values())
+    assert sorted(parsed) == ["input/blockmap.csv", pipeline.PRICE_SPAN]
 
 
 def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
@@ -646,6 +702,19 @@ def test_every_built_file_is_written_by_exactly_one_row(built):
             if any(fnmatch.fnmatchcase(rel, pattern) for pattern in row.writes)
         ]
         assert len(rows) == 1, (rel, rows)
+
+
+def test_the_benchmark_drives_every_stage(monkeypatch):
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.STAGES == PIPELINE_STAGES, (
+        "bench/workloads.py lists the stages the benchmark runs, and its build "
+        "call names them; a new stage row needs a benchmark change first"
+    )
 
 
 def test_every_config_key_is_declared_by_a_stage():

@@ -39,14 +39,27 @@ def _event_records(path):
         return list(csv.DictReader(fh))
 
 
-def test_fmt_cells():
-    assert storage.fmt(None) == ""
-    assert storage.fmt(True) == "true"
-    assert storage.fmt(False) == "false"
-    assert storage.fmt(0.1) == "0.1"
-    assert storage.fmt(1 / 3) == repr(1 / 3)
-    assert storage.fmt(D(2021, 2, 3)) == "2021-02-03"
-    assert storage.fmt(10**30) == str(10**30)
+def test_cell_texts_round_trip(tmp_path):
+    """None is the empty cell, a boolean column reads true or false, a
+    float its repr, a date its ISO form and an int its digits."""
+    table = storage.Table(
+        (
+            ("none", storage._opt_float),
+            ("yes", storage._bool),
+            ("no", storage._bool),
+            ("tenth", float),
+            ("third", float),
+            ("day", storage._date),
+            ("big", int),
+        )
+    )
+    row = (None, True, False, 0.1, 1 / 3, D(2021, 2, 3), 10**30)
+    path = tmp_path / "cells.csv"
+    storage.write_table(path, table, [row])
+    with path.open(newline="") as fh:
+        _, cells = csv.reader(fh)
+    assert cells == ["", "true", "false", "0.1", repr(1 / 3), "2021-02-03", str(10**30)]
+    assert storage.read_table(path, table) == [row]
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
@@ -300,6 +313,7 @@ SAMPLES = {
     "EVENTS": TransferEvent("X", 1, 0, ZERO_ACCOUNT, "0xa", 500),
     "META": TokenMeta("Y", 6, None, None, None, None, False, None),
     "PRICES": ("X", D(2021, 1, 1), 1.0, 10.0, 5.0),
+    "PRICE_SPAN": (D(2021, 1, 1), D(2022, 12, 31)),
     "BLOCKMAP": (99, D(2021, 1, 1)),
     "PROBES": ("X", "0xa", 17, 5 * 10**20),
     "FILTERS": FilterReport("Y", False, FilterStage.NEGLIGIBLE_VOLUME, "low"),
