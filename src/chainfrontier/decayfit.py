@@ -4,18 +4,19 @@ Mean distances are bucketed by portfolio size and fitted with the
 saturating curve d(n) = delta_inf * (1 - psi * n**-gamma), which rises
 toward the asymptote ``delta_inf`` as books get larger. The fit is a
 weighted nonlinear least squares where each size bin counts by the square
-root of its observation count. It is solved by a small NumPy
-Levenberg–Marquardt routine (Moré 1978) with an analytic Jacobian,
-Jacobian-norm variable scaling and Nielsen's damping update.
+root of its observation count. It is solved by a small Levenberg–Marquardt
+routine (Moré 1978) with an analytic Jacobian, Jacobian-norm variable
+scaling and Nielsen's damping update. A fit has three parameters and at
+most a few dozen bins, so the routine works on plain Python floats and
+lists, and this module does not load NumPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .errors import UnidentifiableFitError
 
@@ -61,10 +62,9 @@ class DecayFit:
     n_bins: int
 
     def predict(self, n):
-        """Model value d(n) in percent for scalar or array sizes."""
-        arr = np.asarray(n, dtype=float)
-        out = self.delta_inf * (1.0 - self.psi * arr ** (-self.gamma))
-        return float(out) if np.isscalar(n) else out
+        """Model value d(n) in percent for a scalar size or a NumPy array of
+        sizes."""
+        return self.delta_inf * (1.0 - self.psi * n ** (-self.gamma))
 
 
 def bin_by_size(
@@ -100,36 +100,78 @@ def bin_by_size(
     return bins
 
 
-def _curve(n: np.ndarray, delta_inf: float, psi: float, gamma: float) -> np.ndarray:
-    return delta_inf * (1.0 - psi * n ** (-gamma))
+def _curve(
+    n: Sequence[float], delta_inf: float, psi: float, gamma: float
+) -> list[float]:
+    return [delta_inf * (1.0 - psi * v ** (-gamma)) for v in n]
 
 
-def _from_theta(theta: np.ndarray) -> tuple[float, float, float]:
-    a, b, c = (float(v) for v in theta)
+def _from_theta(theta: Sequence[float]) -> tuple[float, float, float]:
+    a, b, c = theta
     delta_inf = 100.0 / (1.0 + math.exp(-min(max(a, -_EXP_CAP), _EXP_CAP)))
     psi = math.exp(min(b, _EXP_CAP))
     gamma = math.exp(min(c, _EXP_CAP))
     return delta_inf, psi, gamma
 
 
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return sum(map(mul, u, v))
+
+
+def _least_squares(
+    columns: Sequence[Sequence[float]], rhs: Sequence[float]
+) -> list[float]:
+    """The h that minimises ||A h - rhs|| for the tall matrix A with these
+    columns, by Householder QR: A = QR, then R h = Qᵀ·rhs by back
+    substitution. A zero pivot, which only a rank-deficient A gives, leaves
+    its variable at 0."""
+    cols = [list(col) for col in columns]
+    b = list(rhs)
+    size = len(cols)
+    for k in range(size):
+        v = cols[k][k:]
+        norm = math.hypot(*v)
+        if norm == 0.0:
+            continue
+        # reflect onto -sign(v0)·norm·e0, which cancels no digits in v0
+        v0 = v[0]
+        alpha = -norm if v0 >= 0.0 else norm
+        v[0] = v0 - alpha
+        vv = norm * (norm + abs(v0))  # ||v||² / 2
+        for target in cols[k + 1 :] + [b]:
+            tail = target[k:]
+            s = _dot(v, tail) / vv
+            target[k:] = [t - s * vi for t, vi in zip(tail, v)]
+        cols[k][k] = alpha
+    h = [0.0] * size
+    for i in reversed(range(size)):
+        pivot = cols[i][i]
+        if pivot != 0.0:
+            tail = sum(cols[j][i] * h[j] for j in range(i + 1, size))
+            h[i] = (b[i] - tail) / pivot
+    return h
+
+
 def _levenberg_marquardt(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
+    fun: Callable[[list[float]], list[float]],
+    jac: Callable[[list[float]], list[list[float]]],
+    x0: Sequence[float],
     ftol: float,
     xtol: float,
     gtol: float,
     max_nfev: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[list[float], int]:
     """Minimise ||fun(x)||^2 from ``x0`` by scaled Levenberg–Marquardt steps.
 
-    As in Moré (1978), each variable is measured by the largest norm its
-    Jacobian column has reached, D, and a trial step h minimises
-    ||J h + r||^2 + mu ||D h||^2; it is solved as one stacked least-squares
-    system, which does not square J's condition number. A step is taken when
-    it achieves more than 1e-4 of its predicted reduction, and the damping
-    mu follows Nielsen's update: it shrinks by at most a factor of three
-    after a taken step and grows geometrically over consecutive refusals.
+    ``jac`` returns the Jacobian as a list of columns. As in Moré (1978),
+    each variable is measured by the largest norm its Jacobian column has
+    reached, D, and a trial step h minimises ||J h + r||^2 + mu ||D h||^2.
+    It is solved as the stacked least-squares system [J; sqrt(mu) D] h =
+    [-r; 0] by Householder QR, which does not square J's condition number
+    as the normal equations would. A step is taken when it achieves more
+    than 1e-4 of its predicted reduction, and the damping mu follows
+    Nielsen's update: it shrinks by at most a factor of three after a taken
+    step and grows geometrically over consecutive refusals.
 
     The exits follow MINPACK's tests. Returns the last taken point and a
     status: 0 when ``max_nfev`` residual evaluations are spent; 1 when every
@@ -138,41 +180,47 @@ def _levenberg_marquardt(
     are both at most ``ftol``; 3 when the scaled step is at most ``xtol``
     relative to the scaled point; 4 when 2 and 3 hold together.
     """
-    x = np.array(x0, dtype=float)
+    x = [float(v) for v in x0]
+    size = len(x)
     r = fun(x)
     nfev = 1
-    cost = float(r @ r)
+    cost = _dot(r, r)
     J = jac(x)
-    scale = np.linalg.norm(J, axis=0)
-    scale[scale == 0.0] = 1.0
+    scale = [math.hypot(*col) or 1.0 for col in J]
     mu, nu = 1e-3, 2.0
-    zeros = np.zeros(x.size)
     while True:
-        col_norms = np.linalg.norm(J, axis=0)
-        scale = np.maximum(scale, col_norms)
-        live = col_norms > 0.0
-        if cost == 0.0 or not live.any():
+        col_norms = [math.hypot(*col) for col in J]
+        scale = [max(s, c) for s, c in zip(scale, col_norms)]
+        live = [j for j in range(size) if col_norms[j] > 0.0]
+        if cost == 0.0 or not live:
             return x, 1
-        cosines = np.abs(J.T @ r)[live] / (col_norms[live] * math.sqrt(cost))
-        if float(cosines.max()) <= gtol:
+        root_cost = math.sqrt(cost)
+        cosines = [abs(_dot(J[j], r)) / (col_norms[j] * root_cost) for j in live]
+        if max(cosines) <= gtol:
             return x, 1
+        minus_r = [-v for v in r] + [0.0] * size
         while True:
             if nfev >= max_nfev:
                 return x, 0
-            damped = np.vstack((J, np.diag(math.sqrt(mu) * scale)))
-            h = np.linalg.lstsq(damped, np.concatenate((-r, zeros)), rcond=None)[0]
-            x_new = x + h
+            root_mu = math.sqrt(mu)
+            damped = [
+                col + [root_mu * scale[j] if i == j else 0.0 for i in range(size)]
+                for j, col in enumerate(J)
+            ]
+            h = _least_squares(damped, minus_r)
+            x_new = [xi + hi for xi, hi in zip(x, h)]
             r_new = fun(x_new)
             nfev += 1
-            cost_new = float(r_new @ r_new)
-            Jh, Dh = J @ h, scale * h
-            predicted = (float(Jh @ Jh) + 2.0 * mu * float(Dh @ Dh)) / cost
+            cost_new = _dot(r_new, r_new)
+            Jh = [_dot(row, h) for row in zip(*J)]
+            Dh = [s * hi for s, hi in zip(scale, h)]
+            predicted = (_dot(Jh, Jh) + 2.0 * mu * _dot(Dh, Dh)) / cost
             # MINPACK scores a step that grows the residual tenfold as -1
             actual = 1.0 - cost_new / cost if cost_new < 100.0 * cost else -1.0
             ratio = actual / predicted if predicted > 0.0 else 0.0
             small_f = abs(actual) <= ftol and predicted <= ftol and ratio <= 2.0
-            small_x = math.sqrt(float(Dh @ Dh)) <= xtol * (
-                float(np.linalg.norm(scale * x)) + xtol
+            small_x = math.sqrt(_dot(Dh, Dh)) <= xtol * (
+                math.hypot(*(s * xi for s, xi in zip(scale, x))) + xtol
             )
             taken = ratio > 1e-4
             if taken:
@@ -193,11 +241,11 @@ def weighted_sse(
     bins: Sequence[SizeBin], delta_inf: float, psi: float, gamma: float
 ) -> float:
     """Objective the fit minimises: sum of sqrt(count)-weighted squares."""
-    n = np.array([b.n for b in bins], dtype=float)
-    means = np.array([b.mean_d for b in bins])
-    counts = np.array([b.count for b in bins], dtype=float)
-    resid = means - _curve(n, delta_inf, psi, gamma)
-    return float(np.sum(np.sqrt(counts) * resid * resid))
+    fitted = _curve([float(b.n) for b in bins], delta_inf, psi, gamma)
+    return sum(
+        math.sqrt(b.count) * (b.mean_d - f) * (b.mean_d - f)
+        for b, f in zip(bins, fitted)
+    )
 
 
 def fit_power_decay(
@@ -216,67 +264,67 @@ def fit_power_decay(
     if len(bins) < 4:
         raise ValueError(f"need at least 4 bins to fit 3 parameters, got {len(bins)}")
     bins = sorted(bins, key=lambda b: b.n)
-    n = np.array([b.n for b in bins], dtype=float)
-    means = np.array([b.mean_d for b in bins])
-    counts = np.array([b.count for b in bins], dtype=float)
-    if float(np.ptp(means)) < 1e-12:
+    n = [float(b.n) for b in bins]
+    means = [b.mean_d for b in bins]
+    if max(means) - min(means) < 1e-12:
         raise UnidentifiableFitError(
             "bin means are constant; the decay exponent is unidentifiable"
         )
 
     if start is None:
-        delta0 = min(max(float(means.max()), 1e-3), 100.0 - 1e-9)
+        delta0 = min(max(max(means), 1e-3), 100.0 - 1e-9)
         gamma0 = 1.0
         # solve the smallest bin for psi under the starting asymptote
-        n_min = float(n[0])
-        psi0 = max((1.0 - means[0] / delta0) * n_min**gamma0, 1e-6)
+        psi0 = max((1.0 - means[0] / delta0) * n[0] ** gamma0, 1e-6)
     else:
         delta0, psi0, gamma0 = start
         if not (0.0 < delta0 <= 100.0 and psi0 > 0.0 and gamma0 > 0.0):
             raise ValueError("start parameters outside the feasible region")
         delta0 = min(delta0, 100.0 - 1e-12)
     p0 = min(max(delta0 / 100.0, 1e-12), 1.0 - 1e-12)
-    theta0 = np.array([math.log(p0 / (1.0 - p0)), math.log(psi0), math.log(gamma0)])
+    theta0 = [math.log(p0 / (1.0 - p0)), math.log(psi0), math.log(gamma0)]
 
-    quarter_weights = counts**0.25
-    log_n = np.log(n)
+    quarter_weights = [b.count**0.25 for b in bins]
+    log_n = [math.log(v) for v in n]
 
-    def residuals(theta: np.ndarray) -> np.ndarray:
+    def residuals(theta: list[float]) -> list[float]:
+        fitted = _curve(n, *_from_theta(theta))
+        return [w * (m - f) for w, m, f in zip(quarter_weights, means, fitted)]
+
+    def jacobian(theta: list[float]) -> list[list[float]]:
+        a, b, c = theta
         delta_inf, psi, gamma = _from_theta(theta)
-        return quarter_weights * (means - _curve(n, delta_inf, psi, gamma))
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        a, b, c = (float(v) for v in theta)
-        delta_inf, psi, gamma = _from_theta(theta)
-        decay = psi * n ** (-gamma)
+        decay = [psi * v ** (-gamma) for v in n]
         # derivatives of the three transforms, zero where _from_theta clamps;
         # 100 * sigmoid(a) * sigmoid(-a) keeps its digits as delta_inf -> 100
         e = math.exp(-abs(a))
         d_delta = 100.0 * e / (1.0 + e) ** 2 if abs(a) < _EXP_CAP else 0.0
         d_b = 1.0 if b < _EXP_CAP else 0.0
         d_c = gamma if c < _EXP_CAP else 0.0
-        return np.column_stack(
-            (
-                -quarter_weights * (1.0 - decay) * d_delta,
-                quarter_weights * delta_inf * decay * d_b,
-                -quarter_weights * delta_inf * decay * log_n * d_c,
-            )
-        )
+        return [
+            [-w * (1.0 - d) * d_delta for w, d in zip(quarter_weights, decay)],
+            [w * delta_inf * d * d_b for w, d in zip(quarter_weights, decay)],
+            [
+                -w * delta_inf * d * ln * d_c
+                for w, d, ln in zip(quarter_weights, decay, log_n)
+            ],
+        ]
 
     theta, status = _levenberg_marquardt(
         residuals, jacobian, theta0, ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=5000
     )
     delta_inf, psi, gamma = _from_theta(theta)
-    pred = _curve(n, delta_inf, psi, gamma)
-    ss_res = float(np.sum((means - pred) ** 2))
-    ss_tot = float(np.sum((means - means.mean()) ** 2))
+    errors = [m - f for m, f in zip(means, _curve(n, delta_inf, psi, gamma))]
+    mean_of_means = sum(means) / len(means)
+    ss_res = sum(err * err for err in errors)
+    ss_tot = sum((m - mean_of_means) ** 2 for m in means)
     return DecayFit(
         strategy=strategy,
         delta_inf=delta_inf,
         psi=psi,
         gamma=gamma,
         r_squared=1.0 - ss_res / ss_tot,
-        mae=float(np.mean(np.abs(means - pred))),
+        mae=sum(abs(err) for err in errors) / len(errors),
         converged=status > 0 and delta_inf < 100.0 - _PINNED_TOL,
         n_bins=len(bins),
     )

@@ -1,10 +1,11 @@
 """The partition bodies of the stages that crunch numbers.
 
-Synth, optimize, metrics and report are the only stages that need NumPy
-and the numeric layers. ``pipeline`` imports this module only when one of
-their rows has a stale partition, and does so in the parent process before
-any pool forks, so pool workers inherit NumPy instead of each importing it.
-A no-op run, a snapshot repair and ``validate`` never load it.
+Synth, optimize and metrics are the only stages that need NumPy and the
+numeric layers. ``pipeline`` imports this module only when one of their
+rows has a stale partition, and does so in the parent process before any
+pool forks, so pool workers inherit NumPy instead of each importing it.
+A no-op run, a snapshot repair, ``validate`` and the report, whose bodies
+live in ``pipeline``, never load it.
 
 The layers are called through their modules (``frontier.solve``, not a
 bare ``solve``), so a wrapper installed on a module attribute, as the
@@ -14,31 +15,25 @@ bench's tracer installs one, sees every call.
 from __future__ import annotations
 
 import datetime as dt
-import logging
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from . import concentration, decayfit, frontier, marketdata, metrics, storage, synth
+from . import frontier, marketdata, metrics, storage, synth
 from .config import PipelineConfig
-from .errors import InputError, UnidentifiableFitError
+from .errors import InputError
 from .pipeline import (
+    BASELINE,
     BLOCKMAP,
     EVENTS,
     META,
     PERF,
     PRICES,
     PROBES,
-    REPORT,
     SNAPSHOTS,
     SOLUTIONS,
 )
 from .prices import PriceSeries, price_rows
 
-log = logging.getLogger(__name__)
-
-BASELINE = "baseline"
 FRONTIER_STRATEGIES = (
     frontier.Strategy.MIN_VAR,
     frontier.Strategy.MAX_RET,
@@ -213,8 +208,9 @@ def metrics_month(
     for sol in solutions:
         if not sol.converged:
             continue
-        token_ids = sorted(sol.weights)
-        w = np.array([sol.weights[tid] for tid in token_ids])
+        weights = storage.decode_weights(sol.weights)
+        token_ids = sorted(weights)
+        w = np.array([weights[tid] for tid in token_ids])
         p0 = np.array([prices[tid].close_on(snapshot_day) for tid in token_ids])
         p1 = np.array([prices[tid].close_on(forward_end) for tid in token_ids])
         fwd = metrics.forward_return(w, p0, p1)
@@ -231,119 +227,3 @@ def metrics_month(
             )
         )
     storage.write_table(out_path, storage.PERF, records)
-
-
-# ---------------------------------------------------------------------------
-# report stage
-
-
-def _month_files(directory: Path) -> list[Path]:
-    return sorted(Path(directory).glob("*.csv"))
-
-
-def _distance_histogram(
-    solutions: list[storage.SolutionRow], edges: Sequence[float]
-) -> list[tuple]:
-    rows: list[tuple] = []
-    strategies = sorted({s.strategy for s in solutions if s.strategy != BASELINE})
-    edges_arr = np.asarray(edges, dtype=float)
-    for strategy in strategies:
-        distances = [
-            100.0 * s.distance
-            for s in solutions
-            if s.strategy == strategy and s.converged
-        ]
-        counts, _ = np.histogram(distances, bins=edges_arr)
-        for lo, hi, count in zip(edges_arr, edges_arr[1:], counts):
-            rows.append((strategy, float(lo), float(hi), int(count)))
-    return rows
-
-
-def _decay_fits(cfg: PipelineConfig, solutions: list[storage.SolutionRow]):
-    fits = []
-    strategies = sorted({s.strategy for s in solutions if s.strategy != BASELINE})
-    for strategy in strategies:
-        records = [
-            (s.n_assets, s.distance)
-            for s in solutions
-            if s.strategy == strategy and s.converged
-        ]
-        try:
-            bins = decayfit.bin_by_size(
-                records,
-                n_range=(cfg.size_bin_min, cfg.size_bin_max),
-                min_count=cfg.min_bin_count,
-            )
-            fits.append(decayfit.fit_power_decay(bins, strategy=strategy))
-        except (ValueError, UnidentifiableFitError) as exc:
-            log.warning("decay fit skipped for %s: %s", strategy, exc)
-    return fits
-
-
-def _concentration_rows(cfg: PipelineConfig) -> list[concentration.ConcentrationRow]:
-    ws = cfg.workspace
-    rows: list[concentration.ConcentrationRow] = []
-    for path in _month_files(ws / SNAPSHOTS):
-        positions = storage.read_table(path, storage.POSITIONS)
-        if not positions:
-            continue
-        snapshot_day = positions[0].snapshot_date
-        totals: dict[str, float] = {}
-        token_values: dict[str, list[float]] = {}
-        for pos in positions:
-            totals[pos.account] = totals.get(pos.account, 0.0) + pos.value_usd
-            token_values.setdefault(pos.token_id, []).append(pos.value_usd)
-        eco = concentration.concentration_row(
-            "ecosystem",
-            snapshot_day,
-            list(totals.values()),
-            k_pcts=cfg.top_k_pcts,
-            dust_threshold=cfg.dust_threshold,
-        )
-        if eco is not None:
-            rows.append(eco)
-        for tid in sorted(token_values):
-            values = token_values[tid]
-            holders = sum(1 for v in values if v > cfg.dust_threshold)
-            if holders < cfg.min_holders:
-                continue
-            row = concentration.concentration_row(
-                tid,
-                snapshot_day,
-                values,
-                k_pcts=cfg.top_k_pcts,
-                dust_threshold=cfg.dust_threshold,
-            )
-            if row is not None:
-                rows.append(row)
-    return rows
-
-
-def report_all(cfg: PipelineConfig) -> None:
-    ws = cfg.workspace
-    solutions: list[storage.SolutionRow] = []
-    for path in _month_files(ws / SOLUTIONS):
-        solutions.extend(storage.read_table(path, storage.SOLUTIONS))
-    records: list[metrics.PerfRecord] = []
-    for path in _month_files(ws / PERF):
-        records.extend(
-            metrics.PerfRecord(*row) for row in storage.read_table(path, storage.PERF)
-        )
-
-    report = metrics.aggregate(records, baseline=BASELINE)
-    out = ws / REPORT
-    storage.write_table(out / "summary.csv", storage.SUMMARY, report.summaries)
-    storage.write_table(
-        out / "excess_curve.csv", storage.EXCESS_CURVE, report.excess_curve
-    )
-    storage.write_table(
-        out / "distance_hist.csv",
-        storage.DISTANCE_HIST,
-        _distance_histogram(solutions, cfg.distance_bin_edges),
-    )
-    storage.write_table(
-        out / "decay_fit.csv", storage.DECAY_FIT, _decay_fits(cfg, solutions)
-    )
-    storage.write_table(
-        out / "concentration.csv", storage.CONCENTRATION, _concentration_rows(cfg)
-    )

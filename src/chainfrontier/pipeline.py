@@ -12,13 +12,14 @@ the token's event file.
 One table, ``STAGES``, wires them, one row per stage. Each row names the
 config keys its results depend on, the workspace files or directories all
 of its partitions read, the globs of the files it writes, and a plan that
-lists its partitions (one, or one per snapshot month), each with its own
-reads, writes and arguments, plus an optional once-per-stage load.
-Everything the cache does follows from the rows:
+lists its partitions (one, one per snapshot month, or one per group of
+report tables), each with its own reads, writes, arguments and config
+keys, plus an optional once-per-stage load. Everything the cache does
+follows from the rows:
 
 - a partition's input hash covers the row's config keys, the shared reads,
-  and its own reads and arguments, so an edit reaches exactly the
-  partitions that read it;
+  and its own config keys, reads and arguments, so an edit reaches exactly
+  the partitions that read it;
 - a partition is recomputed when its input hash or the hash of its output
   files differs from ``manifest.json``, which records both per partition;
 - a file matching a row's write globs that no partition writes any more
@@ -30,15 +31,23 @@ Each file is read for hashing at most once per run, and a partition's
 writes replace the digests of what it rewrote. ``manifest.json`` is read
 once per run and rewritten only after a row whose entry changed.
 
-This module, and the ingest and snapshot bodies in it, are plain Python.
-The bodies of synth, optimize, metrics and report live in ``numeric``,
+This module, and the ingest, snapshot and report bodies in it, are plain
+Python. The bodies of synth, optimize and metrics live in ``numeric``,
 which loads NumPy; it is imported only when one of their rows has a stale
 partition, and then in this process before any pool forks, so pool
-workers inherit it. A no-op run, a repair that stops at snapshot and
-``validate`` therefore never import NumPy.
+workers inherit it. The report has three partitions, one per input
+family: ``performance`` reads the perf months and imports ``metrics``,
+``distance`` reads the solution months and fits the decay curves in plain
+Python, and ``concentration`` reads the snapshot months and imports
+``concentration``; the two imports load NumPy. A no-op run, a repair that
+stops at snapshot, ``validate`` and an edit of a distance key
+(``distance_bin_edges``, ``size_bin_min``, ``size_bin_max``,
+``min_bin_count``) therefore never import NumPy.
 
 The load runs only when some partition is stale, once and in this
-process, before any pool forks; pool workers inherit its result. The
+process, before any pool forks; pool workers inherit its result. Only a
+row with a load forks a pool: the report's partitions run in this
+process whatever the worker count. The
 prices and the event files behind the ledgers are parsed at most once per
 run: the run keeps the series and the ledgers in a table keyed by file and
 content digest until the last selected row that declares the file has
@@ -50,6 +59,7 @@ changes wall time and nothing else.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import datetime as dt
 import fnmatch
@@ -95,6 +105,9 @@ PERF = "perf"
 REPORT = "report"
 MANIFEST = "manifest.json"
 
+# the strategy of a solution row that holds the observed book
+BASELINE = "baseline"
+
 REPORT_FILES = (
     "summary.csv",
     "excess_curve.csv",
@@ -111,12 +124,14 @@ REPORT_FILES = (
 @dataclasses.dataclass(frozen=True)
 class Part:
     """One partition: the files it alone reads and writes (relative to the
-    workspace) and the arguments its stage's body takes after ``cfg``."""
+    workspace), the arguments its stage's body takes after ``cfg``, and the
+    config fields that its results alone depend on, beyond its row's."""
 
     name: str
     writes: tuple[str, ...]
     reads: tuple[str, ...] = ()
     args: tuple = ()
+    keys: tuple[str, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,7 +150,9 @@ class Stage:
     partition's arguments. A file that a load parsed stays parsed until
     the last selected row that declares it in ``shared`` or ``index`` has
     run. A stage that crunches numbers names its body in
-    ``numeric`` instead; see ``_body``. Rows run in table order.
+    ``numeric`` instead; see ``_body``. A partition's own ``keys`` add to
+    the row's, so a key that only one partition reads (a report table's
+    knob) invalidates that partition alone. Rows run in table order.
     """
 
     name: str
@@ -207,6 +224,11 @@ def _read_through(path: Path, parse: Callable[[Path], T]) -> T:
     return parse(path) if _parsed is None else _parsed.get(path, parse)
 
 
+def _hash_keys(digest, cfg: PipelineConfig, keys: Sequence[str]) -> None:
+    for key in keys:
+        digest.update(f"{key}={getattr(cfg, key)!r};".encode())
+
+
 def _producer(rel: str) -> str:
     """The stage whose row writes ``rel``, a file or a directory of files."""
     for row in STAGES:
@@ -255,14 +277,17 @@ def _run_in_worker(fn: Callable, args: tuple) -> None:
 def _run_tasks(
     fn: Callable, arglists: Sequence[tuple], workers: int, load: Callable | None
 ) -> None:
-    """Call ``fn`` once per argument tuple, in a pool when ``workers > 1``.
+    """Call ``fn`` once per argument tuple.
 
     When ``load`` is given, it runs once, in this process, and its result
-    is passed to every call ahead of the arguments.
+    is passed to every call ahead of the arguments. The calls run in a pool
+    of forked workers, which inherit the loaded inputs, only when there is
+    a load, more than one call and ``workers > 1``; a row without a load
+    (the report's tables) has too little work per call to pay for a fork.
     """
     global _worker_inputs
     inputs = () if load is None else (load(),)
-    if workers > 1 and len(arglists) > 1:
+    if workers > 1 and len(arglists) > 1 and load is not None:
         # imported here so that a serial run never loads multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -317,8 +342,7 @@ def _run_stage(
     _drop_stale(ws, row, parts, digests)
 
     shared = hashlib.sha256()
-    for key in row.keys:
-        shared.update(f"{key}={getattr(cfg, key)!r};".encode())
+    _hash_keys(shared, cfg, row.keys)
     shared.update(_digest(ws, row.shared, digests).encode())
 
     prior = manifest.get(row.name, {})
@@ -326,6 +350,7 @@ def _run_stage(
     todo: list[tuple[Part, str]] = []
     for part in parts:
         digest = shared.copy()
+        _hash_keys(digest, cfg, part.keys)
         digest.update(_digest(ws, part.reads, digests).encode())
         digest.update(repr(part.args).encode())
         inputs = digest.hexdigest()
@@ -573,14 +598,149 @@ def _per_month(src: str, dst: str) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# report stage
+# report stage: one partition per input family, run in this process
 
 
 _REPORT_WRITES = tuple(f"{REPORT}/{name}" for name in REPORT_FILES)
 
 
 def _report_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
-    return [Part("bundle", _REPORT_WRITES)], None
+    def part(name: str, reads: str, files: tuple[str, ...], keys=()) -> Part:
+        writes = tuple(f"{REPORT}/{f}" for f in files)
+        return Part(name, writes, (reads,), (name,), keys)
+
+    return [
+        part("performance", PERF, ("summary.csv", "excess_curve.csv")),
+        part(
+            "distance",
+            SOLUTIONS,
+            ("distance_hist.csv", "decay_fit.csv"),
+            ("distance_bin_edges", "size_bin_min", "size_bin_max", "min_bin_count"),
+        ),
+        part(
+            "concentration",
+            SNAPSHOTS,
+            ("concentration.csv",),
+            ("dust_threshold", "top_k_pcts", "min_holders"),
+        ),
+    ], None
+
+
+def _month_rows(directory: Path, table: storage.Table) -> list:
+    """The rows of every month file in ``directory``, month by month."""
+    paths = sorted(directory.glob("*.csv"))
+    return [row for path in paths for row in storage.read_table(path, table)]
+
+
+def _report_performance(cfg: PipelineConfig) -> None:
+    from . import metrics  # loads NumPy
+
+    ws = cfg.workspace
+    records = [metrics.PerfRecord(*row) for row in _month_rows(ws / PERF, storage.PERF)]
+    report = metrics.aggregate(records, baseline=BASELINE)
+    storage.write_table(ws / REPORT / "summary.csv", storage.SUMMARY, report.summaries)
+    storage.write_table(
+        ws / REPORT / "excess_curve.csv", storage.EXCESS_CURVE, report.excess_curve
+    )
+
+
+def _bin_counts(values: Sequence[float], edges: Sequence[float]) -> list[int]:
+    """How many ``values`` fall in each bin between consecutive ``edges``.
+
+    A bin holds its left edge, and the last bin its right edge too; values
+    outside the edges count nowhere. ``np.histogram`` with explicit edges
+    counts the same way, by searching the sorted values for each edge.
+    """
+    ordered = sorted(values)
+    below = [bisect.bisect_left(ordered, e) for e in edges[:-1]]
+    below.append(bisect.bisect_right(ordered, edges[-1]))
+    return [hi - lo for lo, hi in zip(below, below[1:])]
+
+
+def _report_distance(cfg: PipelineConfig) -> None:
+    """The distance histogram and the decay fit of each frontier strategy,
+    both over its converged rows. Plain Python: no NumPy is loaded."""
+    from . import decayfit
+
+    ws = cfg.workspace
+    converged: dict[str, list[storage.SolutionRow]] = {}
+    for s in _month_rows(ws / SOLUTIONS, storage.SOLUTIONS):
+        if s.strategy != BASELINE:
+            # a strategy with no converged row still gets its histogram rows
+            rows = converged.setdefault(s.strategy, [])
+            if s.converged:
+                rows.append(s)
+    edges = cfg.distance_bin_edges
+    hist: list[tuple] = []
+    fits = []
+    for strategy in sorted(converged):
+        rows = converged[strategy]
+        counts = _bin_counts([100.0 * s.distance for s in rows], edges)
+        for lo, hi, count in zip(edges, edges[1:], counts):
+            hist.append((strategy, float(lo), float(hi), count))
+        try:
+            bins = decayfit.bin_by_size(
+                [(s.n_assets, s.distance) for s in rows],
+                n_range=(cfg.size_bin_min, cfg.size_bin_max),
+                min_count=cfg.min_bin_count,
+            )
+            fits.append(decayfit.fit_power_decay(bins, strategy=strategy))
+        except ValueError as exc:  # no full size bin, or an unidentifiable fit
+            log.warning("decay fit skipped for %s: %s", strategy, exc)
+    storage.write_table(ws / REPORT / "distance_hist.csv", storage.DISTANCE_HIST, hist)
+    storage.write_table(ws / REPORT / "decay_fit.csv", storage.DECAY_FIT, fits)
+
+
+def _report_concentration(cfg: PipelineConfig) -> None:
+    from . import concentration  # loads NumPy
+
+    ws = cfg.workspace
+    rows: list = []
+    for path in sorted((ws / SNAPSHOTS).glob("*.csv")):
+        positions = storage.read_table(path, storage.POSITIONS)
+        if not positions:
+            continue
+        snapshot_day = positions[0].snapshot_date
+        totals: dict[str, float] = {}
+        token_values: dict[str, list[float]] = {}
+        for pos in positions:
+            totals[pos.account] = totals.get(pos.account, 0.0) + pos.value_usd
+            token_values.setdefault(pos.token_id, []).append(pos.value_usd)
+        eco = concentration.concentration_row(
+            "ecosystem",
+            snapshot_day,
+            list(totals.values()),
+            k_pcts=cfg.top_k_pcts,
+            dust_threshold=cfg.dust_threshold,
+        )
+        if eco is not None:
+            rows.append(eco)
+        for tid in sorted(token_values):
+            values = token_values[tid]
+            holders = sum(1 for v in values if v > cfg.dust_threshold)
+            if holders < cfg.min_holders:
+                continue
+            row = concentration.concentration_row(
+                tid,
+                snapshot_day,
+                values,
+                k_pcts=cfg.top_k_pcts,
+                dust_threshold=cfg.dust_threshold,
+            )
+            if row is not None:
+                rows.append(row)
+    storage.write_table(ws / REPORT / "concentration.csv", storage.CONCENTRATION, rows)
+
+
+_REPORT_BODIES = {
+    "performance": _report_performance,
+    "distance": _report_distance,
+    "concentration": _report_concentration,
+}
+
+
+def _report_part(cfg: PipelineConfig, name: str) -> None:
+    _REPORT_BODIES[name](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -645,20 +805,12 @@ STAGES = (
     ),
     Stage(
         "report",
-        keys=(
-            "dust_threshold",
-            "top_k_pcts",
-            "min_holders",
-            "distance_bin_edges",
-            "size_bin_min",
-            "size_bin_max",
-            "min_bin_count",
-        ),
-        shared=(PERF, SOLUTIONS, SNAPSHOTS),
+        keys=(),
+        shared=(),
         index=(),
         writes=_REPORT_WRITES,
         plan=_report_plan,
-        body="report_all",
+        body=_report_part,
     ),
 )
 

@@ -369,13 +369,14 @@ POSITIONS = Table(
 
 
 class SolutionRow(NamedTuple):
-    """One solver row; ``weights`` is written as ``encode_weights`` gives it
-    and read back decoded."""
+    """One solver row. ``weights`` is the cell as ``encode_weights`` writes
+    it; it is read back encoded, since only the metrics stage reads a
+    weight, and that stage decodes it with ``decode_weights``."""
 
     snapshot_date: dt.date
     account: str
     strategy: str
-    weights: dict[str, float]
+    weights: str
     mu: float
     sigma: float
     converged: bool
@@ -391,7 +392,7 @@ SOLUTIONS = Table(
         ("snapshot_date", _date),
         ("account", str),
         ("strategy", str),
-        ("weights", decode_weights),
+        ("weights", str),
         ("mu", float),
         ("sigma", float),
         ("converged", _bool),

@@ -26,7 +26,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainfrontier import frontier, pipeline, storage
 from chainfrontier.config import PipelineConfig
@@ -109,7 +112,7 @@ def test_all_stages_ran(built):
     assert ran["synth"] == ["all"]
     assert ran["ingest"] == ["filters"]
     assert len(ran["snapshot"]) == cfg.synth_months
-    assert ran["report"] == ["bundle"]
+    assert ran["report"] == ["performance", "distance", "concentration"]
 
 
 def test_partition_layout(built):
@@ -148,10 +151,11 @@ def test_solutions_reference_snapshot_universe(built):
     )
     held = {(r.account, r.token_id) for r in positions}
     for sol in storage.read_table(ws / "solutions" / f"{month}.csv", storage.SOLUTIONS):
-        for tid in sol.weights:
+        weights = storage.decode_weights(sol.weights)
+        for tid in weights:
             assert (sol.account, tid) in held
         assert sol.strategy in ("baseline", "min_var", "max_ret", "max_sr")
-        total = sum(sol.weights.values())
+        total = sum(weights.values())
         if sol.converged:
             assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -219,7 +223,7 @@ def test_manifest_is_read_once_and_written_when_an_entry_changes(copied, monkeyp
 
     # a report-only change rewrites the manifest once, for the report row
     changed = dataclasses.replace(copied, min_bin_count=copied.min_bin_count + 1)
-    assert run_pipeline(changed)["report"] == ["bundle"]
+    assert run_pipeline(changed)["report"] == ["distance"]
     assert calls == {"read": 3, "write": 1}
     assert (ws / MANIFEST).read_bytes() != original
     run_pipeline(copied)
@@ -259,7 +263,7 @@ def test_config_change_invalidates_only_dependent_stage(copied):
     assert ran["snapshot"] == []
     assert ran["optimize"] == []
     assert ran["metrics"] == []
-    assert ran["report"] == ["bundle"]
+    assert ran["report"] == ["concentration"]
 
 
 def test_decimals_edit_matches_fresh_build(copied, tmp_path):
@@ -414,8 +418,9 @@ def _drop_a_held_price(cfg: PipelineConfig) -> PipelineConfig:
     return cfg
 
 
-# one edit of an input file or of a key of the optimize, metrics,
-# ingest or report row each; every one must change some output
+# one edit of an input file or of a key of the optimize, metrics or
+# ingest row each, and of every report key; every one must change some
+# output
 EDITS = {
     "event-amount": _double_a_mint,
     "blockmap-block": _move_a_snapshot_block,
@@ -434,6 +439,15 @@ EDITS = {
     ),
     # at the default of 30 no size bin is full enough to fit
     "min_bin_count": lambda cfg: dataclasses.replace(cfg, min_bin_count=2),
+    "top_k_pcts": lambda cfg: dataclasses.replace(cfg, top_k_pcts=(50.0,)),
+    "min_holders": lambda cfg: dataclasses.replace(cfg, min_holders=10),
+    # size bins need min_bin_count = 2 to fill, as above
+    "size_bin_min": lambda cfg: dataclasses.replace(
+        cfg, min_bin_count=2, size_bin_min=3
+    ),
+    "size_bin_max": lambda cfg: dataclasses.replace(
+        cfg, min_bin_count=2, size_bin_max=5
+    ),
 }
 
 
@@ -596,6 +610,53 @@ def test_noop_rerun_parses_only_the_calendar_inputs(copied, monkeypatch):
     assert sorted(parsed) == ["input/blockmap.csv", pipeline.PRICE_SPAN]
 
 
+# a report-only edit of each keyed report partition, the one partition it
+# recomputes, the directory that partition reads and the two it must not
+REPORT_EDITS = {
+    "min_bin_count": ("distance", "solutions", ("perf", "snapshots")),
+    "dust_threshold": ("concentration", "snapshots", ("solutions", "perf")),
+}
+
+
+@pytest.mark.parametrize("key", REPORT_EDITS)
+def test_report_edit_parses_only_its_partition_inputs(copied, monkeypatch, key):
+    part, read, unread = REPORT_EDITS[key]
+    parsed: list[str] = []
+    read_table = storage.read_table
+
+    def recorded(path, table):
+        parsed.append(Path(path).relative_to(copied.workspace).parts[0])
+        return read_table(path, table)
+
+    monkeypatch.setattr(storage, "read_table", recorded)
+    edited = dataclasses.replace(copied, **{key: 2 * getattr(copied, key) + 1})
+    ran = run_pipeline(edited)
+    assert ran["report"] == [part]
+    assert read in parsed
+    assert not set(unread) & set(parsed)
+
+
+EDGES = PipelineConfig().distance_bin_edges
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(EDGES),
+            st.floats(-10.0, 110.0),
+            st.floats(allow_nan=False),
+        ),
+        max_size=40,
+    )
+)
+# on an inner edge, below the first, above the last and on the last edge
+@example([20.0, -1.0, 100.5, 100.0, 0.0, 99.99])
+def test_bin_counts_match_numpy_histogram(values):
+    expected = np.histogram(np.array(values, dtype=float), bins=EDGES)[0]
+    assert pipeline._bin_counts(values, EDGES) == [int(c) for c in expected]
+
+
 def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
     cfg, _ = built
     parent = os.getpid()
@@ -717,16 +778,32 @@ def test_the_benchmark_drives_every_stage(monkeypatch):
     )
 
 
-def test_every_config_key_is_declared_by_a_stage():
+def test_every_config_key_is_declared_by_a_stage(built):
+    """By a row, for all of its partitions, or by one partition alone."""
+    cfg, _ = built
     declared = {key for row in STAGES for key in row.keys}
+    for row in STAGES:
+        declared.update(key for part in row.plan(cfg)[0] for key in part.keys)
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert declared == fields - {"workspace", "workers"}
+
+
+def _declared_reads(row) -> tuple[str, ...]:
+    """A row's shared and index reads, and the reads of the partitions that
+    its plan lists from the config alone; a plan that needs upstream files
+    (the snapshot calendar) lists none without a workspace."""
+    try:
+        parts = row.plan(PipelineConfig(workspace=Path("no-workspace")))[0]
+    except DependencyError:
+        parts = []
+    own = (rel for part in parts for rel in part.reads)
+    return tuple(dict.fromkeys((*row.index, *row.shared, *own)))
 
 
 MISSING_READS = [
     (row.name, rel)
     for row in STAGES
-    for rel in row.index + row.shared
+    for rel in _declared_reads(row)
     if _producer(rel) != row.name
 ]
 
