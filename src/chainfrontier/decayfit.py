@@ -1,14 +1,13 @@
 """Power-decay model of mean rebalancing distance versus portfolio size.
 
 Mean distances are bucketed by portfolio size and fitted with the
-saturating curve d(n) = delta_inf * (1 - psi * n**-gamma), which rises
-toward the asymptote ``delta_inf`` as books get larger. The fit is a
-weighted nonlinear least squares where each size bin counts by the square
-root of its observation count. It is solved by a small Levenberg–Marquardt
-routine (Moré 1978) with an analytic Jacobian, Jacobian-norm variable
-scaling and Nielsen's damping update. A fit has three parameters and at
-most a few dozen bins, so the routine works on plain Python floats and
-lists, and this module does not load NumPy.
+saturating curve d(n) = delta_inf * (1 - psi * n**-gamma), a weighted least
+squares in which each size bin counts by the square root of its observation
+count, under delta_inf <= 100 and psi >= 0. For a fixed gamma the curve is
+linear in (A, B) = (delta_inf, delta_inf * psi * n0**-gamma) against 1 and
+-(n/n0)**-gamma, n0 being the smallest size, so the fit is a search over
+gamma alone (variable projection; Golub & Pereyra 1973). A fit has at most
+a few dozen bins, so it works on plain Python floats and loads no NumPy.
 """
 
 from __future__ import annotations
@@ -22,11 +21,14 @@ from .errors import UnidentifiableFitError
 
 __all__ = ["DecayFit", "SizeBin", "bin_by_size", "fit_power_decay", "weighted_sse"]
 
-# parameters move through unconstrained space; cap the exponentials so a
-# wild trust-region step cannot overflow to inf mid-iteration
-_EXP_CAP = 60.0
-# an asymptote this close to 100 percent sits on the logistic cap: the data
-# asked for more, so the fit is not a stationary point of the model
+# log-spaced exponents the search scores; on 3 000 random bin sets a grid of
+# 32 or 48 missed the best basin once, 64 never
+_GRID = 64
+# the largest n0**gamma searched, so that psi = (B / A) * n0**gamma stays
+# finite with room for any B / A below 2**63
+_MAX_SCALE_LOG2 = 960
+# an asymptote this close to 100 percent sits on the cap: the data asked for
+# more, so the fit is not a stationary point of the model
 _PINNED_TOL = 1e-6
 
 
@@ -47,9 +49,10 @@ class DecayFit:
     """Fitted decay curve for one strategy with goodness-of-fit numbers.
 
     ``mae`` is the unweighted mean absolute error against bin means, in
-    percent points. A fit that hit the iteration cap, or whose asymptote is
-    pinned at the 100 percent cap, is returned with ``converged`` False and
-    the best parameters found.
+    percent points. ``converged`` is False, with the best parameters found,
+    when the best exponent is an end of the searched range, when psi is 0,
+    or when the asymptote is pinned at the 100 percent cap (it then reads
+    100 exactly).
     """
 
     strategy: str
@@ -106,135 +109,22 @@ def _curve(
     return [delta_inf * (1.0 - psi * v ** (-gamma)) for v in n]
 
 
-def _from_theta(theta: Sequence[float]) -> tuple[float, float, float]:
-    a, b, c = theta
-    delta_inf = 100.0 / (1.0 + math.exp(-min(max(a, -_EXP_CAP), _EXP_CAP)))
-    psi = math.exp(min(b, _EXP_CAP))
-    gamma = math.exp(min(c, _EXP_CAP))
-    return delta_inf, psi, gamma
-
-
-def _dot(u: Sequence[float], v: Sequence[float]) -> float:
-    return sum(map(mul, u, v))
-
-
-def _least_squares(
-    columns: Sequence[Sequence[float]], rhs: Sequence[float]
-) -> list[float]:
-    """The h that minimises ||A h - rhs|| for the tall matrix A with these
-    columns, by Householder QR: A = QR, then R h = Qᵀ·rhs by back
-    substitution. A zero pivot, which only a rank-deficient A gives, leaves
-    its variable at 0."""
-    cols = [list(col) for col in columns]
-    b = list(rhs)
-    size = len(cols)
-    for k in range(size):
-        v = cols[k][k:]
-        norm = math.hypot(*v)
-        if norm == 0.0:
-            continue
-        # reflect onto -sign(v0)·norm·e0, which cancels no digits in v0
-        v0 = v[0]
-        alpha = -norm if v0 >= 0.0 else norm
-        v[0] = v0 - alpha
-        vv = norm * (norm + abs(v0))  # ||v||² / 2
-        for target in cols[k + 1 :] + [b]:
-            tail = target[k:]
-            s = _dot(v, tail) / vv
-            target[k:] = [t - s * vi for t, vi in zip(tail, v)]
-        cols[k][k] = alpha
-    h = [0.0] * size
-    for i in reversed(range(size)):
-        pivot = cols[i][i]
-        if pivot != 0.0:
-            tail = sum(cols[j][i] * h[j] for j in range(i + 1, size))
-            h[i] = (b[i] - tail) / pivot
-    return h
-
-
-def _levenberg_marquardt(
-    fun: Callable[[list[float]], list[float]],
-    jac: Callable[[list[float]], list[list[float]]],
-    x0: Sequence[float],
-    ftol: float,
-    xtol: float,
-    gtol: float,
-    max_nfev: int,
-) -> tuple[list[float], int]:
-    """Minimise ||fun(x)||^2 from ``x0`` by scaled Levenberg–Marquardt steps.
-
-    ``jac`` returns the Jacobian as a list of columns. As in Moré (1978),
-    each variable is measured by the largest norm its Jacobian column has
-    reached, D, and a trial step h minimises ||J h + r||^2 + mu ||D h||^2.
-    It is solved as the stacked least-squares system [J; sqrt(mu) D] h =
-    [-r; 0] by Householder QR, which does not square J's condition number
-    as the normal equations would. A step is taken when it achieves more
-    than 1e-4 of its predicted reduction, and the damping mu follows
-    Nielsen's update: it shrinks by at most a factor of three after a taken
-    step and grows geometrically over consecutive refusals.
-
-    The exits follow MINPACK's tests. Returns the last taken point and a
-    status: 0 when ``max_nfev`` residual evaluations are spent; 1 when every
-    Jacobian column is within ``gtol`` of orthogonal to the residual; 2 when
-    the actual and the predicted relative reduction of the sum of squares
-    are both at most ``ftol``; 3 when the scaled step is at most ``xtol``
-    relative to the scaled point; 4 when 2 and 3 hold together.
-    """
-    x = [float(v) for v in x0]
-    size = len(x)
-    r = fun(x)
-    nfev = 1
-    cost = _dot(r, r)
-    J = jac(x)
-    scale = [math.hypot(*col) or 1.0 for col in J]
-    mu, nu = 1e-3, 2.0
+def _illinois(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """A root of ``f`` between ``a`` and ``b``, where ``fa`` and ``fb``
+    differ in sign, by false position with the Illinois modification: an end
+    kept twice running has its value halved, so both ends close in."""
+    kept = 0
     while True:
-        col_norms = [math.hypot(*col) for col in J]
-        scale = [max(s, c) for s, c in zip(scale, col_norms)]
-        live = [j for j in range(size) if col_norms[j] > 0.0]
-        if cost == 0.0 or not live:
-            return x, 1
-        root_cost = math.sqrt(cost)
-        cosines = [abs(_dot(J[j], r)) / (col_norms[j] * root_cost) for j in live]
-        if max(cosines) <= gtol:
-            return x, 1
-        minus_r = [-v for v in r] + [0.0] * size
-        while True:
-            if nfev >= max_nfev:
-                return x, 0
-            root_mu = math.sqrt(mu)
-            damped = [
-                col + [root_mu * scale[j] if i == j else 0.0 for i in range(size)]
-                for j, col in enumerate(J)
-            ]
-            h = _least_squares(damped, minus_r)
-            x_new = [xi + hi for xi, hi in zip(x, h)]
-            r_new = fun(x_new)
-            nfev += 1
-            cost_new = _dot(r_new, r_new)
-            Jh = [_dot(row, h) for row in zip(*J)]
-            Dh = [s * hi for s, hi in zip(scale, h)]
-            predicted = (_dot(Jh, Jh) + 2.0 * mu * _dot(Dh, Dh)) / cost
-            # MINPACK scores a step that grows the residual tenfold as -1
-            actual = 1.0 - cost_new / cost if cost_new < 100.0 * cost else -1.0
-            ratio = actual / predicted if predicted > 0.0 else 0.0
-            small_f = abs(actual) <= ftol and predicted <= ftol and ratio <= 2.0
-            small_x = math.sqrt(_dot(Dh, Dh)) <= xtol * (
-                math.hypot(*(s * xi for s, xi in zip(scale, x))) + xtol
-            )
-            taken = ratio > 1e-4
-            if taken:
-                x, r, cost = x_new, r_new, cost_new
-                J = jac(x)
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-                nu = 2.0
-            else:
-                mu *= nu
-                nu *= 2.0
-            if small_f or small_x:
-                return x, 4 if small_f and small_x else (2 if small_f else 3)
-            if taken:
-                break
+        c = (a * fb - b * fa) / (fb - fa)
+        if not min(a, b) < c < max(a, b) or abs(b - a) <= 1e-15 * max(1.0, abs(a)):
+            return c
+        fc = f(c)  # a zero lands on an end, and the next c equals it
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa, fb = c, fc, fb / 2.0 if kept == 1 else fb
+            kept = 1
+        else:
+            b, fb, fa = c, fc, fa / 2.0 if kept == -1 else fa
+            kept = -1
 
 
 def weighted_sse(
@@ -248,72 +138,80 @@ def weighted_sse(
     )
 
 
-def fit_power_decay(
-    bins: Sequence[SizeBin],
-    strategy: str = "",
-    start: tuple[float, float, float] | None = None,
-) -> DecayFit:
+def fit_power_decay(bins: Sequence[SizeBin], strategy: str = "") -> DecayFit:
     """Fit the three-parameter decay curve to size-bin means.
 
-    Needs at least four bins. The asymptote is capped at 100 percent and
-    psi and gamma stay positive via parameter transforms, so the inner
-    least-squares loop runs unconstrained. ``start`` overrides the
-    deterministic default initialisation with explicit
-    (delta_inf, psi, gamma) values, e.g. to refit from a previous answer.
+    Needs at least four bins of distinct sizes, all at least 2. gamma is
+    searched on a log scale from where the decay term moves the largest bin
+    by sqrt(eps) up to where the second-smallest bin's term is 2**-52 of the
+    smallest bin's, or n0**gamma reaches its cap: past either end the curve
+    no longer changes in double precision.
     """
     if len(bins) < 4:
         raise ValueError(f"need at least 4 bins to fit 3 parameters, got {len(bins)}")
     bins = sorted(bins, key=lambda b: b.n)
     n = [float(b.n) for b in bins]
+    if n[0] < 2.0 or any(lo == hi for lo, hi in zip(n, n[1:])):
+        raise ValueError("size bins must have distinct sizes of at least 2")
     means = [b.mean_d for b in bins]
     if max(means) - min(means) < 1e-12:
         raise UnidentifiableFitError(
             "bin means are constant; the decay exponent is unidentifiable"
         )
 
-    if start is None:
-        delta0 = min(max(max(means), 1e-3), 100.0 - 1e-9)
-        gamma0 = 1.0
-        # solve the smallest bin for psi under the starting asymptote
-        psi0 = max((1.0 - means[0] / delta0) * n[0] ** gamma0, 1e-6)
-    else:
-        delta0, psi0, gamma0 = start
-        if not (0.0 < delta0 <= 100.0 and psi0 > 0.0 and gamma0 > 0.0):
-            raise ValueError("start parameters outside the feasible region")
-        delta0 = min(delta0, 100.0 - 1e-12)
-    p0 = min(max(delta0 / 100.0, 1e-12), 1.0 - 1e-12)
-    theta0 = [math.log(p0 / (1.0 - p0)), math.log(psi0), math.log(gamma0)]
+    weights = [math.sqrt(b.count) for b in bins]
+    total = sum(weights)
+    mean = sum(map(mul, weights, means)) / total
+    centred = [m - mean for m in means]
+    # sizes relative to the smallest bin, so that z = (n/n0)**-gamma <= 1
+    logs = [math.log(v / n[0]) for v in n]
+    weighted_logs = list(map(mul, weights, logs))
 
-    quarter_weights = [b.count**0.25 for b in bins]
-    log_n = [math.log(v) for v in n]
+    def profile(t: float) -> tuple[float, float, float, float]:
+        """(weighted SSE, A, B, dSSE/dgamma) of the best A - B*z at gamma =
+        e**t under A <= 100 and B >= 0."""
+        exponents = [-math.exp(t) * x for x in logs]
+        z = list(map(math.exp, exponents))
+        e = list(map(math.expm1, exponents))  # z - 1, exact as gamma -> 0
+        we = list(map(mul, weights, e))
+        e_sum = sum(we)
+        b = sum(map(mul, we, centred)) / (e_sum * e_sum / total - sum(map(mul, we, e)))
+        a = mean + b * (1.0 + e_sum / total)
+        if a <= 100.0 and b >= 0.0:
+            candidates = [(a, b)]
+        else:  # the constrained optimum lies on an edge: A = 100 or B = 0
+            wz = list(map(mul, weights, z))
+            cap_b = sum(w * (100.0 - m) for w, m in zip(wz, means)) / sum(map(mul, wz, z))
+            candidates = [(100.0, max(cap_b, 0.0)), (min(mean, 100.0), 0.0)]
+        residuals = [[m - a + b * v for m, v in zip(means, z)] for a, b in candidates]
+        sse, a, b, r = min(
+            (sum(map(mul, weights, map(mul, r, r))), a, b, r)
+            for (a, b), r in zip(candidates, residuals)
+        )
+        # envelope theorem: (A, B) are optimal, so only z moves with gamma
+        return sse, a, b, -2.0 * b * sum(map(mul, weighted_logs, map(mul, r, z)))
 
-    def residuals(theta: list[float]) -> list[float]:
-        fitted = _curve(n, *_from_theta(theta))
-        return [w * (m - f) for w, m, f in zip(quarter_weights, means, fitted)]
+    top = min(math.log(2.0**52) / logs[1], math.log(2.0**_MAX_SCALE_LOG2) / math.log(n[0]))
+    bottom = -math.log1p(-math.sqrt(2.0**-52)) / logs[-1]
+    lo, hi = math.log(bottom), math.log(top)
+    grid = [lo + (hi - lo) * k / (_GRID - 1) for k in range(_GRID)]
+    scored = [profile(t) for t in grid]
+    # min keeps the first of equal points: a tie goes to an end of the range
+    k = min((0, _GRID - 1, *range(1, _GRID - 1)), key=lambda i: scored[i][0])
+    t, best = grid[k], scored[k]
+    # a slope turning from falling to rising brackets a local minimum
+    for i in range(_GRID - 1):
+        if scored[i][3] < 0.0 < scored[i + 1][3]:
+            root = _illinois(
+                lambda x: profile(x)[3], grid[i], grid[i + 1], scored[i][3], scored[i + 1][3]
+            )
+            refined = profile(root)
+            if refined[0] < best[0]:
+                t, best = root, refined
 
-    def jacobian(theta: list[float]) -> list[list[float]]:
-        a, b, c = theta
-        delta_inf, psi, gamma = _from_theta(theta)
-        decay = [psi * v ** (-gamma) for v in n]
-        # derivatives of the three transforms, zero where _from_theta clamps;
-        # 100 * sigmoid(a) * sigmoid(-a) keeps its digits as delta_inf -> 100
-        e = math.exp(-abs(a))
-        d_delta = 100.0 * e / (1.0 + e) ** 2 if abs(a) < _EXP_CAP else 0.0
-        d_b = 1.0 if b < _EXP_CAP else 0.0
-        d_c = gamma if c < _EXP_CAP else 0.0
-        return [
-            [-w * (1.0 - d) * d_delta for w, d in zip(quarter_weights, decay)],
-            [w * delta_inf * d * d_b for w, d in zip(quarter_weights, decay)],
-            [
-                -w * delta_inf * d * ln * d_c
-                for w, d, ln in zip(quarter_weights, decay, log_n)
-            ],
-        ]
-
-    theta, status = _levenberg_marquardt(
-        residuals, jacobian, theta0, ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=5000
-    )
-    delta_inf, psi, gamma = _from_theta(theta)
+    _, delta_inf, b, _ = best
+    gamma = math.exp(t)
+    psi = b * n[0] ** gamma / delta_inf
     errors = [m - f for m, f in zip(means, _curve(n, delta_inf, psi, gamma))]
     mean_of_means = sum(means) / len(means)
     ss_res = sum(err * err for err in errors)
@@ -325,6 +223,6 @@ def fit_power_decay(
         gamma=gamma,
         r_squared=1.0 - ss_res / ss_tot,
         mae=sum(abs(err) for err in errors) / len(errors),
-        converged=status > 0 and delta_inf < 100.0 - _PINNED_TOL,
+        converged=grid[0] < t < grid[-1] and b > 0.0 and delta_inf < 100.0 - _PINNED_TOL,
         n_bins=len(bins),
     )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainfrontier.decayfit import (
     SizeBin,
@@ -135,6 +137,14 @@ def test_fit_needs_four_bins():
         fit_power_decay(synthetic_bins(ns=range(2, 5)))
 
 
+def test_fit_needs_distinct_sizes_of_at_least_two():
+    bins = synthetic_bins(ns=range(2, 8))
+    with pytest.raises(ValueError, match="distinct sizes"):
+        fit_power_decay(bins + bins[:1])
+    with pytest.raises(ValueError, match="distinct sizes"):
+        fit_power_decay(synthetic_bins(ns=range(1, 8)))
+
+
 def test_fitted_curve_is_monotone_and_bounded():
     fit = fit_power_decay(synthetic_bins())
     grid = fit.predict(np.arange(2, 51, dtype=float))
@@ -175,6 +185,71 @@ def test_small_rerun_fit_pinned_at_the_cap_is_not_converged():
     assert not fit.converged
 
 
+# Bins of the rerun-shape build (16 tokens, 24 accounts, 5 months,
+# min_holders 5) at min_bin_count 5, each with the (delta_inf, psi, gamma)
+# that a local Levenberg-Marquardt search reported as converged. The best
+# point of each lies at an end of the searched range or on the 100 % cap, so
+# the fit must read unconverged, at a weighted SSE no higher than the local
+# search's.
+
+
+def _assert_unconverged_and_no_worse(bins, local):
+    fit = fit_power_decay(bins)
+    assert not fit.converged
+    got = weighted_sse(bins, fit.delta_inf, fit.psi, fit.gamma)
+    assert got <= weighted_sse(bins, *local)
+    return fit
+
+
+def test_rerun_fit_running_off_in_gamma_is_not_converged():
+    # seed 33, max_sr: the SSE keeps falling as the decay term collapses
+    # onto the smallest bin, so the best gamma is the top of the range
+    bins = (
+        SizeBin(2, 32.622124331663024, 15),
+        SizeBin(3, 71.55443087443142, 10),
+        SizeBin(4, 51.17969774073153, 10),
+        SizeBin(5, 60.5659026792131, 20),
+        SizeBin(6, 65.8971353953497, 10),
+        SizeBin(7, 75.1987288623625, 35),
+        SizeBin(8, 71.80841714932757, 20),
+    )
+    local = (67.08710221936099, 5.030235091887355e18, 63.086235931167735)
+    fit = _assert_unconverged_and_no_worse(bins, local)
+    assert math.isfinite(fit.psi)
+    assert fit.delta_inf == pytest.approx(local[0], rel=1e-9)
+
+
+def test_rerun_fit_collapsing_psi_and_gamma_is_not_converged():
+    # seed 51, min_var: the local search ended at psi = gamma = 0 with R² < 0
+    bins = (
+        SizeBin(2, 64.32651570930375, 12),
+        SizeBin(3, 30.87439213298802, 20),
+        SizeBin(5, 37.1780161339429, 13),
+        SizeBin(6, 60.79819256695505, 20),
+        SizeBin(7, 54.27220466992489, 25),
+        SizeBin(8, 58.175129309676244, 15),
+    )
+    fit = _assert_unconverged_and_no_worse(bins, (50.77068695960878, 0.0, 0.0))
+    assert fit.r_squared > 0.0
+
+
+def test_rerun_fit_at_a_local_minimum_is_not_converged():
+    # seed 40, max_ret: the local search stopped at SSE 3613.08, above the
+    # limit of 3588.20 at the top of the range
+    bins = (
+        SizeBin(2, 19.492949474690302, 20),
+        SizeBin(3, 54.804564936307166, 20),
+        SizeBin(4, 14.712273041999273, 5),
+        SizeBin(5, 48.25173637441174, 15),
+        SizeBin(6, 60.13049438127526, 20),
+        SizeBin(7, 54.22190060998061, 30),
+        SizeBin(8, 57.17351224349265, 10),
+    )
+    local = (55.37197087124562, 3.387637978216562, 2.4518808201493756)
+    fit = _assert_unconverged_and_no_worse(bins, local)
+    assert weighted_sse(bins, fit.delta_inf, fit.psi, fit.gamma) < 3588.3
+
+
 def test_weighted_sse_quadruple_count_doubles_weight():
     b = SizeBin(n=4, mean_d=30.0, count=25)
     b4 = SizeBin(n=4, mean_d=30.0, count=100)
@@ -194,23 +269,6 @@ def test_fit_minimises_weighted_objective():
         psi = fit.psi * rng.uniform(0.9, 1.1)
         gamma = fit.gamma * rng.uniform(0.9, 1.1)
         assert best <= weighted_sse(bins, delta, psi, gamma) + 1e-9
-
-
-def test_refit_from_answer_is_stable():
-    fit = fit_power_decay(synthetic_bins())
-    again = fit_power_decay(
-        synthetic_bins(), start=(fit.delta_inf, fit.psi, fit.gamma)
-    )
-    assert again.delta_inf == pytest.approx(fit.delta_inf, abs=1e-8)
-    assert again.psi == pytest.approx(fit.psi, abs=1e-8)
-    assert again.gamma == pytest.approx(fit.gamma, abs=1e-8)
-
-
-def test_fit_rejects_bad_start():
-    with pytest.raises(ValueError, match="feasible region"):
-        fit_power_decay(synthetic_bins(), start=(80.0, -1.0, 1.0))
-    with pytest.raises(ValueError, match="feasible region"):
-        fit_power_decay(synthetic_bins(), start=(120.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +342,29 @@ def test_fit_matches_least_squares_reference():
         for value, expected in zip((fit.delta_inf, fit.psi, fit.gamma), ref):
             assert value == pytest.approx(expected, rel=1e-6), i
     assert unpinned >= 100
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_fit_is_bounded_and_no_worse_than_the_reference(data):
+    sizes = data.draw(
+        st.lists(st.integers(2, 12), min_size=4, max_size=8, unique=True)
+    )
+    means = data.draw(
+        st.lists(
+            st.floats(0.0, 100.0), min_size=len(sizes), max_size=len(sizes)
+        )
+    )
+    assume(max(means) - min(means) >= 1e-12)
+    counts = data.draw(
+        st.lists(st.integers(5, 60), min_size=len(sizes), max_size=len(sizes))
+    )
+    bins = tuple(SizeBin(*b) for b in zip(sizes, means, counts))
+    fit = fit_power_decay(bins)
+    assert 0.0 < fit.delta_inf <= 100.0
+    assert math.isfinite(fit.psi) and fit.psi >= 0.0
+    if fit.converged:
+        assert fit.delta_inf < 100.0 - 1e-6 and fit.psi > 0.0
+    *ref, _ = _least_squares_reference(bins)
+    got = weighted_sse(bins, fit.delta_inf, fit.psi, fit.gamma)
+    assert got <= weighted_sse(bins, *ref) * (1.0 + 1e-9)
