@@ -22,6 +22,12 @@ __all__ = ["PipelineConfig", "load_config", "parse_config", "render_config"]
 BENCHMARK_TOKENS = ("WETH", "WBTC")
 
 
+def synth_token_ids(n_tokens: int) -> tuple[str, ...]:
+    """The ids of a synthetic universe of ``n_tokens`` tokens: the benchmark
+    tokens, then TOK002, TOK003 and so on."""
+    return BENCHMARK_TOKENS + tuple(f"TOK{i:03d}" for i in range(2, n_tokens))
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All pipeline knobs with their defaults."""
@@ -123,12 +129,6 @@ class PipelineConfig:
 
 def _parse_value(name: str, raw: str, current):
     try:
-        if isinstance(current, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import UnidentifiableFitError
 
-__all__ = ["DecayFit", "SizeBin", "bin_by_size", "fit_power_decay", "weighted_sse"]
+__all__ = ["DecayFit", "SizeBin", "bin_by_size", "fit_power_decay"]
 
 # log-spaced exponents the search scores; on 3 000 random bin sets a grid of
 # 32 or 48 missed the best basin once, 64 never
@@ -64,10 +64,6 @@ class DecayFit:
     converged: bool
     n_bins: int
 
-    def predict(self, n):
-        """Model value d(n) in percent for a scalar size or a NumPy array of
-        sizes."""
-        return self.delta_inf * (1.0 - self.psi * n ** (-self.gamma))
 
 
 def bin_by_size(
@@ -125,17 +121,6 @@ def _illinois(f: Callable[[float], float], a: float, b: float, fa: float, fb: fl
         else:
             b, fb, fa = c, fc, fa / 2.0 if kept == -1 else fa
             kept = -1
-
-
-def weighted_sse(
-    bins: Sequence[SizeBin], delta_inf: float, psi: float, gamma: float
-) -> float:
-    """Objective the fit minimises: sum of sqrt(count)-weighted squares."""
-    fitted = _curve([float(b.n) for b in bins], delta_inf, psi, gamma)
-    return sum(
-        math.sqrt(b.count) * (b.mean_d - f) * (b.mean_d - f)
-        for b, f in zip(bins, fitted)
-    )
 
 
 def fit_power_decay(bins: Sequence[SizeBin], strategy: str = "") -> DecayFit:

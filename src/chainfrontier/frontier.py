@@ -20,8 +20,7 @@ below the GMV's return. Each segment costs one KKT solve, and on it
   vertices when no book beats the risk-free rate.
 
 A solution's ``iterations`` is the GMV's active-set iterations plus the
-segments walked to reach the projection (0 for the vertex scan). A
-brute-force simplex-grid oracle provides an independent check on the solver.
+segments walked to reach the projection (0 for the vertex scan).
 """
 
 from __future__ import annotations
@@ -567,111 +566,3 @@ def naive_weights(
             values[i] = cap
         return values / values.sum()
     raise ValueError(f"unknown naive strategy {kind!r}")
-
-
-def _compositions(total: int, parts: int, cap_units: int) -> np.ndarray:
-    """All integer compositions of ``total`` into ``parts`` entries <= cap."""
-    if parts == 1:
-        if total <= cap_units:
-            return np.array([[total]], dtype=np.int64)
-        return np.empty((0, 1), dtype=np.int64)
-    blocks = []
-    for first in range(min(total, cap_units) + 1):
-        tail = _compositions(total - first, parts - 1, cap_units)
-        if len(tail):
-            blocks.append(
-                np.column_stack([np.full(len(tail), first, dtype=np.int64), tail])
-            )
-    if not blocks:
-        return np.empty((0, parts), dtype=np.int64)
-    return np.concatenate(blocks)
-
-
-def grid_oracle(
-    strategy: Strategy,
-    w0,
-    m: MomentEstimates,
-    w_max: float = 0.9,
-    step: float = 0.01,
-    rf_annual: float = 0.0,
-) -> FrontierSolution:
-    """Brute-force reference solver on the simplex grid with spacing ``step``.
-
-    Enumerates every grid weight vector inside the constraint set and picks
-    the best objective directly, so it shares no code path with the smooth
-    solver. The return anchor admits only the grid points that match the
-    anchor as closely as the grid can at all (a grid rarely hits an anchor
-    exactly); the risk anchor is a budget, so only grid points at or under
-    the anchor volatility count, falling back to the nearest-risk shell
-    when nothing fits under it. Ties break toward the smallest ℓ₁ distance
-    from the observed book, then lexicographically.
-
-    Supports up to 4 assets; the candidate count explodes beyond that.
-    """
-    fr = Frontier(w0, m, w_max)
-    if fr.reason:
-        raise ValueError(fr.reason)
-    n = fr.support.size
-    if n > 4:
-        raise ValueError("grid oracle supports at most 4 assets")
-    M = round(1.0 / step)
-    if M < 1 or abs(M * step - 1.0) > 1e-9:
-        raise ValueError("step must divide 1 evenly")
-    cap_units = int(math.floor(fr.cap * M + 1e-9))
-    comps = _compositions(M, n, cap_units)
-    if not len(comps):
-        raise ValueError("no grid point satisfies the constraints")
-    W = comps.astype(float) / M
-    mus = W @ fr.mu
-    variances = np.einsum("ij,jk,ik->i", W, fr.cov, W)
-    sigmas = np.sqrt(np.clip(variances, 0.0, None))
-
-    rf_daily = rf_annual / DAYS_PER_YEAR
-    if strategy is Strategy.MIN_VAR:
-        # admit only points that meet the return anchor as closely as the
-        # grid can at all; a wider band would let the oracle trade anchor
-        # error for variance and overstate the attainable minimum
-        dev = np.abs(mus - fr.anchor_mu)
-        mask = dev <= dev.min() + 1e-12
-        objective = -sigmas
-    elif strategy is Strategy.MAX_RET:
-        # mirror the solver's risk-budget semantics: at most the anchor
-        # volatility, falling back to the nearest-risk shell off grid
-        over = sigmas - fr.anchor_sigma
-        mask = over <= 1e-12
-        if not mask.any():
-            dev = np.abs(over)
-            mask = dev <= dev.min() + 1e-12
-        objective = mus
-    elif strategy is Strategy.MAX_SR:
-        mask = np.ones(len(W), dtype=bool)
-        excess = mus - rf_daily
-        with np.errstate(divide="ignore", invalid="ignore"):
-            objective = np.where(
-                sigmas > 0.0,
-                excess / np.where(sigmas > 0.0, sigmas, 1.0),
-                np.where(excess > 0.0, math.inf, np.where(excess < 0.0, -math.inf, 0.0)),
-            )
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    candidates = np.flatnonzero(mask)
-    best_val = float(np.max(objective[candidates]))
-    tie_tol = 1e-12 if math.isfinite(best_val) else 0.0
-    ties = [i for i in candidates if objective[i] >= best_val - tie_tol]
-    dists = {i: float(0.5 * np.abs(W[i] - fr.w0).sum()) for i in ties}
-    pick = min(ties, key=lambda i: (dists[i], tuple(W[i])))
-
-    w = W[pick]
-    full = fr.embed(w)
-    mu_p, sigma_p = float(mus[pick]), float(sigmas[pick])
-    return FrontierSolution(
-        strategy=strategy,
-        weights=full,
-        mu=mu_p,
-        sigma=sigma_p,
-        distance=fr.distance(full),
-        converged=True,
-        iterations=len(W),
-        reason="",
-    )

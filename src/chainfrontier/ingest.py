@@ -159,21 +159,6 @@ def balance_at(ledger: TokenLedger, account: str, block: int) -> int:
     return balances[i - 1] if i else 0
 
 
-def replay_balance(
-    events: Iterable[TransferEvent], account: str, block: int
-) -> int:
-    """Naive linear-scan balance over the raw events, kept as an
-    independent cross-check for the ledger and ``balance_at``."""
-    total = 0
-    for e in events:
-        if e.block <= block:
-            if e.sender == account:
-                total -= e.amount
-            if e.recipient == account:
-                total += e.amount
-    return total
-
-
 def account_balances(ledger: TokenLedger, block: int) -> dict[str, int]:
     """Every nonzero account balance at ``block``."""
     out: dict[str, int] = {}

@@ -32,19 +32,13 @@ def _check_weights(w: np.ndarray, name: str, tol: float = 1e-6) -> None:
         raise ValueError(f"{name} sums to {total}, not 1")
 
 
-def l1_distance(w_actual, w_target) -> float:
-    """Half the ℓ₁ difference between two weight vectors, in [0, 1].
-
-    Both vectors must be fully invested and long-only over the same asset
-    ordering (zeros are fine). 0 means identical books, 1 means disjoint.
-    """
-    return l1_distance_from(w_actual)(w_target)
-
-
 def l1_distance_from(w_actual) -> Callable[[object], float]:
-    """``l1_distance`` from one book to any number of targets.
+    """Half the ℓ₁ difference from one book to any number of targets.
 
-    ``w_actual`` is checked once, here; each target is checked on its call.
+    Each distance lies in [0, 1]: 0 means identical books, 1 disjoint ones.
+    Every vector must be fully invested and long-only over the same asset
+    ordering (zeros are fine). ``w_actual`` is checked once, here; each
+    target is checked on its call.
     """
     a = np.asarray(w_actual, dtype=float)
     _check_weights(a, "w_actual")
@@ -167,9 +161,6 @@ def aggregate(
         cumulative = 0.0
         for snap in sorted(snaps):
             recs = snaps[snap]
-            if not recs:
-                log.warning("empty snapshot group %s for %s", snap, strategy)
-                continue
             n_records += len(recs)
             returns = [r.fwd_return for r in recs]
             snap_medians.append(median(returns))

@@ -34,12 +34,6 @@ from .pipeline import (
 )
 from .prices import PriceSeries, price_rows
 
-FRONTIER_STRATEGIES = (
-    frontier.Strategy.MIN_VAR,
-    frontier.Strategy.MAX_RET,
-    frontier.Strategy.MAX_SR,
-)
-
 
 # ---------------------------------------------------------------------------
 # synth stage
@@ -125,16 +119,17 @@ def optimize_month(
         total_value = sum(values.values())
         n_assets = len(m.eligible_ids)
 
-        mu0 = float(w0 @ m.shrunk_means)
-        sigma0 = float(np.sqrt(w0 @ m.cov @ w0))
+        # the book's projections share one GMV solve and one critical-line
+        # walk, and the baseline row reads the book's own moments
+        book = frontier.Frontier(w0, m, cfg.w_max)
         rows.append(
             (
                 snapshot_day,
                 account,
                 BASELINE,
                 storage.encode_weights(m.eligible_ids, w0),
-                mu0,
-                sigma0,
+                book.anchor_mu,
+                book.anchor_sigma,
                 True,
                 0,
                 0.0,
@@ -143,9 +138,7 @@ def optimize_month(
                 "",
             )
         )
-        # the book's projections share one GMV solve and one critical-line walk
-        book = frontier.Frontier(w0, m, cfg.w_max)
-        for strategy in FRONTIER_STRATEGIES:
+        for strategy in frontier.Strategy:
             sol = frontier.solve(strategy, book, rf_annual=cfg.rf_annual)
             rows.append(
                 (

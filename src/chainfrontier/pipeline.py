@@ -71,7 +71,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from . import storage
-from .config import BENCHMARK_TOKENS, PipelineConfig
+from .config import PipelineConfig, synth_token_ids
 from .errors import DependencyError, InputError, LedgerOrderError
 from .ingest import (
     ZERO_ACCOUNT,
@@ -215,13 +215,8 @@ class _Parsed:
 
 
 # the running pipeline's parsed inputs; run_pipeline sets it for the length
-# of one run, and outside a run every load parses its file afresh
+# of one run, and every load runs inside one
 _parsed: _Parsed | None = None
-
-
-def _read_through(path: Path, parse: Callable[[Path], T]) -> T:
-    """``parse(path)``, or the current run's copy of it."""
-    return parse(path) if _parsed is None else _parsed.get(path, parse)
 
 
 def _hash_keys(digest, cfg: PipelineConfig, keys: Sequence[str]) -> None:
@@ -385,11 +380,8 @@ def _run_stage(
 
 
 def _synth_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
-    token_ids = BENCHMARK_TOKENS + tuple(
-        f"TOK{i:03d}" for i in range(2, cfg.synth_tokens)
-    )
     writes = (META, PRICES, BLOCKMAP, PROBES) + tuple(
-        f"{EVENTS}/{tid}.csv" for tid in token_ids
+        f"{EVENTS}/{tid}.csv" for tid in synth_token_ids(cfg.synth_tokens)
     )
     return [Part("all", writes)], None
 
@@ -427,7 +419,7 @@ def _load_ledger(ws: Path, token_id: str, decimals: int) -> TokenLedger:
     # ``decimals`` comes from meta.csv, which only synth writes, so every
     # reader in a run passes the same value for a file
     path = _require(ws, f"{EVENTS}/{token_id}.csv")
-    return _read_through(path, lambda p: _parse_events(p, token_id, decimals)[1])
+    return _parsed.get(path, lambda p: _parse_events(p, token_id, decimals)[1])
 
 
 def _parse_prices(path: Path) -> dict[str, PriceSeries]:
@@ -440,7 +432,7 @@ def _parse_prices(path: Path) -> dict[str, PriceSeries]:
 
 def _load_prices(ws: Path) -> dict[str, PriceSeries]:
     """Every token's gap-free closes from ``prices.csv``."""
-    return _read_through(_require(ws, PRICES), _parse_prices)
+    return _parsed.get(_require(ws, PRICES), _parse_prices)
 
 
 def _probe_check(ledger: TokenLedger, probes) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import BENCHMARK_TOKENS, PipelineConfig
+from .config import PipelineConfig, synth_token_ids
 from .ingest import ZERO_ACCOUNT, TokenMeta, TransferEvent
 from .portfolio import BlockTimeMap
 from .prices import PriceSeries
@@ -117,9 +117,6 @@ class SynthMarket:
     def max_block(self) -> int:
         return self.block_map.anchors[-1][0]
 
-    def events_for(self, token_id: str) -> tuple[TransferEvent, ...]:
-        return tuple(e for e in self.events if e.token_id == token_id)
-
 
 class _Emitter:
     """Accumulates events plus the running-balance ground truth."""
@@ -170,9 +167,7 @@ def generate_market(cfg: PipelineConfig) -> SynthMarket:
     """Generate one deterministic market from ``cfg.seed`` and the
     ``synth_*`` fields and ``transfers_per_account_month`` of ``cfg``."""
     rng = np.random.default_rng(cfg.seed)
-    token_ids = tuple(BENCHMARK_TOKENS) + tuple(
-        f"TOK{i:03d}" for i in range(2, cfg.synth_tokens)
-    )
+    token_ids = synth_token_ids(cfg.synth_tokens)
 
     snapshot_start = _first_of_next_month(
         cfg.synth_start + dt.timedelta(days=LEAD_DAYS)

@@ -20,13 +20,12 @@ from chainfrontier import storage
 from chainfrontier.concentration import gini, hhi, top_share
 from chainfrontier.config import PipelineConfig
 from chainfrontier.decayfit import SizeBin, fit_power_decay
-from chainfrontier.frontier import Frontier, Strategy, grid_oracle, sharpe, solve
+from chainfrontier.frontier import Frontier, Strategy, sharpe, solve
 from chainfrontier.ingest import (
     ZERO_ACCOUNT,
     account_balances,
     balance_at,
     build_ledger,
-    replay_balance,
 )
 from chainfrontier.marketdata import (
     ReturnWindow,
@@ -34,11 +33,12 @@ from chainfrontier.marketdata import (
     market_forward_return,
     market_index,
 )
-from chainfrontier.metrics import capm_alpha, l1_distance
+from chainfrontier.metrics import capm_alpha
 from chainfrontier.pipeline import run_pipeline
 from chainfrontier.portfolio import Snapshot, reconstruct_snapshot
 from chainfrontier.prices import PriceSeries
 from helpers import REPORT_TABLES, lipschitz_bound, moments, random_stream
+from oracles import grid_oracle, l1_distance, replay_balance
 
 D = dt.date
 

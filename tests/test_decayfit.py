@@ -7,13 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainfrontier.decayfit import (
-    SizeBin,
-    bin_by_size,
-    fit_power_decay,
-    weighted_sse,
-)
+from chainfrontier.decayfit import SizeBin, bin_by_size, fit_power_decay
 from chainfrontier.errors import UnidentifiableFitError
+from oracles import predict, weighted_sse
 
 
 def curve(n, delta_inf, psi, gamma):
@@ -147,10 +143,10 @@ def test_fit_needs_distinct_sizes_of_at_least_two():
 
 def test_fitted_curve_is_monotone_and_bounded():
     fit = fit_power_decay(synthetic_bins())
-    grid = fit.predict(np.arange(2, 51, dtype=float))
+    grid = predict(fit, np.arange(2, 51, dtype=float))
     assert np.all(np.diff(grid) >= -1e-12)
     assert np.all(grid < fit.delta_inf)
-    assert fit.predict(1e9) == pytest.approx(fit.delta_inf, abs=1e-5)
+    assert predict(fit, 1e9) == pytest.approx(fit.delta_inf, abs=1e-5)
 
 
 def test_fit_caps_asymptote_at_100():
@@ -279,8 +275,9 @@ def _least_squares_reference(bins):
     """The same weighted fit, from the same start, solved by SciPy's
     ``least_squares(method="lm")`` with a finite-difference Jacobian.
 
-    Returns (delta_inf, psi, gamma, converged) under the fit's own rule:
-    a positive status and an asymptote not pinned at the 100 % cap.
+    Returns (delta_inf, psi, gamma, converged), where ``converged``
+    follows the Levenberg–Marquardt rule: a positive status and an
+    asymptote not pinned at the 100 % cap.
     """
     least_squares = pytest.importorskip("scipy.optimize").least_squares
     n = np.array([b.n for b in bins], dtype=float)

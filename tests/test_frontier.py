@@ -25,13 +25,12 @@ from chainfrontier.frontier import (
     Frontier,
     NaiveStrategy,
     Strategy,
-    grid_oracle,
     naive_weights,
     sharpe,
     solve,
 )
-from chainfrontier.metrics import l1_distance
 from helpers import lipschitz_bound, moments
+from oracles import grid_oracle, l1_distance
 
 
 def two_asset(means, cov):

@@ -26,9 +26,9 @@ from chainfrontier.ingest import (
     balance_at,
     build_ledger,
     filter_tokens,
-    replay_balance,
 )
 from helpers import net_minted, random_stream
+from oracles import replay_balance
 
 
 # ---------------------------------------------------------------------------

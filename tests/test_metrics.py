@@ -15,8 +15,8 @@ from chainfrontier.metrics import (
     aggregate,
     capm_alpha,
     forward_return,
-    l1_distance,
 )
+from oracles import l1_distance
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,11 @@ import pytest
 
 from chainfrontier import synth
 from chainfrontier.config import PipelineConfig
-from chainfrontier.ingest import (
-    ZERO_ACCOUNT,
-    balance_at,
-    build_ledger,
-    replay_balance,
-)
+from chainfrontier.ingest import ZERO_ACCOUNT, balance_at, build_ledger
 from chainfrontier.synth import generate_market, simulate_log_returns
 
 from helpers import net_minted
+from oracles import events_for, replay_balance
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -105,7 +101,7 @@ def test_events_build_clean_ledgers():
     market = generate_market(small_config(transfers_per_account_month=6.0))
     saw_transfer = False
     for tid in market.token_ids:
-        events = market.events_for(tid)
+        events = events_for(market, tid)
         if not events:
             continue
         ledger = build_ledger(events, decimals=6)
@@ -125,7 +121,7 @@ def test_oracle_matches_ledger_reconstruction():
     rng = np.random.default_rng(3)
     max_block = market.block_map.anchors[-1][0]
     for tid in market.token_ids:
-        events = market.events_for(tid)
+        events = events_for(market, tid)
         if not events:
             continue
         ledger = build_ledger(events, decimals=6)
