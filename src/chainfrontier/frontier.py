@@ -8,18 +8,20 @@ the account already holds.
 
 All three lie on one piecewise-linear path, the minimiser w(λ) of
 ½wᵀΣw − λμᵀw over that set, which ``Frontier`` traces once per book by
-Markowitz's critical-line algorithm. One active-set QP, ``minimize``, gives
-the global minimum-variance (GMV) book at λ = 0; the walk goes up from
-there along the efficient branch, or down when a min-variance anchor lies
-below the GMV's return. Each segment costs one KKT solve, and on it
-μ(λ) = m0 + m1·λ and V(λ) = K + m1·λ², so each projection is closed-form:
+Markowitz's critical-line algorithm. The same kernel, ``_Walk``, first
+finds the path's start, the global minimum-variance (GMV) book at λ = 0:
+``minimize`` follows a critical line from equal weights to the GMV (a
+homotopy). The walk goes up from the GMV along the efficient branch, or
+down when a min-variance anchor lies below the GMV's return. Each segment
+costs one KKT solve, and on it μ(λ) = m0 + m1·λ and V(λ) = K + m1·λ², so
+each projection is closed-form:
 
 * min-variance: λ = (μ_a − m0)/m1, or the GMV when every book meets μ_a;
 * max-return: λ² = (V0 − K)/m1, or the GMV when it spends the budget;
 * max-Sharpe: λ = K/(m0 − r_f), or a scan of the capped simplex's
   vertices when no book beats the risk-free rate.
 
-A solution's ``iterations`` is the GMV's active-set iterations plus the
+A solution's ``iterations`` is the GMV's homotopy segments plus the
 segments walked to reach the projection (0 for the vertex scan).
 """
 
@@ -40,15 +42,11 @@ DAYS_PER_YEAR = 365.0
 
 # feasibility and anchor tolerance of a converged row
 SOLVER_TOL = 1e-8
-# cap on active-set iterations per QP, and on segments per walk
+# cap on segments per walk
 MAX_ITER = 200
 
-# kernel tolerances, relative to normalised rows and the iterate's scale
-_EPS = 1e-12  # blocking, ratio and event ties, null steps, flat means
-# a row counts as active at the start only when it holds to rounding; a
-# looser test would freeze a small slack into the answer
-_ACTIVE_TOL = 1e-15
-_MULT_TOL = 1e-10  # negative multiplier, relative to the gradient
+# kernel tolerances, relative to the walk's scale
+_EPS = 1e-12  # event ties, flat slopes
 _BUDGET_TOL = 1e-11  # |V - V0| / V0 at which the risk budget binds
 
 
@@ -152,99 +150,17 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# the GMV kernel
+# the critical line
 
 
-@dataclass(frozen=True)
-class QPResult:
-    """Outcome of one active-set QP. ``working`` lists the bound rows
-    held active at ``x``: row i is -x_i <= 0 and row n + i is x_i <= cap."""
-
-    x: np.ndarray
-    working: tuple[int, ...]
-    iterations: int
-    converged: bool
-
-
-def _kkt(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _kkt(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve [[H, 1], [1ᵀ, 0]] x = rhs: a quadratic on the free weights
-    under the budget row, for one or more right-hand sides."""
-    f = H.shape[0]
-    kkt = np.ones((f + 1, f + 1))
-    kkt[:f, :f] = H
-    kkt[f, f] = 0.0
+    under the budget row."""
     try:
         return np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         # a singular H on the budget's null space: the minimum-norm solution
         return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-
-
-def minimize(H, cap: float, x0) -> QPResult:
-    """Minimise ½xᵀHx subject to Σx = Σx0 and 0 <= x <= cap, from a feasible x0.
-
-    A primal active-set method (Nocedal & Wright, *Numerical Optimization*,
-    Algorithm 16.3) for a positive semidefinite H on the capped simplex.
-    Each step minimises over the weights that the working rows leave free
-    under the budget row, then moves as far as their bounds allow. A working
-    row fixes one weight, and at most n - 1 are held, so a vertex never makes
-    the system singular. Bland's smallest-index rule picks the row to add or
-    drop, which keeps degenerate vertices from cycling; H is normalised, so
-    the tolerances are relative. Iterations count factorisations, at most
-    ``MAX_ITER``.
-    """
-    x = np.array(x0, dtype=float)
-    n = x.size
-    H = np.asarray(H, dtype=float)
-    H = H / max(float(np.abs(H).max()), 1e-300)
-    slack = np.concatenate((x, cap - x))
-    active = np.flatnonzero(slack <= _ACTIVE_TOL * max(1.0, float(np.abs(x).max())))
-    working = [int(i) for i in active[: n - 1]]
-    free = np.ones(n, dtype=bool)
-    free[[i % n for i in working]] = False
-
-    for it in range(1, MAX_ITER + 1):
-        g = H @ x
-        if len(working) < n - 1:
-            F = np.flatnonzero(free)
-            rhs = np.zeros(F.size + 1)
-            rhs[:-1] = -g[F]
-            p = np.zeros(n)
-            p[F] = _kkt(H[F][:, F], rhs)[:-1]
-            step = float(np.abs(p).max())
-            if step > _EPS * max(1.0, float(np.abs(x).max())):
-                # ratio test over the free weights' bounds, lower rows first
-                moving = free & (np.abs(p) > _EPS * step)
-                rows = np.flatnonzero(np.concatenate((moving & (p < 0.0), moving & (p > 0.0))))
-                if rows.size:
-                    room = np.concatenate((x, cap - x))[rows]
-                    ratios = np.maximum(room, 0.0) / np.concatenate((-p, p))[rows]
-                    least = float(ratios.min())
-                    if least < 1.0:
-                        block = int(rows[np.flatnonzero(ratios <= least + _EPS)[0]])
-                        x = x + least * p
-                        working.append(block)
-                        free[block % n] = False
-                        continue
-                x = x + p
-                g = H @ x
-        # x minimises over the free weights: g + ν·1 = 0 on them, and each
-        # working row's multiplier is what is left of its weight's gradient
-        nu = -float(g[free].mean())
-        rows = np.array(working, dtype=int)
-        mult = np.where(rows < n, g[rows % n] + nu, -(g[rows % n] + nu))
-        grad = max(float(np.abs(g).max()), 1e-300)
-        negative = rows[mult < -_MULT_TOL * grad]
-        if not negative.size:
-            return QPResult(x, tuple(sorted(working)), it, True)
-        drop = int(negative.min())
-        working.remove(drop)
-        free[drop % n] = True
-    return QPResult(x, tuple(sorted(working)), MAX_ITER, False)
-
-
-# ---------------------------------------------------------------------------
-# the critical line
 
 
 def _greedy_vertex(mu: np.ndarray, cap: float, maximize: bool) -> np.ndarray:
@@ -264,7 +180,7 @@ def _greedy_vertex(mu: np.ndarray, cap: float, maximize: bool) -> np.ndarray:
 class _Segment:
     """One linear piece w(λ) = wa + λ·wb of the critical line, λ in [start, end].
 
-    Along the walk's mean vector, μ(λ) = m0 + m1·λ and V(λ) = K + m1·λ²,
+    On a walk with a = 0, μ(λ) = m0 + m1·λ along b and V(λ) = K + m1·λ²,
     because V′(λ) = 2λ·μ′(λ). The last segment has end = inf and wb = 0.
     """
 
@@ -282,28 +198,39 @@ class _Segment:
 
 
 class _Walk:
-    """The critical line of ½wᵀΣw − λ·sign·μᵀw for λ >= 0, from the GMV.
+    """The critical line of ½wᵀHw − (a + λb)ᵀw for λ >= 0 over the capped
+    simplex, from a book ``x`` that is optimal at λ = 0 in a given ``state``.
 
-    Each weight is free, or fixed at 0 or at the cap. On each segment one
-    KKT solve on the free weights gives the book and the budget multiplier
-    as linear functions of λ, and with them the fixed weights' multipliers.
-    The segment ends at the first event: a free weight reaches 0 or the cap,
-    or a fixed weight's multiplier changes sign. Ties go to the smallest
-    index; the weight that just changed cannot change back at the same λ.
+    Each weight is free (state 0), or fixed at 0 (-1) or at the cap (1). On
+    each segment one KKT solve on the free weights gives the slope wb, and
+    the segment is anchored at the book where it starts: wa = x − λ·wb.
+    Two products with H give each fixed weight's multiplier, c + λ·d. The
+    segment ends at the first event: a free weight reaches 0 or the cap, or
+    a fixed weight's multiplier changes sign. Ties go to the smallest index;
+    the weight that just changed cannot change back at the same λ. The
+    event is applied when the next segment is built, so ``state`` describes
+    the last segment.
     """
 
-    def __init__(self, fr: Frontier, sign: float, gmv: QPResult) -> None:
-        n = fr.mu.size
-        self.fr = fr
-        self.mu = sign * fr.mu
-        # free weights with flat means stop moving, and multipliers with a
-        # slope below the same tolerance never change sign
-        self.tol = _EPS * float(np.abs(fr.mu).max())
-        self.state = np.zeros(n, dtype=int)  # 0 free, -1 at zero, 1 at the cap
-        for row in gmv.working:
-            self.state[row % n] = -1 if row < n else 1
+    def __init__(self, H, cap: float, a, b, x, state) -> None:
+        n = b.size
+        self.H, self.cap, self.a, self.b = H, cap, a, b
+        # each free set's KKT system is these rows and columns, the budget
+        # row last
+        self.kkt = np.ones((n + 1, n + 1))
+        self.kkt[:n, :n] = H
+        self.kkt[n, n] = 0.0
+        self.rhs = np.append(b, 0.0)
+        self.rows = np.ones(n + 1, dtype=bool)
+        # b is known to the rounding of |H|·|x| (minimize's b is -Hx0), and
+        # free weights with a flatter b stop moving
+        self.hmax = float(np.abs(H).max())
+        self.tol = _EPS * max(float(np.abs(b).max()), self.hmax * float(np.abs(x).sum()))
+        self.x = x
+        self.state = np.array(state, dtype=int)
         self.lam = 0.0
         self.last = -1
+        self.event: tuple[int, int] | None = None
         self.segments: list[_Segment] = []
 
     def find(self, reached) -> tuple[_Segment, int, bool]:
@@ -321,42 +248,84 @@ class _Walk:
                 return seg, k, True
 
     def _extend(self) -> None:
-        fr, mu, state = self.fr, self.mu, self.state
+        H, b, state, lam = self.H, self.b, self.state, self.lam
+        if self.event is not None:
+            j, to = self.event
+            state[j] = to
         free = state == 0
-        F = np.flatnonzero(free)
-        wa = np.where(state > 0, fr.cap, 0.0)
-        rhs = np.zeros((F.size + 1, 2))
-        rhs[:-1, 0] = -(fr.cov[F] @ wa)
-        rhs[-1, 0] = 1.0 - wa.sum()
-        rhs[:-1, 1] = mu[F]
-        sol = _kkt(fr.cov[F][:, F], rhs)
-        wa[F] = sol[:-1, 0]
-        wb = np.zeros(mu.size)
-        gamma0, gamma1 = sol[-1]
-        if float(np.ptp(mu[F])) > self.tol:
-            wb[F] = sol[:-1, 1]
+        self.rows[:-1] = free
+        rows = np.flatnonzero(self.rows)
+        F = rows[:-1]
+        bF = b[F]
+        wb = np.zeros(b.size)
+        if float(bF.max() - bF.min()) > self.tol:
+            sol = _kkt(self.kkt[rows][:, rows], self.rhs[rows])
+            wb[F], gamma1 = sol[:-1], sol[-1]
         else:
-            gamma1 = float(mu[F].mean())
-        cov_wa = fr.cov @ wa
+            gamma1 = float(bF.sum()) / F.size
+        # b·wb = wbᵀHwb >= 0, but a numerically singular system returns its
+        # null direction with either sign: take the one raising b·w
+        m1 = float(b @ wb)
+        if m1 < 0.0:
+            wb, m1 = -wb, -m1
+        wa = self.x - lam * wb
+        Hwa = H @ wa
         # a fixed weight's multiplier is -state·(c + λ·d), its gradient's
-        # sign flipped at the cap
-        c = cov_wa + gamma0
-        d = fr.cov @ wb - mu + gamma1
-        num = np.where(free, np.where(wb < 0.0, 0.0, fr.cap) - wa, -c)
+        # sign flipped at the cap; the budget multiplier zeroes c on F
+        c = Hwa - self.a
+        c -= c[F].sum() / F.size
+        d = H @ wb - b + gamma1
+        num = np.where(free, np.where(wb < 0.0, 0.0, self.cap) - wa, -c)
         den = np.where(free, wb, d)
-        falls = np.where(free, wb != 0.0, state * d > self.tol)
-        hit = np.divide(num, den, out=np.full(mu.size, math.inf), where=falls)
-        np.maximum(hit, self.lam, out=hit)
-        if self.last >= 0 and hit[self.last] <= self.lam:
+        # a slope within the rounding of its terms never changes a sign
+        tol = max(self.tol, _EPS * self.hmax * float(np.abs(wb).sum()))
+        falls = np.where(free, wb != 0.0, state * d > tol)
+        hit = np.divide(num, den, out=np.full(b.size, math.inf), where=falls)
+        np.maximum(hit, lam, out=hit)
+        if self.last >= 0 and hit[self.last] <= lam:
             hit[self.last] = math.inf
         end = float(hit.min())
         self.segments.append(
-            _Segment(self.lam, end, wa, wb, float(mu @ wa), float(mu @ wb), float(wa @ cov_wa))
+            _Segment(lam, end, wa, wb, float(b @ wa), m1, float(wa @ Hwa))
         )
         if end < math.inf:
             j = int(np.flatnonzero(hit <= end + _EPS * end)[0])
-            state[j] = 0 if state[j] else (-1 if wb[j] < 0.0 else 1)
+            self.event = (j, 0 if state[j] else (-1 if wb[j] < 0.0 else 1))
+            self.x = wa + end * wb
             self.lam, self.last = end, j
+
+
+# ---------------------------------------------------------------------------
+# the GMV
+
+
+@dataclass(frozen=True)
+class QPResult:
+    """Outcome of ``minimize``: the book ``x``, and each weight's ``state``
+    on the last segment, as ``_Walk`` numbers it."""
+
+    x: np.ndarray
+    state: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def minimize(H, cap: float, x0) -> QPResult:
+    """Minimise ½xᵀHx subject to Σx = Σx0 and 0 <= x <= cap, from a feasible x0.
+
+    x0 minimises ½xᵀHx − (Hx0)ᵀx with every weight free, so the minimiser
+    of ½xᵀHx − (1 − λ)(Hx0)ᵀx runs on a critical line from x0 at λ = 0 to
+    the answer at λ = 1 (a homotopy), which ``_Walk`` follows. H is
+    normalised to the scale of the KKT system's budget row. Iterations
+    count the segments walked, at most ``MAX_ITER``.
+    """
+    H = np.asarray(H, dtype=float)
+    H = H / max(float(np.abs(H).max()), 1e-300)
+    x = np.array(x0, dtype=float)
+    g = H @ x
+    walk = _Walk(H, cap, g, -g, x, np.zeros(x.size, dtype=int))
+    seg, segments, converged = walk.find(lambda s: s.end >= 1.0)
+    return QPResult(seg.at(1.0), walk.state, segments, converged)
 
 
 class Frontier:
@@ -366,7 +335,8 @@ class Frontier:
     it holds. The book is validated and cut down to the support once;
     ``reason`` says why it has no feasible point ('' when it has one). The
     GMV book and the walks are computed on first use and kept, so the
-    book's projections cost one QP and one walk between them, in any order.
+    book's projections cost one homotopy and one walk between them, in any
+    order.
     Malformed inputs raise ValueError.
     """
 
@@ -419,7 +389,8 @@ class Frontier:
     def walk(self, sign: float) -> _Walk:
         """The walk up (sign 1) or down (sign -1) the return from the GMV."""
         if sign not in self._walks:
-            self._walks[sign] = _Walk(self, sign, self.gmv())
+            gmv = self.gmv()
+            self._walks[sign] = _Walk(self.cov, self.cap, 0.0, sign * self.mu, gmv.x, gmv.state)
         return self._walks[sign]
 
 

@@ -58,6 +58,17 @@ class Snapshot:
         return self.timestamp.strftime("%Y-%m")
 
 
+def _add_months(day: dt.date, months: int) -> dt.date:
+    total = day.year * 12 + (day.month - 1) + months
+    return dt.date(total // 12, total % 12 + 1, 1)
+
+
+def _first_of_next_month(day: dt.date) -> dt.date:
+    if day.day == 1:
+        return day
+    return _add_months(day, 1)
+
+
 def monthly_snapshots(
     start: dt.date, end: dt.date, block_map: BlockTimeMap
 ) -> list[Snapshot]:
@@ -65,15 +76,10 @@ def monthly_snapshots(
     if end < start:
         raise ValueError("end before start")
     out: list[Snapshot] = []
-    year, month = start.year, start.month
-    if start.day > 1:
-        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
-    while True:
-        day = dt.date(year, month, 1)
-        if day > end:
-            break
+    day = _first_of_next_month(start)
+    while day <= end:
         out.append(Snapshot(day, block_map.block_for(day)))
-        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+        day = _add_months(day, 1)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import PipelineConfig, synth_token_ids
 from .ingest import ZERO_ACCOUNT, TokenMeta, TransferEvent
-from .portfolio import BlockTimeMap
+from .portfolio import BlockTimeMap, _add_months, _first_of_next_month
 from .prices import PriceSeries
 
 __all__ = ["SynthMarket", "generate_market", "simulate_log_returns"]
@@ -64,17 +64,6 @@ def simulate_log_returns(
     chol = np.linalg.cholesky(corr)
     shocks = rng.standard_normal((n_steps, n)) @ chol.T
     return mu + sigma * shocks
-
-
-def _add_months(day: dt.date, months: int) -> dt.date:
-    total = day.year * 12 + (day.month - 1) + months
-    return dt.date(total // 12, total % 12 + 1, 1)
-
-
-def _first_of_next_month(day: dt.date) -> dt.date:
-    if day.day == 1:
-        return day
-    return _add_months(day, 1)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,15 @@ one traced frontier; sharing must not change a single bit of any answer.
 
 from __future__ import annotations
 
+import datetime as dt
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainfrontier import metrics
 from chainfrontier.frontier import (
@@ -29,8 +32,9 @@ from chainfrontier.frontier import (
     sharpe,
     solve,
 )
+from chainfrontier.marketdata import ReturnWindow, estimate_moments
 from helpers import lipschitz_bound, moments
-from oracles import grid_oracle, l1_distance
+from oracles import _compositions, grid_oracle, l1_distance
 
 
 def two_asset(means, cov):
@@ -216,6 +220,59 @@ def test_max_ret_on_rank_one_covariance_returns_a_row():
         m = moments([f"T{i}" for i in range(n)], rng.normal(0.001, 0.01, n), F @ F.T)
         sol = solve(Strategy.MAX_RET, Frontier(rng.dirichlet(np.ones(n)), m))
         assert sol.weights.shape == (n,)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(3, 8).flatmap(
+        lambda n: st.lists(st.integers(-500, 500), min_size=n, max_size=n)
+    ),
+    st.sampled_from([0.9, 0.5, 0.35]),
+)
+# equal weights already have zero variance, so the homotopy's b is rounding
+@example([164, 131, -290, 434, -103, 13, -349], 0.5)
+# rounding in the multipliers' slopes once released a weight below zero
+@example([-305, -185, -480, -350, -261, -260, -305, -294], 0.35)
+def test_gmv_on_rank_one_covariances(v, cap):
+    # a rank-1 covariance makes a face of books share the minimum variance,
+    # and along the homotopy every multiplier is zero up to rounding; the
+    # GMV must still be feasible, no riskier than any grid book, and
+    # certified by its state's multipliers
+    n = len(v)
+    v = np.array(v) / 1e4
+    cov = np.outer(v, v)
+    m = moments([f"T{i}" for i in range(n)], np.zeros(n), cov)
+    gmv = Frontier(np.full(n, 1.0 / n), m, cap).gmv()
+    x = gmv.x
+    assert gmv.converged
+    assert abs(float(x.sum()) - 1.0) <= SOLVER_TOL
+    assert x.min() >= -SOLVER_TOL and x.max() <= cap + SOLVER_TOL
+    scale = float(np.abs(cov).max())
+    g = cov @ x
+    free = gmv.state == 0
+    assert float(np.ptp(g[free])) <= 1e-12 * scale
+    assert float((-gmv.state * (g - g[free].mean())).min()) >= -1e-12 * scale
+    if n <= 4:
+        W = _compositions(100, n, int(cap * 100 + 1e-9)) / 100
+        best = float(np.einsum("ij,jk,ik->i", W, cov, W).min())
+        assert float(x @ cov @ x) <= best + 1e-12 * scale
+
+
+def test_max_sr_on_a_rank_one_covariance_matches_grid_oracle():
+    # four two-day windows give a rank-1 covariance, so a face of books
+    # shares the minimum variance; the walk's first KKT system is singular,
+    # and its slope must point to the face's highest return
+    returns = [[0.01, 0.03], [0.02, 0.05], [-0.01, 0.02], [0.0, 0.04]]
+    end = dt.date(2021, 1, 2)
+    m = estimate_moments(
+        [ReturnWindow(f"T{k}", end, np.array(r)) for k, r in enumerate(returns)], min_obs=2
+    )
+    rf_daily = 0.05 / DAYS_PER_YEAR
+    for w0 in ([0.25] * 4, [0.1, 0.2, 0.3, 0.4]):
+        sol = solve(Strategy.MAX_SR, Frontier(w0, m), rf_annual=0.05)
+        ora = grid_oracle(Strategy.MAX_SR, w0, m, step=0.01, rf_annual=0.05)
+        assert sol.converged
+        assert sharpe(sol.mu, sol.sigma, rf_daily) >= sharpe(ora.mu, ora.sigma, rf_daily) - 1e-12
 
 
 def test_max_return_vertex_over_budget():
@@ -591,6 +648,37 @@ def test_projections_on_three_segments_match_grid_oracle():
         else:
             assert sharpe(sol.mu, sol.sigma) >= sharpe(ora.mu, ora.sigma) - 1e-12
     assert len(iterations) == 3
+
+
+def test_projections_from_a_degenerate_gmv_vertex_match_grid_oracle():
+    # at cap 0.5 the GMV is (0, 0.5, 0, 0.5), where all four weights sit at
+    # bounds and the caps bind with zero multipliers; the walk must start
+    # from the state the GMV's homotopy ended in, since the weights alone
+    # leave no weight free
+    mu = np.array([0.004, 0.001, 0.003, 0.002])
+    cov = np.array(
+        [
+            [0.04, 0.008, 0.0128, 0.008],
+            [0.008, 0.01, 0.008, 0.0],
+            [0.0128, 0.008, 0.04, 0.008],
+            [0.008, 0.0, 0.008, 0.01],
+        ]
+    )
+    w0 = np.array([0.3, 0.3, 0.2, 0.2])
+    m = moments(["A", "B", "C", "D"], mu, cov)
+    book = Frontier(w0, m, w_max=0.5)
+    assert book.gmv().x == pytest.approx([0.0, 0.5, 0.0, 0.5], abs=1e-12)
+    for strategy in Strategy:
+        sol = solve(strategy, book, rf_annual=0.05)
+        ora = grid_oracle(strategy, w0, m, w_max=0.5, step=0.01, rf_annual=0.05)
+        assert sol.converged
+        if strategy is Strategy.MIN_VAR:
+            assert sol.sigma <= ora.sigma + 1e-12
+        elif strategy is Strategy.MAX_RET:
+            assert sol.mu >= ora.mu - 1e-12
+        else:
+            rf_daily = 0.05 / DAYS_PER_YEAR
+            assert sharpe(sol.mu, sol.sigma, rf_daily) >= sharpe(ora.mu, ora.sigma, rf_daily) - 1e-12
 
 
 def test_shared_frontier_matches_fresh_solves_in_any_order():
