@@ -174,18 +174,27 @@ def metrics_month(
 
     snapshot_day = solutions[0].snapshot_date
     weth, wbtc = cfg.market_tokens
-    lookback_market = marketdata.market_index(
-        marketdata.log_returns(prices[weth], snapshot_day, cfg.lookback_days),
-        marketdata.log_returns(prices[wbtc], snapshot_day, cfg.lookback_days),
-    )
     forward_end = snapshot_day + dt.timedelta(days=cfg.forward_days)
-    forward_market = marketdata.market_index(
-        marketdata.log_returns(prices[weth], forward_end, cfg.forward_days),
-        marketdata.log_returns(prices[wbtc], forward_end, cfg.forward_days),
-    )
-    market_fwd = marketdata.market_forward_return(
-        forward_market, snapshot_day, cfg.forward_days
-    )
+    # the market index must move over the lookback, which every beta
+    # regresses on, and cover every forward day
+    try:
+        lookback_market = marketdata.market_index(
+            marketdata.log_returns(prices[weth], snapshot_day, cfg.lookback_days),
+            marketdata.log_returns(prices[wbtc], snapshot_day, cfg.lookback_days),
+        )
+        if len(lookback_market) < 2 or np.var(lookback_market.returns) <= 0:
+            raise ValueError("it has no variance over the lookback window")
+        forward_market = marketdata.market_index(
+            marketdata.log_returns(prices[weth], forward_end, cfg.forward_days),
+            marketdata.log_returns(prices[wbtc], forward_end, cfg.forward_days),
+        )
+        market_fwd = marketdata.market_forward_return(
+            forward_market, snapshot_day, cfg.forward_days
+        )
+    except ValueError as exc:
+        raise InputError(
+            f"{PRICES}: month {month}: market index of {weth} and {wbtc}: {exc}"
+        ) from None
 
     betas: dict[str, float] = {}
 

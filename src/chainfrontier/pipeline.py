@@ -68,7 +68,7 @@ import hashlib
 import logging
 import posixpath
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from . import storage
 from .config import PipelineConfig, synth_token_ids
@@ -107,14 +107,6 @@ MANIFEST = "manifest.json"
 
 # the strategy of a solution row that holds the observed book
 BASELINE = "baseline"
-
-REPORT_FILES = (
-    "summary.csv",
-    "excess_curve.csv",
-    "distance_hist.csv",
-    "decay_fit.csv",
-    "concentration.csv",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -590,32 +582,8 @@ def _per_month(src: str, dst: str) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# report stage: one partition per input family, run in this process
-
-
-_REPORT_WRITES = tuple(f"{REPORT}/{name}" for name in REPORT_FILES)
-
-
-def _report_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
-    def part(name: str, reads: str, files: tuple[str, ...], keys=()) -> Part:
-        writes = tuple(f"{REPORT}/{f}" for f in files)
-        return Part(name, writes, (reads,), (name,), keys)
-
-    return [
-        part("performance", PERF, ("summary.csv", "excess_curve.csv")),
-        part(
-            "distance",
-            SOLUTIONS,
-            ("distance_hist.csv", "decay_fit.csv"),
-            ("distance_bin_edges", "size_bin_min", "size_bin_max", "min_bin_count"),
-        ),
-        part(
-            "concentration",
-            SNAPSHOTS,
-            ("concentration.csv",),
-            ("dust_threshold", "top_k_pcts", "min_holders"),
-        ),
-    ], None
+# report stage: one partition per input family, run in this process; each
+# body returns the rows of its partition's tables, in their declared order
 
 
 def _month_rows(directory: Path, table: storage.Table) -> list:
@@ -624,16 +592,13 @@ def _month_rows(directory: Path, table: storage.Table) -> list:
     return [row for path in paths for row in storage.read_table(path, table)]
 
 
-def _report_performance(cfg: PipelineConfig) -> None:
+def _report_performance(cfg: PipelineConfig) -> tuple[list, list]:
     from . import metrics  # loads NumPy
 
-    ws = cfg.workspace
-    records = [metrics.PerfRecord(*row) for row in _month_rows(ws / PERF, storage.PERF)]
+    rows = _month_rows(cfg.workspace / PERF, storage.PERF)
+    records = [metrics.PerfRecord(*row) for row in rows]
     report = metrics.aggregate(records, baseline=BASELINE)
-    storage.write_table(ws / REPORT / "summary.csv", storage.SUMMARY, report.summaries)
-    storage.write_table(
-        ws / REPORT / "excess_curve.csv", storage.EXCESS_CURVE, report.excess_curve
-    )
+    return report.summaries, report.excess_curve
 
 
 def _bin_counts(values: Sequence[float], edges: Sequence[float]) -> list[int]:
@@ -649,14 +614,13 @@ def _bin_counts(values: Sequence[float], edges: Sequence[float]) -> list[int]:
     return [hi - lo for lo, hi in zip(below, below[1:])]
 
 
-def _report_distance(cfg: PipelineConfig) -> None:
+def _report_distance(cfg: PipelineConfig) -> tuple[list, list]:
     """The distance histogram and the decay fit of each frontier strategy,
     both over its converged rows. Plain Python: no NumPy is loaded."""
     from . import decayfit
 
-    ws = cfg.workspace
     converged: dict[str, list[storage.SolutionRow]] = {}
-    for s in _month_rows(ws / SOLUTIONS, storage.SOLUTIONS):
+    for s in _month_rows(cfg.workspace / SOLUTIONS, storage.SOLUTIONS):
         if s.strategy != BASELINE:
             # a strategy with no converged row still gets its histogram rows
             rows = converged.setdefault(s.strategy, [])
@@ -679,16 +643,14 @@ def _report_distance(cfg: PipelineConfig) -> None:
             fits.append(decayfit.fit_power_decay(bins, strategy=strategy))
         except ValueError as exc:  # no full size bin, or an unidentifiable fit
             log.warning("decay fit skipped for %s: %s", strategy, exc)
-    storage.write_table(ws / REPORT / "distance_hist.csv", storage.DISTANCE_HIST, hist)
-    storage.write_table(ws / REPORT / "decay_fit.csv", storage.DECAY_FIT, fits)
+    return hist, fits
 
 
-def _report_concentration(cfg: PipelineConfig) -> None:
+def _report_concentration(cfg: PipelineConfig) -> tuple[list]:
     from . import concentration  # loads NumPy
 
-    ws = cfg.workspace
     rows: list = []
-    for path in sorted((ws / SNAPSHOTS).glob("*.csv")):
+    for path in sorted((cfg.workspace / SNAPSHOTS).glob("*.csv")):
         positions = storage.read_table(path, storage.POSITIONS)
         if not positions:
             continue
@@ -721,18 +683,62 @@ def _report_concentration(cfg: PipelineConfig) -> None:
             )
             if row is not None:
                 rows.append(row)
-    storage.write_table(ws / REPORT / "concentration.csv", storage.CONCENTRATION, rows)
+    return (rows,)
 
 
-_REPORT_BODIES = {
-    "performance": _report_performance,
-    "distance": _report_distance,
-    "concentration": _report_concentration,
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    """One report partition: the upstream directory it reads, the config
+    keys it alone reads, its tables under ``report/`` (file name to schema,
+    in the order ``body(cfg)`` returns their rows) and that body."""
+
+    reads: str
+    keys: tuple[str, ...]
+    tables: Mapping[str, storage.Table]
+    body: Callable[[PipelineConfig], tuple]
+
+
+# every report table is named here, and nowhere else in the program
+_REPORTS = {
+    "performance": _Report(
+        PERF,
+        (),
+        {"summary.csv": storage.SUMMARY, "excess_curve.csv": storage.EXCESS_CURVE},
+        _report_performance,
+    ),
+    "distance": _Report(
+        SOLUTIONS,
+        ("distance_bin_edges", "size_bin_min", "size_bin_max", "min_bin_count"),
+        {
+            "distance_hist.csv": storage.DISTANCE_HIST,
+            "decay_fit.csv": storage.DECAY_FIT,
+        },
+        _report_distance,
+    ),
+    "concentration": _Report(
+        SNAPSHOTS,
+        ("dust_threshold", "top_k_pcts", "min_holders"),
+        {"concentration.csv": storage.CONCENTRATION},
+        _report_concentration,
+    ),
 }
+REPORT_FILES = tuple(file for report in _REPORTS.values() for file in report.tables)
+_REPORT_WRITES = tuple(f"{REPORT}/{file}" for file in REPORT_FILES)
+
+
+def _report_plan(cfg: PipelineConfig) -> tuple[list[Part], None]:
+    parts = []
+    for name, report in _REPORTS.items():
+        writes = tuple(f"{REPORT}/{file}" for file in report.tables)
+        parts.append(Part(name, writes, (report.reads,), (name,), report.keys))
+    return parts, None
 
 
 def _report_part(cfg: PipelineConfig, name: str) -> None:
-    _REPORT_BODIES[name](cfg)
+    report = _REPORTS[name]
+    tables = zip(report.tables.items(), report.body(cfg), strict=True)
+    for (file, schema), rows in tables:
+        storage.write_table(cfg.workspace / REPORT / file, schema, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 ONE_DAY = dt.timedelta(days=1)
 
-# marks a day without a row while ``price_series`` fills a token's grid
-_GAP = object()
-
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -67,48 +64,32 @@ def price_rows(
 
 
 def price_series(rows: Iterable[Sequence]) -> dict[str, PriceSeries]:
-    """One gap-free daily series per token from price rows, in any order.
+    """One gap-free daily series per token from price rows (token, day,
+    close, market cap, volume), in any order.
 
-    A token's series runs from its first row through the last day any
-    token has a row; a day without a row carries the previous close
-    forward. Raises ValueError when there are no rows, when two rows share
-    a token and day, or on a close that is not positive and finite.
+    One pass over the rows maps each token's days to their closes; then
+    each token's series is filled day by day from its first row through
+    the last day any token has a row, and a day without a row carries the
+    previous close forward. Raises ValueError when there are no rows, when
+    two rows share a token and day, or on a close that is not positive and
+    finite.
     """
-    # per token: the ordinal of its first day and one slot per day since
-    starts: dict[str, int] = {}
-    grids: dict[str, list] = {}
-    for tid, day, close, *_ in rows:
+    by_day: dict[str, dict[int, float]] = {}
+    for tid, day, close, _, _ in rows:
+        closes = by_day.setdefault(tid, {})
         n = day.toordinal()
-        grid = grids.get(tid)
-        if grid is None:
-            starts[tid] = n
-            grids[tid] = [close]
-            continue
-        i = n - starts[tid]
-        if i == len(grid):
-            grid.append(close)
-        elif i > len(grid):
-            grid.extend([_GAP] * (i - len(grid)))
-            grid.append(close)
-        elif i < 0:
-            grid[:0] = [close] + [_GAP] * (-i - 1)
-            starts[tid] = n
-        elif grid[i] is _GAP:
-            grid[i] = close
-        else:
+        if n in closes:
             raise ValueError(f"two rows for {tid!r} on {day}")
-    if not grids:
+        closes[n] = close
+    if not by_day:
         raise ValueError("no price rows")
 
-    last = max(starts[tid] + len(grid) for tid, grid in grids.items())
+    last = max(max(closes) for closes in by_day.values())
     out: dict[str, PriceSeries] = {}
-    for tid, grid in grids.items():
-        grid.extend([_GAP] * (last - starts[tid] - len(grid)))
-        prev = grid[0]
-        for i, close in enumerate(grid):
-            if close is _GAP:
-                grid[i] = prev
-            else:
-                prev = close
-        out[tid] = PriceSeries(tid, dt.date.fromordinal(starts[tid]), tuple(grid))
+    for tid, closes in by_day.items():
+        first = min(closes)
+        filled = [closes[first]]
+        for n in range(first + 1, last + 1):
+            filled.append(closes.get(n, filled[-1]))
+        out[tid] = PriceSeries(tid, dt.date.fromordinal(first), tuple(filled))
     return out

@@ -108,21 +108,19 @@ class SynthMarket:
 
 
 class _Emitter:
-    """Accumulates events plus the running-balance ground truth."""
+    """Accumulates events plus the ground truth: each (token, account)'s
+    balance after every block that changed it, the last one current."""
 
     def __init__(self) -> None:
         self.events: list[TransferEvent] = []
-        self.balances: dict[tuple[str, str], int] = {}
         self.history: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
         self._log_indexes: dict[tuple[str, int], int] = {}
 
     def _record(self, token: str, account: str, block: int, delta: int) -> None:
-        key = (token, account)
-        bal = self.balances.get(key, 0) + delta
+        blocks, values = self.history.setdefault((token, account), ([], []))
+        bal = (values[-1] if values else 0) + delta
         if bal < 0:
             raise AssertionError("generator produced an overdraft")
-        self.balances[key] = bal
-        blocks, values = self.history.setdefault(key, ([], []))
         if blocks and blocks[-1] == block:
             values[-1] = bal
         else:
@@ -149,7 +147,8 @@ class _Emitter:
             self._record(token, recipient, block, amount)
 
     def balance(self, token: str, account: str) -> int:
-        return self.balances.get((token, account), 0)
+        hist = self.history.get((token, account))
+        return hist[1][-1] if hist else 0
 
 
 def generate_market(cfg: PipelineConfig) -> SynthMarket:
@@ -185,6 +184,9 @@ def generate_market(cfg: PipelineConfig) -> SynthMarket:
         cfg.synth_min_size, cfg.synth_max_size + 1, size=cfg.synth_accounts
     )
     holder_lists: dict[str, list[str]] = {tid: [] for tid in token_ids}
+    # only day-zero mints create tokens, so supply is constant: the mints'
+    # sum as emitted, which times the price gives the market-cap path
+    minted = {tid: 0 for tid in token_ids}
     emitter = _Emitter()
     bpd = BLOCKS_PER_DAY
     for account, size in zip(accounts, sizes):
@@ -197,12 +199,17 @@ def generate_market(cfg: PipelineConfig) -> SynthMarket:
             qty = int(target_usd / p0[idx] * 10 ** decimals[tid]) + 1
             block = int(rng.integers(0, bpd))
             emitter.emit(tid, block, ZERO_ACCOUNT, account, qty)
+            minted[tid] += qty
 
     # --- transfer stream ---------------------------------------------------
     n_transfers = round(
         cfg.transfers_per_account_month * cfg.synth_accounts * cfg.synth_months
     )
     active = [tid for tid in token_ids if len(holder_lists[tid]) >= 2]
+    column = {tid: col for col, tid in enumerate(token_ids)}
+    # USD notional transferred per (day, token), added as each transfer is
+    # emitted, so in block and log-index order
+    notional = np.zeros((n_days, cfg.synth_tokens))
     if n_transfers and active:
         blocks = np.sort(rng.integers(bpd, n_days * bpd, size=n_transfers))
         token_picks = rng.integers(0, len(active), size=n_transfers)
@@ -222,6 +229,8 @@ def generate_market(cfg: PipelineConfig) -> SynthMarket:
             # balances exceed int64 at 18 decimals, so scale a unit draw
             amount = min(1 + int(rng.random() * float(bal // 3)), bal // 3)
             emitter.emit(tid, int(block), sender, recipient, amount)
+            day, col = int(block) // bpd, column[tid]
+            notional[day, col] += amount / 10 ** decimals[tid] * closes[day, col]
 
     # events were emitted in block order per token; sort globally for output
     events = tuple(
@@ -229,34 +238,14 @@ def generate_market(cfg: PipelineConfig) -> SynthMarket:
     )
 
     # --- series, volumes, metadata ----------------------------------------
-    # only day-zero mints create tokens, so supply is constant and price
-    # times minted quantity gives the market-cap path
-    minted = {tid: 0 for tid in token_ids}
-    for e in events:
-        if e.sender == ZERO_ACCOUNT:
-            minted[e.token_id] += e.amount
-
     prices: dict[str, PriceSeries] = {}
     volumes: dict[str, tuple[float, ...]] = {}
     mcaps: dict[str, tuple[float, ...]] = {}
-    transfer_notional: dict[str, np.ndarray] = {
-        tid: np.zeros(n_days) for tid in token_ids
-    }
-    for e in events:
-        if e.sender == ZERO_ACCOUNT or e.recipient == ZERO_ACCOUNT:
-            continue
-        day = min(e.block // bpd, n_days - 1)
-        col = token_ids.index(e.token_id)
-        transfer_notional[e.token_id][day] += (
-            e.amount / 10 ** decimals[e.token_id] * closes[day, col]
-        )
-
-    base_volume = rng.uniform(1e3, 1e6, size=(n_days, cfg.synth_tokens))
+    vol_paths = rng.uniform(1e3, 1e6, size=(n_days, cfg.synth_tokens)) + notional
     for col, tid in enumerate(token_ids):
         series_closes = tuple(float(c) for c in closes[:, col])
         prices[tid] = PriceSeries(tid, cfg.synth_start, series_closes)
-        vol_path = base_volume[:, col] + transfer_notional[tid]
-        volumes[tid] = tuple(float(v) for v in vol_path)
+        volumes[tid] = tuple(float(v) for v in vol_paths[:, col])
         qty = minted[tid] / 10 ** decimals[tid]
         mcaps[tid] = tuple(float(c * qty) for c in series_closes)
 

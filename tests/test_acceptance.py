@@ -10,8 +10,13 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,3 +453,23 @@ def test_max_sharpe_insensitive_to_risk_free_rate():
         sol_default = solve(Strategy.MAX_SR, Frontier(w0, m), rf_annual=default_rf)
         assert sol_zero.converged and sol_default.converged
         assert l1_distance(sol_zero.weights, sol_default.weights) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# criterion 13: the README's library example prints what the README shows
+
+
+def test_readme_library_example_prints_its_output_block():
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme[readme.index("## Library usage") :]
+    blocks = re.search(r"```python\n(.*?)```\n+```\n(.*?)```", section, re.S)
+    code, shown = blocks.groups()
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == shown

@@ -110,6 +110,49 @@ def test_unknown_market_token_is_exit_1(built, tmp_path, capsys, workers):
     assert err.startswith("error: market_tokens: 'FOO' has no rows in input/prices.csv")
 
 
+def _flatten_market(ws: Path) -> None:
+    """Every WETH and WBTC close set to 100, so the market index is flat."""
+    path = ws / "input" / "prices.csv"
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[0] in ("WETH", "WBTC"):
+            cells[2] = "100.0"
+            lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _list_weth_late(ws: Path) -> None:
+    """WETH's rows start nine days after the first snapshot, so the index
+    misses that month's lookback and forward days."""
+    first = min(p.stem for p in (ws / "snapshots").glob("*.csv"))
+    path = ws / "input" / "prices.csv"
+    lines = path.read_text().splitlines()
+    cut = f"{first}-10"
+    kept = [
+        ln for ln in lines if not (ln.startswith("WETH,") and ln.split(",")[1] < cut)
+    ]
+    path.write_text("\n".join(kept) + "\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "edit", [_flatten_market, _list_weth_late], ids=["flat", "late"]
+)
+def test_unusable_market_index_is_exit_1(built, tmp_path, capsys, edit, workers):
+    shutil.copytree(built.parent / "ws", tmp_path / "ws")
+    first = min(p.stem for p in (tmp_path / "ws" / "snapshots").glob("*.csv"))
+    edit(tmp_path / "ws")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + f"workers = {workers}\n")
+    stages = "ingest,snapshot,optimize,metrics,report"
+    assert main(["--config", str(cfg), "run", "--stages", stages]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: input/prices.csv: month {first}: market index of WETH and WBTC: "
+    ), err
+
+
 def test_unexpected_failure_is_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

@@ -1,5 +1,7 @@
 """Tests for the synthetic market generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,35 @@ def test_oracle_matches_ledger_reconstruction():
                 assert balance_at(ledger, account, block) == market.oracle(
                     tid, account, block
                 )
+
+
+def test_mcaps_and_volumes_match_the_events():
+    """A market cap is the close times the minted supply, and a day's volume
+    a base draw in [1e3, 1e6) plus the USD notional transferred that day;
+    both are recomputed here from the emitted events."""
+    market = generate_market(small_config(transfers_per_account_month=8.0))
+    decimals = {m.token_id: m.decimals for m in market.metas}
+    minted = dict.fromkeys(market.token_ids, 0)
+    for e in market.events:
+        if e.sender == ZERO_ACCOUNT:
+            minted[e.token_id] += e.amount
+    notional = {tid: [0.0] * len(s.closes) for tid, s in market.prices.items()}
+    for e in market.events:
+        if e.sender == ZERO_ACCOUNT or e.recipient == ZERO_ACCOUNT:
+            continue
+        day = e.block // synth.BLOCKS_PER_DAY
+        close = market.prices[e.token_id].closes[day]
+        notional[e.token_id][day] += e.amount / 10 ** decimals[e.token_id] * close
+    assert any(any(days) for days in notional.values())
+
+    for tid in market.token_ids:
+        closes = market.prices[tid].closes
+        qty = minted[tid] / 10 ** decimals[tid]
+        assert market.mcaps[tid] == tuple(c * qty for c in closes)
+        assert len(market.volumes[tid]) == len(closes)
+        for volume, moved in zip(market.volumes[tid], notional[tid]):
+            slack = 2 * math.ulp(volume)
+            assert 1e3 - slack <= volume - moved < 1e6 + slack
 
 
 def test_portfolio_sizes_respect_bounds():
