@@ -88,7 +88,7 @@ class ConcentrationRow:
     """
 
     scope: str
-    snapshot: dt.date
+    snapshot_date: dt.date
     gini: float
     hhi: float
     top_shares: tuple[tuple[float, float], ...]
@@ -112,7 +112,7 @@ def concentration_row(
     )
     return ConcentrationRow(
         scope=scope,
-        snapshot=snapshot,
+        snapshot_date=snapshot,
         gini=gini(kept),
         hhi=hhi(kept),
         top_shares=shares,

@@ -472,7 +472,9 @@ def _solve_max_sr(fr: Frontier, rf_daily: float) -> FrontierSolution:
 
     With some book above r_f this is the tangency point. The tangent at λ
     meets σ = 0 at m0 − K/λ, which rises along the walk, so the tangency
-    is at λ = K/(m0 − r_f) on the first segment that reaches r_f there.
+    is at λ = K/(m0 − r_f) on the first segment that reaches r_f there,
+    which needs m0 >= r_f: a riskless GMV below r_f, whose K rounds to
+    <= 0, would pass the test at λ = 0 with the worst Sharpe ratio.
     Otherwise every excess return is <= 0, the Sharpe ratio is a convex
     function on the perspective image of the capped simplex, and its
     maximum sits at a vertex, so the vertices are scanned exactly.
@@ -482,7 +484,9 @@ def _solve_max_sr(fr: Frontier, rf_daily: float) -> FrontierSolution:
     gmv = fr.gmv()
     if not gmv.converged:
         return _finish(Strategy.MAX_SR, fr, gmv.x, False, gmv.iterations, "")
-    seg, walked, ok = fr.walk(1.0).find(lambda s: (s.m0 - rf_daily) * s.end >= s.K)
+    seg, walked, ok = fr.walk(1.0).find(
+        lambda s: s.m0 >= rf_daily and (s.m0 - rf_daily) * s.end >= s.K
+    )
     w = seg.at(seg.K / (seg.m0 - rf_daily) if seg.m0 > rf_daily else seg.start)
     return _finish(Strategy.MAX_SR, fr, w, ok, gmv.iterations + walked, "")
 

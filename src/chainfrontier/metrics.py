@@ -2,9 +2,9 @@
 
 The ℓ₁ weight distance is the headline number: half the absolute weight
 difference, which for fully-invested long-only vectors equals one minus
-the overlap and lives in [0, 1]. Forward returns are simple buy-and-hold
-returns over the holding window; alpha is the CAPM residual at a zero
-risk-free rate.
+the overlap and lives in [0, 1]. A record's forward return is the book's
+simple buy-and-hold return over the holding window; alpha is the CAPM
+residual at a zero risk-free rate.
 """
 
 from __future__ import annotations
@@ -53,28 +53,6 @@ def l1_distance_from(w_actual) -> Callable[[object], float]:
     return distance
 
 
-def forward_return(weights, start_prices, end_prices) -> float:
-    """Buy-and-hold simple return of a weight vector over one window.
-
-    Each held asset contributes its weight times the simple price relative
-    minus one. Prices must be positive and finite wherever the weight is
-    nonzero.
-    """
-    w = np.asarray(weights, dtype=float)
-    p0 = np.asarray(start_prices, dtype=float)
-    p1 = np.asarray(end_prices, dtype=float)
-    if not (w.shape == p0.shape == p1.shape):
-        raise ValueError("weights and price vectors must align")
-    held = w > 0
-    if np.any(~np.isfinite(p0[held])) or np.any(p0[held] <= 0):
-        raise ValueError("missing or nonpositive start price for a held asset")
-    if np.any(~np.isfinite(p1[held])) or np.any(p1[held] <= 0):
-        raise ValueError("missing or nonpositive end price for a held asset")
-    rel = np.zeros_like(w)
-    rel[held] = p1[held] / p0[held] - 1.0
-    return float(np.sum(w * rel))
-
-
 def capm_alpha(portfolio_return: float, beta: float, market_return: float) -> float:
     """Return in excess of the beta-scaled market move (risk-free rate 0)."""
     return portfolio_return - beta * market_return
@@ -84,7 +62,7 @@ def capm_alpha(portfolio_return: float, beta: float, market_return: float) -> fl
 class PerfRecord:
     """Realised performance of one (snapshot, account, strategy) book."""
 
-    snapshot: dt.date
+    snapshot_date: dt.date
     account: str
     strategy: str
     fwd_return: float
@@ -113,7 +91,7 @@ class StrategySummary:
 class ExcessPoint:
     """One point of the cumulative excess-return curve."""
 
-    snapshot: dt.date
+    snapshot_date: dt.date
     strategy: str
     cumulative_excess: float
 
@@ -139,9 +117,7 @@ def aggregate(
     """
     by_strategy: dict[str, dict[dt.date, list[PerfRecord]]] = {}
     for rec in records:
-        by_strategy.setdefault(rec.strategy, {}).setdefault(rec.snapshot, []).append(
-            rec
-        )
+        by_strategy.setdefault(rec.strategy, {}).setdefault(rec.snapshot_date, []).append(rec)
     if not by_strategy:
         return AggregateReport((), ())
 

@@ -196,30 +196,29 @@ def metrics_month(
             f"{PRICES}: month {month}: market index of {weth} and {wbtc}: {exc}"
         ) from None
 
+    # one simple return to the forward day and one beta per token that a
+    # converged row holds, zero weights included
+    books = [
+        (sol, storage.decode_weights(sol.weights)) for sol in solutions if sol.converged
+    ]
+    relative: dict[str, float] = {}
     betas: dict[str, float] = {}
-
-    def beta_of(token_id: str) -> float:
-        if token_id not in betas:
-            window = marketdata.log_returns(
-                prices[token_id], snapshot_day, cfg.lookback_days
-            )
-            betas[token_id] = marketdata.asset_beta(window, lookback_market)
-        return betas[token_id]
+    for tid in sorted(set().union(*(weights for _, weights in books))):
+        series = prices[tid]
+        relative[tid] = series.close_on(forward_end) / series.close_on(snapshot_day) - 1.0
+        window = marketdata.log_returns(series, snapshot_day, cfg.lookback_days)
+        betas[tid] = marketdata.asset_beta(window, lookback_market)
 
     records: list[metrics.PerfRecord] = []
-    for sol in solutions:
-        if not sol.converged:
-            continue
-        weights = storage.decode_weights(sol.weights)
+    for sol, weights in books:
         token_ids = sorted(weights)
         w = np.array([weights[tid] for tid in token_ids])
-        p0 = np.array([prices[tid].close_on(snapshot_day) for tid in token_ids])
-        p1 = np.array([prices[tid].close_on(forward_end) for tid in token_ids])
-        fwd = metrics.forward_return(w, p0, p1)
-        beta = float(sum(wi * beta_of(tid) for wi, tid in zip(w, token_ids)))
+        rel = np.array([relative[tid] if weights[tid] > 0 else 0.0 for tid in token_ids])
+        fwd = float(np.sum(w * rel))
+        beta = float(sum(wi * betas[tid] for wi, tid in zip(w, token_ids)))
         records.append(
             metrics.PerfRecord(
-                snapshot=snapshot_day,
+                snapshot_date=snapshot_day,
                 account=sol.account,
                 strategy=sol.strategy,
                 fwd_return=fwd,

@@ -115,10 +115,6 @@ class Portfolio:
     def weights(self) -> tuple[float, ...]:
         return tuple(p.value / self.total_value for p in self.positions)
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.positions)
-
 
 def reconstruct_snapshot(
     ledgers: Mapping[str, TokenLedger],

@@ -19,8 +19,8 @@ naming the file and the line, like a bad cell.
 Writes go through a temp file in the target directory followed by an
 atomic rename, so a crashed stage never leaves a half-written partition
 behind. Floats are serialized with ``repr``, which round-trips exactly and
-is stable across runs, making reruns byte-comparable; a column that
-``_bool`` parses is written as ``true`` or ``false``.
+is stable across runs, making reruns byte-comparable; a boolean, a filter
+stage or a list of top shares is written in the form its parser reads.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import os
 from operator import attrgetter
@@ -56,7 +57,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
     """Write ``rows`` under ``header``. The csv module writes None as the
     empty cell, a float by ``repr`` and any other cell, a date included, by
     ``str``; it would write a bool as ``True``, so ``write_table`` formats
-    boolean columns first."""
+    such columns first."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -101,7 +102,9 @@ class Table:
     record from its parsed cells, in column order, and rejects the row by
     raising ``ValueError``; by default the record is the tuple of cells.
     ``cells`` turns a record into its cells, in column order, for writing;
-    by default a record is its own cells.
+    by default a tuple record is its own cells and any other record is read
+    by the header's names. A column whose parser has a formatter in
+    ``_FORMATS`` is written through it.
     """
 
     def __init__(
@@ -114,8 +117,9 @@ class Table:
         self.parsers = tuple(parse for _, parse in columns)
         self.record = record
         self.cells = cells
-        # the columns written as true/false
-        self.bools = tuple(i for i, parse in enumerate(self.parsers) if parse is _bool)
+        self.formats = tuple(
+            (i, _FORMATS[parse]) for i, parse in enumerate(self.parsers) if parse in _FORMATS
+        )
 
 
 def read_table(path: Path, table: Table) -> list:
@@ -157,18 +161,26 @@ def read_table(path: Path, table: Table) -> list:
 
 
 def write_table(path: Path, table: Table, records: Iterable) -> None:
-    """Write ``records`` as one CSV file of ``table``'s schema."""
-    if table.cells is not None:
-        records = map(table.cells, records)
-    if table.bools:
-        records = (_format_bools(table.bools, cells) for cells in records)
-    write_csv(path, table.header, records)
+    """Write ``records`` as one CSV file of ``table``'s schema. The first
+    record decides whether the records are tuples or are read by name."""
+    rows = iter(records)
+    first = next(rows, None)
+    cells = table.cells
+    if first is not None:
+        rows = itertools.chain((first,), rows)
+        if cells is None and not isinstance(first, tuple):
+            cells = attrgetter(*table.header)
+    if cells is not None:
+        rows = map(cells, rows)
+    if table.formats:
+        rows = (_format(table.formats, row) for row in rows)
+    write_csv(path, table.header, rows)
 
 
-def _format_bools(columns: tuple[int, ...], cells: Sequence) -> list:
+def _format(formats: tuple, cells: Sequence) -> list:
     cells = list(cells)
-    for i in columns:
-        cells[i] = "true" if cells[i] else "false"
+    for i, fmt in formats:
+        cells[i] = fmt(cells[i])
     return cells
 
 
@@ -223,6 +235,15 @@ def _decode_top_shares(cell: str) -> tuple[tuple[float, float], ...]:
     return tuple(
         (float(k), float(s)) for k, s in (part.split(":") for part in cell.split(";"))
     )
+
+
+# the formatter of each parser whose values ``write_csv`` would not write
+# in the form that the parser reads
+_FORMATS: dict[Callable, Callable] = {
+    _bool: lambda flag: "true" if flag else "false",
+    _opt_stage: lambda stage: stage.value if stage is not None else None,
+    _decode_top_shares: encode_top_shares,
+}
 
 
 def event_row(e: TransferEvent) -> tuple:
@@ -296,10 +317,6 @@ META = Table(
         ("reference_mcap", _opt_float),
     ),
     record=TokenMeta,
-    cells=attrgetter(
-        "token_id", "decimals", "price_history_days", "total_volume", "market_cap",
-        "fdv", "erc20_compliant", "reference_mcap",
-    ),
 )
 
 # one row per token and priced day; prices.price_series groups them
@@ -333,12 +350,6 @@ FILTERS = Table(
         ("detail", str),
     ),
     record=FilterReport,
-    cells=lambda r: (
-        r.token_id,
-        r.passed,
-        r.rejected_stage.value if r.rejected_stage else None,
-        r.detail,
-    ),
 )
 
 
@@ -415,11 +426,7 @@ PERF = Table(
         ("beta", float),
         ("alpha", float),
         ("market_fwd_return", float),
-    ),
-    cells=attrgetter(
-        "snapshot", "account", "strategy", "fwd_return", "beta", "alpha",
-        "market_fwd_return",
-    ),
+    )
 )
 
 # the report tables, written from metrics, decayfit and concentration
@@ -433,16 +440,11 @@ SUMMARY = Table(
         ("median_alpha", float),
         ("frac_positive_alpha", float),
         ("n_records", int),
-    ),
-    cells=attrgetter(
-        "strategy", "median_return", "hit_rate", "median_alpha",
-        "frac_positive_alpha", "n_records",
-    ),
+    )
 )
 
 EXCESS_CURVE = Table(
-    (("snapshot_date", _date), ("strategy", str), ("cumulative_excess", float)),
-    cells=attrgetter("snapshot", "strategy", "cumulative_excess"),
+    (("snapshot_date", _date), ("strategy", str), ("cumulative_excess", float))
 )
 
 DISTANCE_HIST = Table(
@@ -459,11 +461,7 @@ DECAY_FIT = Table(
         ("mae", float),
         ("n_bins", int),
         ("converged", _bool),
-    ),
-    cells=attrgetter(
-        "strategy", "delta_inf", "psi", "gamma", "r_squared", "mae", "n_bins",
-        "converged",
-    ),
+    )
 )
 
 CONCENTRATION = Table(
@@ -474,13 +472,5 @@ CONCENTRATION = Table(
         ("hhi", float),
         ("top_shares", _decode_top_shares),
         ("n_holders", int),
-    ),
-    cells=lambda r: (
-        r.snapshot,
-        r.scope,
-        r.gini,
-        r.hhi,
-        encode_top_shares(r.top_shares),
-        r.n_holders,
-    ),
+    )
 )

@@ -72,8 +72,8 @@ class SynthMarket:
 
     ``events`` are in global block order (per-token order follows).
     ``volumes`` and ``mcaps`` parallel each token's price series by day.
-    ``snapshot_start``/``snapshot_end`` bound the months the generator
-    guaranteed full lookback and forward coverage for.
+    ``snapshot_end`` opens the last month the generator guaranteed full
+    lookback and forward coverage for.
     """
 
     token_ids: tuple[str, ...]
@@ -83,7 +83,6 @@ class SynthMarket:
     mcaps: dict[str, tuple[float, ...]]
     events: tuple[TransferEvent, ...]
     block_map: BlockTimeMap
-    snapshot_start: dt.date
     snapshot_end: dt.date
     _history: dict[tuple[str, str], tuple[list[int], list[int]]] = field(
         repr=False, compare=False, default_factory=dict
@@ -280,7 +279,6 @@ def generate_market(cfg: PipelineConfig) -> SynthMarket:
         mcaps=mcaps,
         events=events,
         block_map=block_map,
-        snapshot_start=snapshot_start,
         snapshot_end=snapshot_end,
         _history=emitter.history,
     )

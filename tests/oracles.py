@@ -3,8 +3,10 @@ against. No pipeline run reaches any of them.
 
 The grid oracle and the naive replay are the acceptance oracles: a
 brute-force search of the simplex grid for the frontier projections, and a
-linear scan of the raw events for a balance. The rest are small readings of
-pipeline values that only the tests need.
+linear scan of the raw events for a balance. ``forward_return`` prices one
+weight vector's buy-and-hold return from its start and end closes, the
+reference for every perf row. The rest are small readings of pipeline
+values that only the tests need.
 """
 
 from __future__ import annotations
@@ -179,3 +181,25 @@ def predict(fit: DecayFit, n):
 def events_for(market: SynthMarket, token_id: str) -> tuple[TransferEvent, ...]:
     """The market's events of one token, in block order."""
     return tuple(e for e in market.events if e.token_id == token_id)
+
+
+def forward_return(weights, start_prices, end_prices) -> float:
+    """Buy-and-hold simple return of a weight vector over one window.
+
+    Each held asset contributes its weight times the simple price relative
+    minus one. Prices must be positive and finite wherever the weight is
+    nonzero.
+    """
+    w = np.asarray(weights, dtype=float)
+    p0 = np.asarray(start_prices, dtype=float)
+    p1 = np.asarray(end_prices, dtype=float)
+    if not (w.shape == p0.shape == p1.shape):
+        raise ValueError("weights and price vectors must align")
+    held = w > 0
+    if np.any(~np.isfinite(p0[held])) or np.any(p0[held] <= 0):
+        raise ValueError("missing or nonpositive start price for a held asset")
+    if np.any(~np.isfinite(p1[held])) or np.any(p1[held] <= 0):
+        raise ValueError("missing or nonpositive end price for a held asset")
+    rel = np.zeros_like(w)
+    rel[held] = p1[held] / p0[held] - 1.0
+    return float(np.sum(w * rel))

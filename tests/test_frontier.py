@@ -275,6 +275,39 @@ def test_max_sr_on_a_rank_one_covariance_matches_grid_oracle():
         assert sharpe(sol.mu, sol.sigma, rf_daily) >= sharpe(ora.mu, ora.sigma, rf_daily) - 1e-12
 
 
+@pytest.mark.parametrize(
+    "returns",
+    [
+        [
+            [0.01947042780764768, 0.023063712645966745],
+            [-0.03337481830564731, -0.018765667069495295],
+            [-0.0014101194148806997, -0.01597775981037099],
+        ],
+        [
+            [-0.020308982821268695, -0.034705575855267415],
+            [0.005390510801993563, 0.03193782388235994],
+            [0.005929446356043948, 0.01972975336554627],
+            [0.04996522586725397, 0.00910079341536555],
+        ],
+    ],
+)
+def test_max_sr_walks_past_a_riskless_gmv_below_the_risk_free_rate(returns):
+    # two-day windows whose GMV is riskless (variance 0 up to rounding) and
+    # earns below r_f: the tangency test must not stop on the walk's
+    # zero-length first segment, which returns the worst Sharpe ratio
+    end = dt.date(2021, 1, 2)
+    m = estimate_moments(
+        [ReturnWindow(f"T{k}", end, np.array(r)) for k, r in enumerate(returns)], min_obs=2
+    )
+    rf_daily = 0.05 / DAYS_PER_YEAR
+    w0 = np.full(len(returns), 1.0 / len(returns))
+    sol = solve(Strategy.MAX_SR, Frontier(w0, m), rf_annual=0.05)
+    ora = grid_oracle(Strategy.MAX_SR, w0, m, step=0.02, rf_annual=0.05)
+    assert sol.converged
+    assert sol.mu > rf_daily
+    assert sharpe(sol.mu, sol.sigma, rf_daily) >= sharpe(ora.mu, ora.sigma, rf_daily)
+
+
 def test_max_return_vertex_over_budget():
     # cap 0.5 makes the max-return face the single vertex (0.5, 0.5, 0):
     # three active bounds and two equality rows on three weights

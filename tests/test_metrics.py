@@ -1,4 +1,5 @@
-"""Tests for distance and performance metrics."""
+"""Tests for distance and performance metrics, and for the perf rows that
+the metrics stage writes."""
 
 import datetime as dt
 import logging
@@ -9,14 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainfrontier import storage
+from chainfrontier.config import PipelineConfig
+from chainfrontier.marketdata import asset_beta, log_returns, market_index
 from chainfrontier.metrics import (
     AggregateReport,
     PerfRecord,
     aggregate,
     capm_alpha,
-    forward_return,
 )
-from oracles import l1_distance
+from chainfrontier.pipeline import PERF, PIPELINE_STAGES, PRICES, SOLUTIONS, run_pipeline
+from chainfrontier.prices import price_series
+from oracles import forward_return, l1_distance
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +102,64 @@ def test_forward_return_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# the metrics stage
+
+
+@pytest.fixture(scope="module")
+def through_metrics(tmp_path_factory):
+    """A small workspace built through the metrics stage."""
+    cfg = PipelineConfig(
+        workspace=tmp_path_factory.mktemp("metrics") / "ws",
+        seed=11,
+        synth_tokens=8,
+        synth_accounts=15,
+        synth_months=3,
+        synth_max_size=6,
+    )
+    run_pipeline(cfg, PIPELINE_STAGES[: PIPELINE_STAGES.index("metrics") + 1])
+    return cfg
+
+
+def test_perf_rows_match_the_forward_return_and_beta_references(through_metrics):
+    # every converged solution row has one perf row, whose return is the
+    # reference buy-and-hold return over the row's closes on the snapshot
+    # and forward days, and whose beta is the weighted sum of each token's
+    # beta over the lookback window
+    cfg = through_metrics
+    ws = cfg.workspace
+    prices = price_series(storage.read_table(ws / PRICES, storage.PRICES))
+    checked = 0
+    for path in sorted((ws / SOLUTIONS).glob("*.csv")):
+        records = [
+            PerfRecord(*row) for row in storage.read_table(ws / PERF / path.name, storage.PERF)
+        ]
+        perf = {(r.account, r.strategy): r for r in records}
+        converged = [s for s in storage.read_table(path, storage.SOLUTIONS) if s.converged]
+        assert len(perf) == len(records) == len(converged)
+        for sol in converged:
+            day = sol.snapshot_date
+            end = day + dt.timedelta(days=cfg.forward_days)
+            market = market_index(
+                *(log_returns(prices[t], day, cfg.lookback_days) for t in cfg.market_tokens)
+            )
+            weights = storage.decode_weights(sol.weights)
+            tids = sorted(weights)
+            w = [weights[t] for t in tids]
+            p0 = [prices[t].close_on(day) for t in tids]
+            p1 = [prices[t].close_on(end) for t in tids]
+            betas = [
+                asset_beta(log_returns(prices[t], day, cfg.lookback_days), market)
+                for t in tids
+            ]
+            row = perf[sol.account, sol.strategy]
+            assert row.snapshot_date == day
+            assert row.fwd_return == forward_return(w, p0, p1)
+            assert row.beta == sum(wi * b for wi, b in zip(w, betas))
+            checked += 1
+    assert checked > 0
+
+
+# ---------------------------------------------------------------------------
 # CAPM alpha
 
 
@@ -118,7 +181,7 @@ def test_capm_alpha_flat_market():
 
 def _rec(snap, account, strategy, ret, alpha=0.0, market=0.0, beta=1.0):
     return PerfRecord(
-        snapshot=snap,
+        snapshot_date=snap,
         account=account,
         strategy=strategy,
         fwd_return=ret,
@@ -189,7 +252,7 @@ def test_aggregate_cumulative_excess_curve():
     ]
     report = aggregate(recs)
     points = [p for p in report.excess_curve if p.strategy == "s"]
-    assert [p.snapshot for p in points] == [SNAP1, SNAP2]
+    assert [p.snapshot_date for p in points] == [SNAP1, SNAP2]
     assert points[0].cumulative_excess == pytest.approx(0.03)
     assert points[1].cumulative_excess == pytest.approx(0.01)
 
@@ -237,7 +300,7 @@ def test_aggregate_orders_strategies_and_snapshots():
     ]
     report = aggregate(recs)
     assert [s.strategy for s in report.summaries] == ["alpha", "zeta"]
-    zeta_points = [p.snapshot for p in report.excess_curve if p.strategy == "zeta"]
+    zeta_points = [p.snapshot_date for p in report.excess_curve if p.strategy == "zeta"]
     assert zeta_points == sorted(zeta_points)
 
 
