@@ -7,14 +7,15 @@ invested, long-only, a per-asset cap, and support restricted to the assets
 the account already holds.
 
 All three lie on one piecewise-linear path, the minimiser w(λ) of
-½wᵀΣw − λμᵀw over that set, which ``Frontier`` traces once per book by
-Markowitz's critical-line algorithm. The same kernel, ``_Walk``, first
-finds the path's start, the global minimum-variance (GMV) book at λ = 0:
-``minimize`` follows a critical line from equal weights to the GMV (a
-homotopy). The walk goes up from the GMV along the efficient branch, or
-down when a min-variance anchor lies below the GMV's return. Each segment
-costs one KKT solve, and on it μ(λ) = m0 + m1·λ and V(λ) = K + m1·λ², so
-each projection is closed-form:
+½wᵀΣw − λμᵀw over that set, which Markowitz's critical-line algorithm
+traces. The same kernel first finds the path's start, the global
+minimum-variance (GMV) book at λ = 0, by following a critical line from
+equal weights to the GMV (a homotopy). The walk goes up from the GMV along
+the efficient branch, or down when a min-variance anchor lies below the
+GMV's return. ``walk_books`` walks a month's books in lockstep: each step
+adds one segment to every walk, with one stacked KKT solve per free-set
+size. On a segment μ(λ) = m0 + m1·λ and V(λ) = K + m1·λ², so each
+projection is closed-form:
 
 * min-variance: λ = (μ_a − m0)/m1, or the GMV when every book meets μ_a;
 * max-return: λ² = (V0 − K)/m1, or the GMV when it spends the budget;
@@ -31,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,14 +154,22 @@ def _finish(
 # the critical line
 
 
-def _kkt(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve [[H, 1], [1ᵀ, 0]] x = rhs: a quadratic on the free weights
-    under the budget row."""
+def _kkt(kkt: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of [[H, 1], [1ᵀ, 0]] x = rhs systems, quadratics on the
+    free weights under the budget row, and say which fell back to ``lstsq``."""
+    fell_back = np.zeros(len(kkt), dtype=bool)
     try:
-        return np.linalg.solve(kkt, rhs)
+        return np.linalg.solve(kkt, rhs[..., None])[..., 0], fell_back
     except np.linalg.LinAlgError:
-        # a singular H on the budget's null space: the minimum-norm solution
-        return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        # one singular matrix fails the whole stack: solve one at a time
+        sol = np.empty_like(rhs)
+    for i, (A, r) in enumerate(zip(kkt, rhs)):
+        try:
+            sol[i] = np.linalg.solve(A, r)
+        except np.linalg.LinAlgError:
+            # a singular H on the budget's null space: the minimum-norm solution
+            sol[i], fell_back[i] = np.linalg.lstsq(A, r, rcond=None)[0], True
+    return sol, fell_back
 
 
 def _greedy_vertex(mu: np.ndarray, cap: float, maximize: bool) -> np.ndarray:
@@ -176,12 +185,13 @@ def _greedy_vertex(mu: np.ndarray, cap: float, maximize: bool) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class _Segment:
+class _Segment(NamedTuple):
     """One linear piece w(λ) = wa + λ·wb of the critical line, λ in [start, end].
 
     On a walk with a = 0, μ(λ) = m0 + m1·λ along b and V(λ) = K + m1·λ²,
     because V′(λ) = 2λ·μ′(λ). The last segment has end = inf and wb = 0.
+    ``lstsq`` is set when the segment's KKT system was singular and its
+    slope is ``lstsq``'s minimum-norm one.
     """
 
     start: float
@@ -191,6 +201,7 @@ class _Segment:
     m0: float
     m1: float
     K: float
+    lstsq: bool
 
     def at(self, lam: float) -> np.ndarray:
         lam = min(max(lam, self.start), self.end)
@@ -201,98 +212,135 @@ class _Walk:
     """The critical line of ½wᵀHw − (a + λb)ᵀw for λ >= 0 over the capped
     simplex, from a book ``x`` that is optimal at λ = 0 in a given ``state``.
 
-    Each weight is free (state 0), or fixed at 0 (-1) or at the cap (1). On
-    each segment one KKT solve on the free weights gives the slope wb, and
-    the segment is anchored at the book where it starts: wa = x − λ·wb.
-    Two products with H give each fixed weight's multiplier, c + λ·d. The
-    segment ends at the first event: a free weight reaches 0 or the cap, or
-    a fixed weight's multiplier changes sign. Ties go to the smallest index;
-    the weight that just changed cannot change back at the same λ. The
-    event is applied when the next segment is built, so ``state`` describes
-    the last segment.
+    Each weight is free (state 0), or fixed at 0 (-1) or at the cap (1).
+    ``_run`` walks it, and leaves its ``segments`` and the ``state`` of the
+    last one.
     """
 
     def __init__(self, H, cap: float, a, b, x, state) -> None:
-        n = b.size
-        self.H, self.cap, self.a, self.b = H, cap, a, b
-        # each free set's KKT system is these rows and columns, the budget
-        # row last
-        self.kkt = np.ones((n + 1, n + 1))
-        self.kkt[:n, :n] = H
-        self.kkt[n, n] = 0.0
-        self.rhs = np.append(b, 0.0)
-        self.rows = np.ones(n + 1, dtype=bool)
-        # b is known to the rounding of |H|·|x| (minimize's b is -Hx0), and
-        # free weights with a flatter b stop moving
-        self.hmax = float(np.abs(H).max())
-        self.tol = _EPS * max(float(np.abs(b).max()), self.hmax * float(np.abs(x).sum()))
-        self.x = x
+        self.H, self.cap, self.a, self.b, self.x = H, cap, a, b, x
         self.state = np.array(state, dtype=int)
-        self.lam = 0.0
-        self.last = -1
-        self.event: tuple[int, int] | None = None
         self.segments: list[_Segment] = []
 
     def find(self, reached) -> tuple[_Segment, int, bool]:
         """The first segment where ``reached`` holds or the walk ends, and
         its 1-based index; False when ``MAX_ITER`` segments fall short."""
-        k = 0
-        while True:
-            if k == len(self.segments):
-                if k == MAX_ITER:
-                    return self.segments[-1], k, False
-                self._extend()
-            seg = self.segments[k]
-            k += 1
+        for k, seg in enumerate(self.segments, 1):
             if seg.end == math.inf or reached(seg):
                 return seg, k, True
+        return self.segments[-1], len(self.segments), False
 
-    def _extend(self) -> None:
-        H, b, state, lam = self.H, self.b, self.state, self.lam
-        if self.event is not None:
-            j, to = self.event
-            state[j] = to
+
+def _run(walks: Sequence[_Walk], stop: float) -> None:
+    """Walk every walk in lockstep until a segment reaches λ >= ``stop``,
+    the line ends, or ``MAX_ITER`` segments are walked. A walk's arrays are
+    padded to the next multiple of 8, a width that depends on its book
+    alone, so a book walks the same bits alone as in any batch."""
+    groups: dict[int, list[_Walk]] = {}
+    for walk in sorted(walks, key=lambda w: w.b.size):
+        groups.setdefault(-(-walk.b.size // 8) * 8, []).append(walk)
+    for width, group in groups.items():
+        _run_group(group, width, stop)
+
+
+def _run_group(walks: list[_Walk], P: int, stop: float) -> None:
+    """Step walks of padded width P together, sorted by size.
+
+    Each step gives each walk's segment its slope wb from one KKT solve on
+    its free weights, stacked per free-set size. The segment is anchored at
+    the book where it starts: wa = x − λ·wb. Two products with H give each
+    fixed weight's multiplier, c + λ·d. The segment ends at the first
+    event: a free weight reaches 0 or the cap, or a fixed weight's
+    multiplier changes sign. Ties go to the smallest index; the weight that
+    just changed cannot change back at the same λ. A walk's ``state`` is
+    the last segment's, taken before its event is applied. Padded weights
+    are fixed at 0 and raise no event.
+    """
+    B, ns = len(walks), np.array([w.b.size for w in walks])
+    H, (a, b, x), state = np.zeros((B, P, P)), np.zeros((3, B, P)), np.full((B, P), -1)
+    for i, w in enumerate(walks):
+        n = w.b.size
+        H[i, :n, :n], a[i, :n], b[i, :n], x[i, :n], state[i, :n] = w.H, w.a, w.b, w.x, w.state
+    cap, real = np.array([[w.cap] for w in walks]), np.arange(P) < ns[:, None]
+    # each free set's KKT system is these rows and columns, the budget row last
+    kkt, rhs = np.ones((B, P + 1, P + 1)), np.zeros((B, P + 1))
+    kkt[:, :P, :P], kkt[:, P, P], rhs[:, :P] = H, 0.0, b
+    hmax = np.abs(H).max(axis=(1, 2))
+    # b is known to the rounding of |H|·|x| (the homotopy's b is -Hx0), and
+    # free weights with a flatter b stop moving
+    tol = _EPS * np.maximum(np.abs(b).max(axis=1), hmax * np.abs(x).sum(axis=1))
+    lam, last, live, steps = np.zeros(B), np.full(B, -1), list(walks), 0
+
+    def dot(u, v):  # one BLAS dot per row
+        return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+    while live:
+        k = len(live)
+        rows = np.arange(k)
         free = state == 0
-        self.rows[:-1] = free
-        rows = np.flatnonzero(self.rows)
-        F = rows[:-1]
-        bF = b[F]
-        wb = np.zeros(b.size)
-        if float(bF.max() - bF.min()) > self.tol:
-            sol = _kkt(self.kkt[rows][:, rows], self.rhs[rows])
-            wb[F], gamma1 = sol[:-1], sol[-1]
-        else:
-            gamma1 = float(bF.sum()) / F.size
+        nf = free.sum(axis=1)
+        wb, fell_back = np.zeros((k, P)), np.zeros(k, dtype=bool)
+        gamma1 = np.where(free, b, 0.0).sum(axis=1) / nf
+        top = np.where(free, b, -math.inf).max(axis=1)
+        moving = top - np.where(free, b, math.inf).min(axis=1) > tol
+        # the free weights in index order, then the budget row
+        budget = np.zeros((k, 1), dtype=bool)
+        order = np.argsort(np.concatenate((~free, budget), axis=1), axis=1, kind="stable")
+        for f in sorted(set(nf[moving].tolist())):
+            sel = np.flatnonzero(moving & (nf == f))
+            F, at = order[sel, : f + 1], sel[:, None]
+            sol, fell_back[sel] = _kkt(kkt[at[:, :, None], F[:, :, None], F[:, None, :]], rhs[at, F])
+            wb[at, F[:, :f]], gamma1[sel] = sol[:, :f], sol[:, f]
         # b·wb = wbᵀHwb >= 0, but a numerically singular system returns its
         # null direction with either sign: take the one raising b·w
-        m1 = float(b @ wb)
-        if m1 < 0.0:
-            wb, m1 = -wb, -m1
-        wa = self.x - lam * wb
-        Hwa = H @ wa
+        m1 = dot(b, wb)
+        flip = m1 < 0.0
+        wb[flip], m1[flip] = -wb[flip], -m1[flip]
+        wa = x - lam[:, None] * wb
+        Hwa = (H @ wa[:, :, None])[:, :, 0]
         # a fixed weight's multiplier is -state·(c + λ·d), its gradient's
         # sign flipped at the cap; the budget multiplier zeroes c on F
-        c = Hwa - self.a
-        c -= c[F].sum() / F.size
-        d = H @ wb - b + gamma1
-        num = np.where(free, np.where(wb < 0.0, 0.0, self.cap) - wa, -c)
+        c = Hwa - a
+        c -= (np.where(free, c, 0.0).sum(axis=1) / nf)[:, None]
+        d = (H @ wb[:, :, None])[:, :, 0] - b + gamma1[:, None]
+        num = np.where(free, np.where(wb < 0.0, 0.0, cap) - wa, -c)
         den = np.where(free, wb, d)
         # a slope within the rounding of its terms never changes a sign
-        tol = max(self.tol, _EPS * self.hmax * float(np.abs(wb).sum()))
-        falls = np.where(free, wb != 0.0, state * d > tol)
-        hit = np.divide(num, den, out=np.full(b.size, math.inf), where=falls)
-        np.maximum(hit, lam, out=hit)
-        if self.last >= 0 and hit[self.last] <= lam:
-            hit[self.last] = math.inf
-        end = float(hit.min())
-        self.segments.append(
-            _Segment(lam, end, wa, wb, float(b @ wa), m1, float(wa @ Hwa))
-        )
-        if end < math.inf:
-            j = int(np.flatnonzero(hit <= end + _EPS * end)[0])
-            self.event = (j, 0 if state[j] else (-1 if wb[j] < 0.0 else 1))
-            self.x = wa + end * wb
-            self.lam, self.last = end, j
+        tol_d = np.maximum(tol, _EPS * hmax * np.abs(wb).sum(axis=1))
+        falls = real & np.where(free, wb != 0.0, state * d > tol_d[:, None])
+        hit = np.divide(num, den, out=np.full((k, P), math.inf), where=falls)
+        np.maximum(hit, lam[:, None], out=hit)
+        guarded = np.flatnonzero(last >= 0)
+        again = guarded[hit[guarded, last[guarded]] <= lam[guarded]]
+        hit[again, last[again]] = math.inf
+        end = hit.min(axis=1)
+        # the segments, one row view of wa and wb per walk
+        cut = np.flatnonzero(ns[1:] != ns[:-1]) + 1
+        was, wbs = [], []
+        for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), k]):
+            was.extend(wa[lo:hi, : ns[lo]])
+            wbs.extend(wb[lo:hi, : ns[lo]])
+        m0, K = dot(b, wa).tolist(), dot(wa, Hwa).tolist()
+        columns = zip(lam.tolist(), end.tolist(), was, wbs, m0, m1.tolist(), K, fell_back.tolist())
+        for walk, seg in zip(live, map(_Segment._make, columns)):
+            walk.segments.append(seg)
+
+        steps += 1
+        done = (end >= stop) | (steps == MAX_ITER)
+        for i in np.flatnonzero(done).tolist():
+            live[i].state = state[i, : ns[i]].copy()
+        # the event; a walk whose line ends is done
+        last = np.argmax(hit <= (end + _EPS * end)[:, None], axis=1)
+        fixed = state[rows, last] != 0
+        state[rows, last] = np.where(fixed, 0, np.where(wb[rows, last] < 0.0, -1, 1))
+        lam = np.where(end < math.inf, end, lam)
+        x = wa + lam[:, None] * wb
+        if done.any():
+            keep = ~done
+            live = list(itertools.compress(live, keep.tolist()))
+            H, kkt, rhs, a, b, x, state, cap, real, ns, hmax, tol, lam, last = (
+                v[keep] for v in (H, kkt, rhs, a, b, x, state, cap, real, ns, hmax, tol, lam, last)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +349,7 @@ class _Walk:
 
 @dataclass(frozen=True)
 class QPResult:
-    """Outcome of ``minimize``: the book ``x``, and each weight's ``state``
+    """A GMV homotopy's outcome: the book ``x``, and each weight's ``state``
     on the last segment, as ``_Walk`` numbers it."""
 
     x: np.ndarray
@@ -310,22 +358,29 @@ class QPResult:
     converged: bool
 
 
-def minimize(H, cap: float, x0) -> QPResult:
-    """Minimise ½xᵀHx subject to Σx = Σx0 and 0 <= x <= cap, from a feasible x0.
-
-    x0 minimises ½xᵀHx − (Hx0)ᵀx with every weight free, so the minimiser
-    of ½xᵀHx − (1 − λ)(Hx0)ᵀx runs on a critical line from x0 at λ = 0 to
-    the answer at λ = 1 (a homotopy), which ``_Walk`` follows. H is
-    normalised to the scale of the KKT system's budget row. Iterations
-    count the segments walked, at most ``MAX_ITER``.
-    """
+def _homotopy(H, cap: float) -> _Walk:
+    """The homotopy from equal weights x0 to the GMV of H: x0 minimises
+    ½xᵀHx − (Hx0)ᵀx with every weight free, and the minimiser of
+    ½xᵀHx − (1 − λ)(Hx0)ᵀx reaches the GMV at λ = 1 along a critical line.
+    H is normalised to the scale of the KKT system's budget row."""
     H = np.asarray(H, dtype=float)
     H = H / max(float(np.abs(H).max()), 1e-300)
-    x = np.array(x0, dtype=float)
+    x = np.full(H.shape[0], 1.0 / H.shape[0])
     g = H @ x
-    walk = _Walk(H, cap, g, -g, x, np.zeros(x.size, dtype=int))
-    seg, segments, converged = walk.find(lambda s: s.end >= 1.0)
-    return QPResult(seg.at(1.0), walk.state, segments, converged)
+    return _Walk(H, cap, g, -g, x, np.zeros(x.size, dtype=int))
+
+
+def _gmv_of(homotopy: _Walk) -> QPResult:
+    seg = homotopy.segments[-1]
+    return QPResult(seg.at(1.0), homotopy.state, len(homotopy.segments), seg.end >= 1.0)
+
+
+def minimize(H, cap: float) -> QPResult:
+    """Minimise ½xᵀHx subject to Σx = 1 and 0 <= x <= cap by the homotopy;
+    iterations count its segments, at most ``MAX_ITER``."""
+    homotopy = _homotopy(H, cap)
+    _run([homotopy], 1.0)
+    return _gmv_of(homotopy)
 
 
 class Frontier:
@@ -334,9 +389,9 @@ class Frontier:
     ``w0`` aligns with ``m.eligible_ids``, and the support is the assets
     it holds. The book is validated and cut down to the support once;
     ``reason`` says why it has no feasible point ('' when it has one). The
-    GMV book and the walks are computed on first use and kept, so the
-    book's projections cost one homotopy and one walk between them, in any
-    order.
+    GMV book and the walks are computed on first use, or for a month of
+    books at once by ``walk_books``, and kept, so the book's projections
+    cost one homotopy and one walk between them, in any order.
     Malformed inputs raise ValueError.
     """
 
@@ -380,18 +435,40 @@ class Frontier:
         return w
 
     def gmv(self) -> QPResult:
-        """The global minimum-variance book, started from equal weights."""
+        """The global minimum-variance book."""
         if self._gmv is None:
-            n = self.mu.size
-            self._gmv = minimize(self.cov, self.cap, np.full(n, 1.0 / n))
+            self._gmv = minimize(self.cov, self.cap)
         return self._gmv
+
+    def _walk_from_gmv(self, sign: float) -> _Walk:
+        gmv = self.gmv()
+        self._walks[sign] = walk = _Walk(self.cov, self.cap, 0.0, sign * self.mu, gmv.x, gmv.state)
+        return walk
 
     def walk(self, sign: float) -> _Walk:
         """The walk up (sign 1) or down (sign -1) the return from the GMV."""
         if sign not in self._walks:
-            gmv = self.gmv()
-            self._walks[sign] = _Walk(self.cov, self.cap, 0.0, sign * self.mu, gmv.x, gmv.state)
+            _run([self._walk_from_gmv(sign)], math.inf)
         return self._walks[sign]
+
+
+def walk_books(books: Sequence[Frontier]) -> None:
+    """Walk a month's books in lockstep: every GMV homotopy, then every
+    up-walk and the down-walks of the books whose anchor return lies below
+    their GMV's, each to its end. Each book keeps its GMV and walks, so
+    ``solve`` only looks its segments up, and its answers are the same
+    bits as for the book alone."""
+    live = [fr for fr in books if not fr.reason]
+    homotopies = [_homotopy(fr.cov, fr.cap) for fr in live]
+    _run(homotopies, 1.0)
+    walks = []
+    for fr, homotopy in zip(live, homotopies):
+        fr._gmv = gmv = _gmv_of(homotopy)
+        if gmv.converged:
+            walks.append(fr._walk_from_gmv(1.0))
+            if fr.anchor_mu < float(gmv.x @ fr.mu):
+                walks.append(fr._walk_from_gmv(-1.0))
+    _run(walks, math.inf)
 
 
 def solve(

@@ -7,6 +7,10 @@ pool forks, so pool workers inherit NumPy instead of each importing it.
 A no-op run, a snapshot repair, ``validate`` and the report, whose bodies
 live in ``pipeline``, never load it.
 
+Optimize builds a month's books first and walks their critical lines
+together in one ``frontier.walk_books`` call; each book's three
+``frontier.solve`` calls then look up its own segments.
+
 The layers are called through their modules (``frontier.solve``, not a
 bare ``solve``), so a wrapper installed on a module attribute, as the
 bench's tracer installs one, sees every call.
@@ -98,7 +102,7 @@ def optimize_month(
     for row in positions:
         by_account.setdefault(row.account, []).append(row)
 
-    rows: list[tuple] = []
+    books: list[tuple] = []
     for account in sorted(by_account):
         held = sorted(by_account[account], key=lambda r: r.token_id)
         if len(held) < 2:
@@ -117,11 +121,14 @@ def optimize_month(
             continue
         w0 = np.array([values[tid] / eligible_value for tid in m.eligible_ids])
         total_value = sum(values.values())
-        n_assets = len(m.eligible_ids)
+        books.append((account, m, w0, total_value, frontier.Frontier(w0, m, cfg.w_max)))
 
-        # the book's projections share one GMV solve and one critical-line
-        # walk, and the baseline row reads the book's own moments
-        book = frontier.Frontier(w0, m, cfg.w_max)
+    # one lockstep walk for the month; the baseline row reads the book's own
+    # moments
+    frontier.walk_books([book for *_, book in books])
+    rows: list[tuple] = []
+    for account, m, w0, total_value, book in books:
+        n_assets = len(m.eligible_ids)
         rows.append(
             (
                 snapshot_day,

@@ -5,12 +5,17 @@ The grid oracle and the naive replay are the acceptance oracles: a
 brute-force search of the simplex grid for the frontier projections, and a
 linear scan of the raw events for a balance. ``forward_return`` prices one
 weight vector's buy-and-hold return from its start and end closes, the
-reference for every perf row. The rest are small readings of pipeline
-values that only the tests need.
+reference for every perf row. ``ReferenceFrontier`` walks one book's
+critical lines one segment at a time, each with its own KKT solve, the
+reference for the month's lockstep walk. ``rank_one_books`` is a fixed set
+of books with rank-1 covariances, where the walk's KKT systems can be
+exactly singular. The rest are small readings of pipeline values that only
+the tests need.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from typing import Iterable, Sequence
 
@@ -18,13 +23,17 @@ import numpy as np
 
 from chainfrontier.decayfit import DecayFit, SizeBin, _curve
 from chainfrontier.frontier import (
+    _EPS,
     DAYS_PER_YEAR,
+    MAX_ITER,
     Frontier,
     FrontierSolution,
+    QPResult,
     Strategy,
+    _Segment,
 )
 from chainfrontier.ingest import TransferEvent
-from chainfrontier.marketdata import MomentEstimates
+from chainfrontier.marketdata import MomentEstimates, ReturnWindow, estimate_moments
 from chainfrontier.metrics import l1_distance_from
 from chainfrontier.synth import SynthMarket
 
@@ -203,3 +212,141 @@ def forward_return(weights, start_prices, end_prices) -> float:
     rel = np.zeros_like(w)
     rel[held] = p1[held] / p0[held] - 1.0
     return float(np.sum(w * rel))
+
+
+# ---------------------------------------------------------------------------
+# the per-book critical-line walk
+
+
+def _kkt(kkt: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve [[H, 1], [1ᵀ, 0]] x = rhs: a quadratic on the free weights
+    under the budget row; True when it fell back to ``lstsq``."""
+    try:
+        return np.linalg.solve(kkt, rhs), False
+    except np.linalg.LinAlgError:
+        # a singular H on the budget's null space: the minimum-norm solution
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
+
+
+class ReferenceWalk:
+    """One critical line of ½wᵀHw − (a + λb)ᵀw over the capped simplex,
+    extended one segment at a time as ``find`` needs it; the walk the
+    lockstep kernel replaced, with the same tolerances and tie rules."""
+
+    def __init__(self, H, cap: float, a, b, x, state) -> None:
+        n = b.size
+        self.H, self.cap, self.a, self.b = H, cap, a, b
+        # each free set's KKT system is these rows and columns, the budget
+        # row last
+        self.kkt = np.ones((n + 1, n + 1))
+        self.kkt[:n, :n] = H
+        self.kkt[n, n] = 0.0
+        self.rhs = np.append(b, 0.0)
+        self.rows = np.ones(n + 1, dtype=bool)
+        self.hmax = float(np.abs(H).max())
+        self.tol = _EPS * max(float(np.abs(b).max()), self.hmax * float(np.abs(x).sum()))
+        self.x = x
+        self.state = np.array(state, dtype=int)
+        self.lam = 0.0
+        self.last = -1
+        self.event: tuple[int, int] | None = None
+        self.segments: list[_Segment] = []
+
+    def find(self, reached) -> tuple[_Segment, int, bool]:
+        k = 0
+        while True:
+            if k == len(self.segments):
+                if k == MAX_ITER:
+                    return self.segments[-1], k, False
+                self._extend()
+            seg = self.segments[k]
+            k += 1
+            if seg.end == math.inf or reached(seg):
+                return seg, k, True
+
+    def _extend(self) -> None:
+        H, b, state, lam = self.H, self.b, self.state, self.lam
+        if self.event is not None:
+            j, to = self.event
+            state[j] = to
+        free = state == 0
+        self.rows[:-1] = free
+        rows = np.flatnonzero(self.rows)
+        F = rows[:-1]
+        bF = b[F]
+        wb = np.zeros(b.size)
+        fell_back = False
+        if float(bF.max() - bF.min()) > self.tol:
+            sol, fell_back = _kkt(self.kkt[rows][:, rows], self.rhs[rows])
+            wb[F], gamma1 = sol[:-1], sol[-1]
+        else:
+            gamma1 = float(bF.sum()) / F.size
+        m1 = float(b @ wb)
+        if m1 < 0.0:
+            wb, m1 = -wb, -m1
+        wa = self.x - lam * wb
+        Hwa = H @ wa
+        c = Hwa - self.a
+        c -= c[F].sum() / F.size
+        d = H @ wb - b + gamma1
+        num = np.where(free, np.where(wb < 0.0, 0.0, self.cap) - wa, -c)
+        den = np.where(free, wb, d)
+        tol = max(self.tol, _EPS * self.hmax * float(np.abs(wb).sum()))
+        falls = np.where(free, wb != 0.0, state * d > tol)
+        hit = np.divide(num, den, out=np.full(b.size, math.inf), where=falls)
+        np.maximum(hit, lam, out=hit)
+        if self.last >= 0 and hit[self.last] <= lam:
+            hit[self.last] = math.inf
+        end = float(hit.min())
+        self.segments.append(
+            _Segment(lam, end, wa, wb, float(b @ wa), m1, float(wa @ Hwa), fell_back)
+        )
+        if end < math.inf:
+            j = int(np.flatnonzero(hit <= end + _EPS * end)[0])
+            self.event = (j, 0 if state[j] else (-1 if wb[j] < 0.0 else 1))
+            self.x = wa + end * wb
+            self.lam, self.last = end, j
+
+
+class ReferenceFrontier(Frontier):
+    """A ``Frontier`` whose GMV homotopy and walks are ``ReferenceWalk``s."""
+
+    def gmv(self) -> QPResult:
+        if self._gmv is None:
+            H = self.cov / max(float(np.abs(self.cov).max()), 1e-300)
+            x = np.full(self.mu.size, 1.0 / self.mu.size)
+            g = H @ x
+            walk = ReferenceWalk(H, self.cap, g, -g, x, np.zeros(x.size, dtype=int))
+            seg, segments, converged = walk.find(lambda s: s.end >= 1.0)
+            self._gmv = QPResult(seg.at(1.0), walk.state, segments, converged)
+        return self._gmv
+
+    def walk(self, sign: float) -> ReferenceWalk:
+        if sign not in self._walks:
+            gmv = self.gmv()
+            self._walks[sign] = ReferenceWalk(
+                self.cov, self.cap, 0.0, sign * self.mu, gmv.x, gmv.state
+            )
+        return self._walks[sign]
+
+
+# ---------------------------------------------------------------------------
+# books with rank-1 covariances
+
+RANK_ONE_CAP = 0.9
+RANK_ONE_RF = 0.05
+
+
+def rank_one_books() -> list[tuple[np.ndarray, MomentEstimates]]:
+    """300 books of 3 or 4 assets, each with two daily returns per asset,
+    so its covariance has rank 1 and no shrinkage. Solve them at cap
+    ``RANK_ONE_CAP`` and ``rf_annual = RANK_ONE_RF``."""
+    rng = np.random.default_rng(3)
+    day = dt.date(2021, 1, 2)
+    books = []
+    for _ in range(300):
+        n = int(rng.integers(3, 5))
+        windows = [ReturnWindow(f"A{j}", day, rng.normal(0.001, 0.03, 2)) for j in range(n)]
+        w0 = rng.dirichlet(np.ones(n))
+        books.append((w0, estimate_moments(windows, min_obs=2)))
+    return books

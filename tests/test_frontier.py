@@ -31,10 +31,19 @@ from chainfrontier.frontier import (
     naive_weights,
     sharpe,
     solve,
+    walk_books,
 )
 from chainfrontier.marketdata import ReturnWindow, estimate_moments
 from helpers import lipschitz_bound, moments
-from oracles import _compositions, grid_oracle, l1_distance
+from oracles import (
+    RANK_ONE_CAP,
+    RANK_ONE_RF,
+    ReferenceFrontier,
+    _compositions,
+    grid_oracle,
+    l1_distance,
+    rank_one_books,
+)
 
 
 def two_asset(means, cov):
@@ -714,9 +723,11 @@ def test_projections_from_a_degenerate_gmv_vertex_match_grid_oracle():
             assert sharpe(sol.mu, sol.sigma, rf_daily) >= sharpe(ora.mu, ora.sigma, rf_daily) - 1e-12
 
 
+_FIELDS = ("strategy", "mu", "sigma", "distance", "converged", "iterations", "reason")
+
+
 def test_shared_frontier_matches_fresh_solves_in_any_order():
     rng = np.random.default_rng(31)
-    fields = ("strategy", "mu", "sigma", "distance", "converged", "iterations", "reason")
     for i in range(12):
         n = 3 + i % 6
         mu, cov, m = _factor_book(rng, n)
@@ -731,7 +742,7 @@ def test_shared_frontier_matches_fresh_solves_in_any_order():
                 sol = solve(strategy, book, rf_annual=0.05)
                 ref = fresh[strategy]
                 assert np.array_equal(sol.weights, ref.weights), (i, order, strategy)
-                assert [getattr(sol, f) for f in fields] == [getattr(ref, f) for f in fields]
+                assert [getattr(sol, f) for f in _FIELDS] == [getattr(ref, f) for f in _FIELDS]
 
 
 def test_observed_book_is_checked_once_per_frontier(monkeypatch):
@@ -753,3 +764,66 @@ def test_observed_book_is_checked_once_per_frontier(monkeypatch):
     monkeypatch.undo()
     for sol in sols:
         assert sol.distance == l1_distance(w0, sol.weights)
+
+
+# ---------------------------------------------------------------------------
+# the month's lockstep walk
+# ---------------------------------------------------------------------------
+
+
+def test_rank_one_books_solve_the_same_in_a_batch_as_alone():
+    books = rank_one_books()
+    batch = [Frontier(w0, m, RANK_ONE_CAP) for w0, m in books]
+    walk_books(batch)
+    for i, ((w0, m), together) in enumerate(zip(books, batch)):
+        alone = Frontier(w0, m, RANK_ONE_CAP)
+        for strategy in Strategy:
+            got = solve(strategy, together, rf_annual=RANK_ONE_RF)
+            want = solve(strategy, alone, rf_annual=RANK_ONE_RF)
+            assert np.array_equal(got.weights, want.weights), (i, strategy)
+            assert [getattr(got, f) for f in _FIELDS] == [getattr(want, f) for f in _FIELDS]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(st.tuples(st.integers(2, 8), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+    st.sampled_from([0.9, 0.5, 0.35]),
+)
+def test_lockstep_walks_match_the_per_book_reference(shapes, cap):
+    books = []
+    for n, seed in shapes:
+        rng = np.random.default_rng(seed)
+        _, _, m = _factor_book(rng, n)
+        books.append((rng.dirichlet(np.ones(n)), m))
+    batch = [Frontier(w0, m, cap) for w0, m in books]
+    walk_books(batch)
+    for (w0, m), together in zip(books, batch):
+        reference = ReferenceFrontier(w0, m, cap)
+        for strategy in Strategy:
+            got = solve(strategy, together, rf_annual=0.05)
+            want = solve(strategy, reference, rf_annual=0.05)
+            assert (got.converged, got.reason, got.iterations) == (
+                want.converged, want.reason, want.iterations
+            )
+            assert np.abs(got.weights - want.weights).max() <= 1e-12
+            for field in ("mu", "sigma", "distance"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+
+
+# the converged max-return rows of ``rank_one_books`` below the grid's best
+# at step 0.02
+_RANK_ONE_LOSERS = (4, 27, 34, 56, 102, 123, 137, 150, 232, 259, 267, 271, 278)
+
+
+def test_losing_rank_one_max_return_rows_walk_an_lstsq_segment():
+    # each loses return because a singular KKT system's minimum-norm slope
+    # misses the critical line's jump; the flag shows where
+    books = rank_one_books()
+    for i in _RANK_ONE_LOSERS:
+        w0, m = books[i]
+        book = Frontier(w0, m, RANK_ONE_CAP)
+        sol = solve(Strategy.MAX_RET, book, rf_annual=RANK_ONE_RF)
+        ora = grid_oracle(Strategy.MAX_RET, w0, m, RANK_ONE_CAP, step=0.02)
+        assert sol.converged and sol.mu < ora.mu - 1e-12, i
+        walked = book.walk(1.0).segments[: sol.iterations - book.gmv().iterations]
+        assert any(seg.lstsq for seg in walked), i

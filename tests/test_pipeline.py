@@ -46,6 +46,7 @@ from chainfrontier.pipeline import (
     validate_workspace,
 )
 from helpers import REPORT_TABLES
+from oracles import ReferenceFrontier
 
 SMALL = dict(
     seed=11,
@@ -676,17 +677,23 @@ def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
     assert bundle(parallel.workspace) == bundle(cfg.workspace)
 
 
-def test_optimize_solves_one_gmv_per_book(tmp_path, monkeypatch):
+def test_optimize_walks_each_homotopy_once(tmp_path, monkeypatch):
     cfg = dataclasses.replace(small_config(tmp_path / "ws"), workers=1)
     run_pipeline(cfg, ["synth", "ingest", "snapshot"])
-    calls = []
-    minimize = frontier.minimize
+    homotopies, walked = [], []
+    homotopy, walk = frontier._homotopy, frontier._run
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return minimize(*args, **kwargs)
+    def made(*args):
+        homotopies.append(homotopy(*args))
+        return homotopies[-1]
 
-    monkeypatch.setattr(frontier, "minimize", counted)
+    def counted(walks, stop):
+        walked.extend(walks)
+        return walk(walks, stop)
+
+    monkeypatch.setattr(frontier, "_homotopy", made)
+    monkeypatch.setattr(frontier, "_run", counted)
+    monkeypatch.setattr(frontier, "minimize", None)
     run_pipeline(cfg, ["optimize"])
     books = sum(
         row.strategy == "baseline"
@@ -694,7 +701,59 @@ def test_optimize_solves_one_gmv_per_book(tmp_path, monkeypatch):
         for row in storage.read_table(path, storage.SOLUTIONS)
     )
     assert books > 0
-    assert 0 < len(calls) <= books
+    # no small-config book is infeasible under the cap, so each has a GMV
+    assert len(homotopies) == books
+    # every walk stays referenced, so no two share an id
+    runs = Counter(map(id, walked))
+    assert all(runs[id(h)] == 1 for h in homotopies)
+
+
+def _solve_books_alone(monkeypatch, frontier_class=frontier.Frontier) -> None:
+    """Optimize with each book walked on its own, through ``gmv`` and
+    ``walk`` as ``solve`` asks for them."""
+    monkeypatch.setattr(frontier, "walk_books", lambda books: None)
+    monkeypatch.setattr(frontier, "Frontier", frontier_class)
+
+
+def _resolved(cfg) -> dict[str, list]:
+    shutil.rmtree(cfg.workspace / "solutions")
+    run_pipeline(cfg, ["optimize"])
+    return {
+        path.name: storage.read_table(path, storage.SOLUTIONS)
+        for path in sorted((cfg.workspace / "solutions").glob("*.csv"))
+    }
+
+
+def test_books_solve_the_same_in_their_month_as_alone(built, copied, monkeypatch):
+    cfg, _ = built
+    gmvs = []
+    minimize = frontier.minimize
+    monkeypatch.setattr(frontier, "minimize", lambda *a: gmvs.append(1) or minimize(*a))
+    _solve_books_alone(monkeypatch)
+    _resolved(copied)
+    assert gmvs
+    assert bundle(copied.workspace) == bundle(cfg.workspace)
+
+
+def test_lockstep_walks_match_the_per_book_reference(built, copied, monkeypatch):
+    cfg, _ = built
+    _solve_books_alone(monkeypatch, ReferenceFrontier)
+    rows = 0
+    for name, reference in _resolved(copied).items():
+        lockstep = storage.read_table(cfg.workspace / "solutions" / name, storage.SOLUTIONS)
+        assert len(lockstep) == len(reference)
+        for got, want in zip(lockstep, reference):
+            rows += 1
+            assert (got.account, got.strategy, got.converged, got.reason, got.iterations) == (
+                want.account, want.strategy, want.converged, want.reason, want.iterations
+            )
+            for field in ("mu", "sigma", "distance"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+            w_got = storage.decode_weights(got.weights)
+            w_want = storage.decode_weights(want.weights)
+            assert w_got.keys() == w_want.keys()
+            assert max(abs(w_got[t] - w_want[t]) for t in w_got) <= 1e-12
+    assert rows > 0
 
 
 # ---------------------------------------------------------------------------
