@@ -3,7 +3,8 @@
 One subcommand per stage plus ``run`` (a stage subset in dependency
 order) and ``validate`` (ledger ground-truth checks). Exit status is 0 on
 success, 1 for input problems (bad config, missing upstream outputs,
-failed validation), 2 for anything unexpected.
+failed validation), 2 for anything unexpected. NumPy's BLAS runs one
+thread per process unless the environment sets a count.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -67,6 +69,11 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # NumPy loads after this line, in the calls that crunch numbers, and pool
+    # workers fork from this process: one BLAS thread each, unless the user
+    # set a count. The matrices are a book's moments and KKT systems of a
+    # few dozen rows, and ``workers`` is the program's parallelism.
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

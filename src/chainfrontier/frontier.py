@@ -143,7 +143,9 @@ def _finish(
         weights=full,
         mu=mu_p,
         sigma=sigma_p,
-        distance=fr.distance(full),
+        # the weights passed the feasibility check above; the observed book
+        # was checked once, in ``Frontier``
+        distance=float(0.5 * np.sum(np.abs(fr.w0_full - full))),
         converged=converged,
         iterations=iterations,
         reason=reason,
@@ -419,7 +421,8 @@ class Frontier:
         self.w0 = w0[self.support]
         self.anchor_mu, self.anchor_sigma = _moments_of(self.w0, self.mu, self.cov)
         # the observed book is embedded and checked once, not once per solution
-        self.distance = l1_distance_from(self.embed(self.w0))
+        self.w0_full = self.embed(self.w0)
+        self.distance = l1_distance_from(self.w0_full)
         self.reason = ""
         if self.support.size * w_max < 1.0 - 1e-12:
             self.reason = "cap excludes every fully-invested portfolio on this support"

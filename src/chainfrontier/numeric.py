@@ -7,9 +7,10 @@ pool forks, so pool workers inherit NumPy instead of each importing it.
 A no-op run, a snapshot repair, ``validate`` and the report, whose bodies
 live in ``pipeline``, never load it.
 
-Optimize builds a month's books first and walks their critical lines
-together in one ``frontier.walk_books`` call; each book's three
-``frontier.solve`` calls then look up its own segments.
+Optimize estimates a month's moments in one ``marketdata.estimate_books``
+call, skipping the books it refuses, then builds the month's books and
+walks their critical lines together in one ``frontier.walk_books`` call;
+each book's three ``frontier.solve`` calls then look up its own segments.
 
 The layers are called through their modules (``frontier.solve``, not a
 bare ``solve``), so a wrapper installed on a module attribute, as the
@@ -102,18 +103,20 @@ def optimize_month(
     for row in positions:
         by_account.setdefault(row.account, []).append(row)
 
+    held_books = [
+        (account, sorted(held, key=lambda r: r.token_id))
+        for account, held in sorted(by_account.items())
+        if len(held) >= 2
+    ]
+    # one batch of moments for the month
+    estimates = marketdata.estimate_books(
+        [[windows[r.token_id] for r in held] for _, held in held_books],
+        shrink_lambda=cfg.mean_shrink_lambda,
+        min_obs=cfg.min_obs,
+    )
     books: list[tuple] = []
-    for account in sorted(by_account):
-        held = sorted(by_account[account], key=lambda r: r.token_id)
-        if len(held) < 2:
-            continue
-        try:
-            m = marketdata.estimate_moments(
-                [windows[r.token_id] for r in held],
-                shrink_lambda=cfg.mean_shrink_lambda,
-                min_obs=cfg.min_obs,
-            )
-        except ValueError:
+    for (account, held), m in zip(held_books, estimates):
+        if isinstance(m, ValueError):
             continue
         values = {r.token_id: r.value_usd for r in held}
         eligible_value = sum(values[tid] for tid in m.eligible_ids)

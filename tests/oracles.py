@@ -7,10 +7,11 @@ linear scan of the raw events for a balance. ``forward_return`` prices one
 weight vector's buy-and-hold return from its start and end closes, the
 reference for every perf row. ``ReferenceFrontier`` walks one book's
 critical lines one segment at a time, each with its own KKT solve, the
-reference for the month's lockstep walk. ``rank_one_books`` is a fixed set
-of books with rank-1 covariances, where the walk's KKT systems can be
-exactly singular. The rest are small readings of pipeline values that only
-the tests need.
+reference for the month's lockstep walk. ``reference_book_moments``
+estimates one book's moments on its own, the reference for the month's
+batch. ``rank_one_books`` is a fixed set of books with rank-1 covariances,
+where the walk's KKT systems can be exactly singular. The rest are small
+readings of pipeline values that only the tests need.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from chainfrontier.frontier import (
     _Segment,
 )
 from chainfrontier.ingest import TransferEvent
-from chainfrontier.marketdata import MomentEstimates, ReturnWindow, estimate_moments
+from chainfrontier.marketdata import (
+    MomentEstimates,
+    ReturnWindow,
+    _aligned,
+    estimate_moments,
+)
 from chainfrontier.metrics import l1_distance_from
 from chainfrontier.synth import SynthMarket
 
@@ -328,6 +334,102 @@ class ReferenceFrontier(Frontier):
                 self.cov, self.cap, 0.0, sign * self.mu, gmv.x, gmv.state
             )
         return self._walks[sign]
+
+
+# ---------------------------------------------------------------------------
+# one book's moments
+
+
+def reference_book_moments(
+    windows: Sequence[ReturnWindow],
+    shrink_lambda: float = 0.5,
+    min_obs: int = 45,
+) -> MomentEstimates:
+    """``estimate_moments`` for one book on its own, with the per-book
+    shrinkage that the month's stacked kernel replaced; it raises the same
+    ValueErrors."""
+    if not 0.0 <= shrink_lambda <= 1.0:
+        raise ValueError("shrink_lambda must be in [0, 1]")
+    ids = tuple(w.token_id for w in windows)
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate asset ids in moment estimation")
+
+    eligible = np.array([len(w) >= min_obs for w in windows], dtype=bool)
+    kept = [w for w, ok in zip(windows, eligible) if ok]
+    if not kept:
+        raise ValueError(f"no eligible assets (need >= {min_obs} observations)")
+
+    raw = np.array([float(np.mean(w.returns)) for w in kept])
+    cross = float(np.mean(raw))
+    shrunk = shrink_lambda * cross + (1.0 - shrink_lambda) * raw
+
+    cols = _aligned(*kept)
+    if len(cols[0]) < 2:
+        raise ValueError("fewer than 2 shared return dates across eligible assets")
+    X = np.column_stack(cols)
+
+    cov, intensity = _reference_shrinkage(X)
+    return MomentEstimates(
+        asset_ids=ids,
+        eligible=eligible,
+        eligible_ids=tuple(w.token_id for w in kept),
+        raw_means=raw,
+        shrunk_means=shrunk,
+        cross_mean=cross,
+        cov=cov,
+        lw_intensity=intensity,
+        n_obs=len(X),
+    )
+
+
+def _reference_shrinkage(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Constant-correlation shrinkage of one (t, n) sample."""
+    t, n = X.shape
+    Xc = X - X.mean(axis=0)
+    sample = (Xc.T @ Xc) / t
+    sample = (sample + sample.T) / 2.0
+    if n == 1:
+        return sample, 0.0
+
+    var = np.diag(sample).copy()
+    if np.any(var <= 0):
+        return _reference_psd_floor(sample), 0.0
+    sqrtvar = np.sqrt(var)
+    denom = np.outer(sqrtvar, sqrtvar)
+    rbar = float((np.sum(sample / denom) - n) / (n * (n - 1)))
+    prior = rbar * denom
+    np.fill_diagonal(prior, var)
+
+    gamma = float(np.linalg.norm(sample - prior, "fro") ** 2)
+    if gamma <= 1e-30:
+        return _reference_psd_floor(sample), 0.0
+
+    # pi-hat: Var[x_i x_j] summed over all pairs
+    Y = Xc**2
+    phi_mat = (Y.T @ Y) / t - sample**2
+    phi = float(np.sum(phi_mat))
+
+    # rho-hat: diagonal part plus the constant-correlation cross terms
+    theta = (Xc**3).T @ Xc / t - var[:, None] * sample
+    np.fill_diagonal(theta, 0.0)
+    rho = float(np.sum(np.diag(phi_mat))) + rbar * float(
+        np.sum(np.outer(1.0 / sqrtvar, sqrtvar) * theta)
+    )
+
+    kappa = (phi - rho) / gamma
+    intensity = float(min(1.0, max(0.0, kappa / t)))
+    cov = intensity * prior + (1.0 - intensity) * sample
+    return _reference_psd_floor((cov + cov.T) / 2.0), intensity
+
+
+def _reference_psd_floor(cov: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    eigvals = np.linalg.eigvalsh(cov)
+    if eigvals[0] >= -tol:
+        return cov
+    vals, vecs = np.linalg.eigh(cov)
+    vals = np.clip(vals, 0.0, None)
+    fixed = vecs @ np.diag(vals) @ vecs.T
+    return (fixed + fixed.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -488,14 +488,22 @@ loaded("report")
 """
 
 
-def _run_script(script: str, *args: str) -> list[str]:
+def _script_env(**extra: str) -> dict[str, str]:
+    """This process's environment with the package on the path, less the
+    BLAS thread count that an in-process ``main`` call sets, plus ``extra``."""
     src = str(Path(chainfrontier.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    return {**env, **extra}
+
+
+def _run_script(script: str, *args: str, **env: str) -> list[str]:
     result = subprocess.run(
         [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+        env=_script_env(**env),
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
@@ -574,3 +582,49 @@ def test_pools_fork_after_numpy_loads_only_where_numbers_are_crunched(tmp_path):
         "metrics": "True",
     }
     assert len(pools) == 3
+
+
+# the BLAS thread count before and after a synth call, and whether NumPy
+# was loaded
+BLAS_THREADS = """
+import os
+import sys
+
+from chainfrontier.cli import main
+
+print("numpy" in sys.modules, os.environ.get("OMP_NUM_THREADS"))
+assert main(["--config", sys.argv[1], "synth"]) == 0
+print("numpy" in sys.modules, os.environ.get("OMP_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_one_blas_thread_unless_the_user_sets_a_count(tmp_path, preset, threads):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    env = {} if preset is None else {"OMP_NUM_THREADS": preset}
+    lines = _run_script(BLAS_THREADS, str(cfg), **env)
+    # NumPy loads after main sets the count, so OpenBLAS reads it
+    assert lines[0] == f"False {preset}"
+    assert lines[-1] == f"True {threads}"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+
+    def build(name: str, env: dict[str, str]) -> dict:
+        ws = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "chainfrontier.cli", "--config", str(cfg),
+             "--workspace", str(ws), "run"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        files = (p for p in ws.rglob("*") if p.is_file())
+        return {p.relative_to(ws): p.read_bytes() for p in files}
+
+    default = build("default", _script_env())
+    assert default == build("two", _script_env(OMP_NUM_THREADS="2"))

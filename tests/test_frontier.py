@@ -28,6 +28,7 @@ from chainfrontier.frontier import (
     Frontier,
     NaiveStrategy,
     Strategy,
+    _finish,
     naive_weights,
     sharpe,
     solve,
@@ -759,11 +760,23 @@ def test_observed_book_is_checked_once_per_frontier(monkeypatch):
     w0 = rng.dirichlet(np.ones(4))
     book = Frontier(w0, m)
     sols = [solve(s, book, rf_annual=0.05) for s in Strategy]
-    # each solution is still checked before its distance is taken
-    assert checked == ["w_actual", "w_target", "w_target", "w_target"]
+    # a solution passes ``_finish``'s feasibility check, and only that
+    assert checked == ["w_actual"]
     monkeypatch.undo()
     for sol in sols:
         assert sol.distance == l1_distance(w0, sol.weights)
+
+
+def test_a_weight_just_below_zero_within_tolerance_gives_a_row():
+    # -5e-9 passes the solver's feasibility tolerance (1e-8), though a
+    # checked distance would refuse it (-1e-9)
+    m = moments(["A", "B", "C"], [0.002, 0.001, 0.0015], np.diag([0.04, 0.01, 0.02]))
+    book = Frontier([0.5, 0.3, 0.2], m)
+    w = np.array([0.5 + 5e-9, 0.5, -5e-9])
+    sol = _finish(Strategy.MIN_VAR, book, w, True, 1, "")
+    assert sol.converged and sol.reason == ""
+    assert sol.distance == float(0.5 * np.sum(np.abs(book.w0_full - sol.weights)))
+    assert sol.distance == pytest.approx(0.2, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

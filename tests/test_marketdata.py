@@ -19,14 +19,17 @@ from hypothesis import strategies as st
 
 from chainfrontier import marketdata
 from chainfrontier.marketdata import (
+    MomentEstimates,
     ReturnWindow,
     asset_beta,
+    estimate_books,
     estimate_moments,
     log_returns,
     market_forward_return,
     market_index,
 )
 from chainfrontier.prices import ONE_DAY, PriceSeries, price_rows, price_series
+from oracles import reference_book_moments
 
 D0 = dt.date(2023, 1, 1)
 
@@ -180,6 +183,22 @@ def test_log_returns_leading_gap_shortens_window():
     # the returns of days 3 and 4
     assert len(w) == 2
     assert np.allclose(w.returns, [math.log(2.0)] * 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=80),
+    st.integers(0, 79),
+    st.integers(1, 90),
+)
+def test_log_returns_match_the_per_day_scalar_form(closes, end, width):
+    s = series(closes)
+    end = min(end, len(closes) - 1)
+    got = log_returns(s, day(end), window=width).returns
+    kept = closes[max(end - width, 0) : end + 1]
+    want = [float(np.log(cur / prev)) for prev, cur in zip(kept, kept[1:])]
+    assert got.dtype == np.float64
+    assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +368,117 @@ def test_covariance_uses_shared_dates_only():
     early = window(rng.normal(0, 0.01, 50), start_idx=1, token_id="C")
     with pytest.raises(ValueError, match="not aligned"):
         estimate_moments([full, early], min_obs=45)
+
+
+# ---------------------------------------------------------------------------
+# estimate_books: a month's books in one batch
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def window_pools(draw):
+    """The windows that a month's books pick from: of random lengths, some
+    ending a day early, some with a constant (zero-variance) return."""
+    pool = []
+    for j in range(draw(st.integers(2, 10), label="pool")):
+        length = draw(st.sampled_from([1, 2, 2, 3, 5, 8, 30]))
+        early = draw(st.sampled_from([0, 0, 0, 0, 1]))
+        if draw(st.integers(0, 5)) == 0:
+            returns = np.full(length, 2.0**-8)
+        else:
+            seed = draw(st.integers(0, 2**32 - 1))
+            returns = np.random.default_rng(seed).normal(0.001, 0.02, length)
+        pool.append(ReturnWindow(f"T{j}", day(40 - early), returns))
+    return pool
+
+
+def same_estimates(a: MomentEstimates, b: MomentEstimates) -> bool:
+    return (
+        a.asset_ids == b.asset_ids
+        and np.array_equal(a.eligible, b.eligible)
+        and a.eligible_ids == b.eligible_ids
+        and np.array_equal(a.raw_means, b.raw_means)
+        and np.array_equal(a.shrunk_means, b.shrunk_means)
+        and a.cross_mean == b.cross_mean
+        and np.array_equal(a.cov, b.cov)
+        and a.lw_intensity == b.lw_intensity
+        and a.n_obs == b.n_obs
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_batched_books_match_each_book_alone_and_the_reference(data):
+    pool = data.draw(window_pools())
+    min_obs = data.draw(st.sampled_from([1, 2, 3, 5]), label="min_obs")
+    shrink = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shrink")
+    # books of 2-8 windows drawn from the pool, some repeating a window
+    picks = st.integers(0, len(pool) - 1)
+    books = [
+        [pool[i] for i in data.draw(st.lists(picks, min_size=2, max_size=8, unique=unique))]
+        for unique in data.draw(
+            st.lists(st.sampled_from([True, True, True, False]), min_size=2, max_size=8),
+            label="unique",
+        )
+        if not unique or len(pool) >= 2
+    ]
+    batch = estimate_books(books, shrink, min_obs)
+    assert len(batch) == len(books)
+    for windows, got in zip(books, batch):
+        alone = outcome(estimate_moments, windows, shrink, min_obs)
+        try:
+            want = reference_book_moments(windows, shrink, min_obs)
+        except ValueError as exc:
+            assert isinstance(got, ValueError) and str(got) == str(exc)
+            assert alone == "raised"
+            continue
+        assert isinstance(got, MomentEstimates)
+        assert same_estimates(got, alone)
+        assert got.asset_ids == want.asset_ids and got.eligible_ids == want.eligible_ids
+        assert np.array_equal(got.eligible, want.eligible) and got.n_obs == want.n_obs
+        assert np.array_equal(got.raw_means, want.raw_means)
+        assert np.array_equal(got.shrunk_means, want.shrunk_means)
+        assert got.cross_mean == want.cross_mean
+        scale = np.abs(want.cov).max()
+        assert np.abs(got.cov - want.cov).max() <= 1e-14 * scale
+        assert got.lw_intensity == pytest.approx(want.lw_intensity, abs=1e-12)
+
+
+def test_wide_books_give_the_same_bits_alone_as_in_a_batch():
+    # groups of books with 8-10 assets, where a row sum of the stack could
+    # run across books instead of along each book's row
+    rng = np.random.default_rng(6)
+    books = [
+        [window(rng.normal(0.001, 0.02, 60), token_id=f"T{j}") for j in range(n)]
+        for n in (8, 9, 10)
+        for _ in range(30)
+    ]
+    for windows, got in zip(books, estimate_books(books)):
+        assert same_estimates(got, estimate_moments(windows))
+
+
+def test_batch_keeps_each_books_error():
+    rng = np.random.default_rng(2)
+    a = window(rng.normal(0, 0.01, 50), token_id="A")
+    b = window(rng.normal(0, 0.01, 50), token_id="B")
+    early = window(rng.normal(0, 0.01, 50), start_idx=0, token_id="C")
+    books = [[a, b], [a, a], [window([0.1] * 10, token_id="D")], [a, early], [b, a]]
+    got = estimate_books(books, min_obs=45)
+    assert [type(m).__name__ for m in got] == [
+        "MomentEstimates",
+        "ValueError",
+        "ValueError",
+        "ValueError",
+        "MomentEstimates",
+    ]
+    assert "duplicate" in str(got[1])
+    assert "no eligible" in str(got[2])
+    assert "not aligned" in str(got[3])
+    assert got[4].eligible_ids == ("B", "A")
+    assert np.array_equal(got[4].cov, got[0].cov[::-1, ::-1])
+    with pytest.raises(ValueError, match="shrink_lambda"):
+        estimate_books(books, shrink_lambda=1.5)
+    assert estimate_books([]) == []
 
 
 # ---------------------------------------------------------------------------
