@@ -69,10 +69,10 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # NumPy loads after this line, in the calls that crunch numbers, and pool
-    # workers fork from this process: one BLAS thread each, unless the user
-    # set a count. The matrices are a book's moments and KKT systems of a
-    # few dozen rows, and ``workers`` is the program's parallelism.
+    # NumPy loads after this line, in the calls that crunch numbers, and the
+    # children this process forks inherit it: one BLAS thread each, unless
+    # the user set a count. The matrices are a book's moments and KKT
+    # systems of a few dozen rows, and ``workers`` is the parallelism.
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     logging.basicConfig(

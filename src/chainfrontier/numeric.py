@@ -2,8 +2,8 @@
 
 Synth, optimize and metrics are the only stages that need NumPy and the
 numeric layers. ``pipeline`` imports this module only when one of their
-rows has a stale partition, and does so in the parent process before any
-pool forks, so pool workers inherit NumPy instead of each importing it.
+rows has a stale partition, and does so before it forks, so the forked
+children inherit NumPy instead of each importing it.
 A no-op run, a snapshot repair, ``validate`` and the report, whose bodies
 live in ``pipeline``, never load it.
 
@@ -23,7 +23,7 @@ import datetime as dt
 
 import numpy as np
 
-from . import frontier, marketdata, metrics, storage, synth
+from . import frontier, marketdata, metrics, storage
 from .config import PipelineConfig
 from .errors import InputError
 from .pipeline import (
@@ -45,6 +45,8 @@ from .prices import PriceSeries, price_rows
 
 
 def synth_all(cfg: PipelineConfig) -> None:
+    from . import synth  # here, so optimize and metrics calls never load it
+
     ws = cfg.workspace
     market = synth.generate_market(cfg)
 

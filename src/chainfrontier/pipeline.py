@@ -34,8 +34,8 @@ once per run and rewritten only after a row whose entry changed.
 This module, and the ingest, snapshot and report bodies in it, are plain
 Python. The bodies of synth, optimize and metrics live in ``numeric``,
 which loads NumPy; it is imported only when one of their rows has a stale
-partition, and then in this process before any pool forks, so pool
-workers inherit it. The report has three partitions, one per input
+partition, and then in this process before it forks, so forked
+children inherit it. The report has three partitions, one per input
 family: ``performance`` reads the perf months and imports ``metrics``,
 ``distance`` reads the solution months and fits the decay curves in plain
 Python, and ``concentration`` reads the snapshot months and imports
@@ -45,9 +45,10 @@ stops at snapshot, ``validate`` and an edit of a distance key
 ``min_bin_count``) therefore never import NumPy.
 
 The load runs only when some partition is stale, once and in this
-process, before any pool forks; pool workers inherit its result. Only a
-row with a load forks a pool: the report's partitions run in this
-process whatever the worker count. The
+process. A row with a load and more than one stale partition shares them
+between this process and up to ``workers - 1`` forked children, which
+inherit the loaded inputs (see ``_run_tasks``); the report's partitions
+run in this process whatever the worker count. The
 prices and the event files behind the ledgers are parsed at most once per
 run: the run keeps the series and the ledgers in a table keyed by file and
 content digest until the last selected row that declares the file has
@@ -66,6 +67,7 @@ import fnmatch
 import functools
 import hashlib
 import logging
+import os
 import posixpath
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -251,14 +253,30 @@ def _drop_stale(
                 digests.pop(path, None)
 
 
-# the stage's loaded inputs while its pool runs: set in the parent just
-# before the pool forks, so every worker inherits them instead of loading
-# or unpickling its own, and released when the pool closes
-_worker_inputs: tuple = ()
+def _fork(fn: Callable, inputs: tuple, arglists: Sequence[tuple]) -> tuple[int, int]:
+    """Fork a child that calls ``fn`` per argument tuple; return its pid
+    and the pipe that brings back its exception."""
+    import pickle
 
-
-def _run_in_worker(fn: Callable, args: tuple) -> None:
-    fn(*_worker_inputs, *args)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:  # the child: it never returns into the caller's stack
+        for args in arglists:
+            fn(*inputs, *args)
+        status = 0
+    except BaseException as exc:
+        try:  # one that does not pickle and load back comes as its repr
+            payload = pickle.dumps(exc)
+            pickle.loads(payload)
+        except Exception:
+            payload = pickle.dumps(RuntimeError(repr(exc)))
+        os.write(write, payload)
+    finally:
+        os._exit(status)
 
 
 def _run_tasks(
@@ -267,40 +285,41 @@ def _run_tasks(
     """Call ``fn`` once per argument tuple.
 
     When ``load`` is given, it runs once, in this process, and its result
-    is passed to every call ahead of the arguments. The calls run in a pool
-    of forked workers, which inherit the loaded inputs, only when there is
-    a load, more than one call and ``workers > 1``; a row without a load
-    (the report's tables) has too little work per call to pay for a fork.
+    is passed to every call ahead of the arguments. With a load, more than
+    one call and ``workers > 1``, n = min(workers, calls): this process
+    forks n - 1 children, which inherit the loaded inputs, child k makes
+    calls k, k + n, ... and this process calls 0, n, 2n, ... itself. It
+    then reaps every child, even when its own calls raised, and raises the
+    first error: its own, else the children's in fork order.
     """
-    global _worker_inputs
     inputs = () if load is None else (load(),)
-    if workers > 1 and len(arglists) > 1 and load is not None:
-        # imported here so that a serial run never loads multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # workers inherit the inputs and NumPy only from a forked parent
-        _worker_inputs = inputs
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(arglists)),
-                mp_context=multiprocessing.get_context("fork"),
-            ) as pool:
-                futures = [pool.submit(_run_in_worker, fn, args) for args in arglists]
-                for future in futures:
-                    future.result()
-        finally:
-            _worker_inputs = ()
-    else:
-        for args in arglists:
+    n = min(workers, len(arglists)) if load is not None else 1
+    children: list[tuple[int, int]] = []
+    errors: list[BaseException] = []
+    try:
+        for k in range(1, n):
+            children.append(_fork(fn, inputs, arglists[k::n]))
+        for args in arglists[::n]:
             fn(*inputs, *args)
+    finally:
+        for pid, read in children:
+            import pickle  # only a forking run loads it
+            with open(read, "rb") as pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if payload:
+                errors.append(pickle.loads(payload))
+            elif status:
+                errors.append(RuntimeError(f"worker {pid} exited with status {status}"))
+    if errors:
+        raise errors[0]
 
 
 def _body(row: Stage) -> Callable:
     """The row's partition function.
 
     A name is looked up in ``numeric``, which is imported here, in this
-    process and before ``_run_tasks`` can fork a pool, so that pool workers
+    process and before ``_run_tasks`` can fork, so that forked children
     inherit NumPy rather than each importing it, and a run with nothing
     numeric to do never imports it.
     """

@@ -460,17 +460,23 @@ def test_console_script_help():
 
 # an import, a no-op run, a repair of one deleted snapshot file, validate
 # and a report-only config change, in one process; after each step it
-# prints which of the heavy modules are loaded
+# prints which of the heavy modules are loaded, and whether it forked
 SERIAL_CALLS = """
+import os
 import sys
 from pathlib import Path
 
 from chainfrontier.cli import main
 
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+
 
 def loaded(step):
-    heavy = ("numpy", "scipy", "concurrent.futures.process")
-    print(step, "loaded:", *(m for m in heavy if m in sys.modules))
+    heavy = ("numpy", "scipy", "pickle")
+    forked = ["fork"] if forks else []
+    print(step, "loaded:", *(m for m in heavy if m in sys.modules), *forked)
 
 
 cfg = Path(sys.argv[1])
@@ -509,16 +515,18 @@ def _run_script(script: str, *args: str, **env: str) -> list[str]:
     return result.stdout.splitlines()
 
 
-def test_serial_calls_load_neither_scipy_nor_the_process_pool(tmp_path):
+def test_serial_calls_load_neither_scipy_nor_pickle_and_never_fork(tmp_path):
     cfg = tmp_path / "run.cfg"
     # books of up to six tokens give the four size bins a decay fit needs
     six = SMALL_CFG.replace("synth_max_size = 4", "synth_max_size = 6")
-    cfg.write_text(six + "workers = 1\nmin_bin_count = 2\n")
+    cfg.write_text(six + "workers = 2\nmin_bin_count = 2\n")
     assert main(["--config", str(cfg), "run"]) == 0
     lines = _run_script(SERIAL_CALLS, str(cfg))
     loaded = dict(line.split(" loaded:") for line in lines if " loaded:" in line)
     # none of them loads NumPy: the report change recomputes only the
-    # distance partition, whose histogram and decay fits are plain Python
+    # distance partition, whose histogram and decay fits are plain Python;
+    # and though two workers are allowed, none has more than one stale
+    # partition in a row with a load, so none forks or loads pickle
     assert loaded == {
         "import": "",
         "noop": "",
@@ -533,10 +541,10 @@ def test_serial_calls_load_neither_scipy_nor_the_process_pool(tmp_path):
     assert len(fits) > 1
 
 
-# a workers = 2 build of a synthesized workspace; each pool reports its
-# stage and whether NumPy was loaded when it started
-POOL_STARTS = """
-import concurrent.futures
+# a workers = 2 build of a synthesized workspace; each fork reports its
+# stage and whether NumPy was loaded when it happened
+FORKS = """
+import os
 import sys
 
 from chainfrontier import pipeline
@@ -544,6 +552,7 @@ from chainfrontier.cli import main
 
 stage = []
 run_stage = pipeline._run_stage
+fork = os.fork
 
 
 def tagged(cfg, row, *args):
@@ -551,37 +560,37 @@ def tagged(cfg, row, *args):
     return run_stage(cfg, row, *args)
 
 
-class Pool(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        print("pool", stage[0], "numpy" in sys.modules)
-        super().__init__(*args, **kwargs)
+def reported():
+    print("fork", stage[0], "numpy" in sys.modules)
+    return fork()
 
 
 pipeline._run_stage = tagged
-concurrent.futures.ProcessPoolExecutor = Pool
+os.fork = reported
 assert main(["--config", sys.argv[1], "run"]) == 0
 """
 
 
-def test_pools_fork_after_numpy_loads_only_where_numbers_are_crunched(tmp_path):
+def test_stages_fork_after_numpy_loads_only_where_numbers_are_crunched(tmp_path):
     cfg = tmp_path / "run.cfg"
     # five months give the snapshot, optimize and metrics stages several
-    # partitions each, so each of them starts a pool
+    # partitions each, so each of them forks
     cfg.write_text(
         SMALL_CFG.replace("synth_months = 3", "synth_months = 5") + "workers = 2\n"
     )
     assert main(["--config", str(cfg), "synth"]) == 0
-    lines = _run_script(POOL_STARTS, str(cfg))
-    pools = [line.split()[1:] for line in lines if line.startswith("pool ")]
-    # optimize and metrics workers inherit NumPy from the parent instead of
-    # each importing it; snapshot workers never need it, and ingest is one
-    # partition, so it starts no pool
-    assert dict(pools) == {
+    lines = _run_script(FORKS, str(cfg))
+    forks = [line.split()[1:] for line in lines if line.startswith("fork ")]
+    # optimize and metrics children inherit NumPy from the parent instead
+    # of each importing it; snapshot children never need it, ingest is one
+    # partition and the report has no load, so neither forks; at two
+    # workers each forking stage forks one child
+    assert dict(forks) == {
         "snapshot": "False",
         "optimize": "True",
         "metrics": "True",
     }
-    assert len(pools) == 3
+    assert len(forks) == 3
 
 
 # the BLAS thread count before and after a synth call, and whether NumPy

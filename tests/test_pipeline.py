@@ -5,8 +5,9 @@ reads only what its row in the stage table declares, a rerun with
 unchanged inputs touches nothing and hashes each file once, a deleted or
 corrupted partition is rebuilt byte-identically, an edited input reaches
 every file that depends on it and no partition that does not read it, a
-run parses each shared input once, in the parent rather than in each pool
-worker, stages fail loudly when their upstream outputs are missing, and
+run parses each shared input once, in the parent rather than in each forked
+child, stages fail loudly when their upstream outputs are missing, a
+forked child's error reaches the caller after every child is reaped, and
 the worker count changes wall time only, never bytes.
 """
 
@@ -23,15 +24,17 @@ import os
 import random
 import shutil
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainfrontier import frontier, pipeline, storage
+from chainfrontier import frontier, numeric, pipeline, storage
 from chainfrontier.config import PipelineConfig
 from chainfrontier.errors import DependencyError, InputError
 from chainfrontier.ingest import ZERO_ACCOUNT, TransferEvent
@@ -658,7 +661,7 @@ def test_bin_counts_match_numpy_histogram(values):
     assert pipeline._bin_counts(values, EDGES) == [int(c) for c in expected]
 
 
-def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
+def test_forked_children_parse_no_shared_input(built, tmp_path, monkeypatch):
     cfg, _ = built
     parent = os.getpid()
     read_table = storage.read_table
@@ -667,14 +670,135 @@ def test_pool_workers_parse_no_shared_input(built, tmp_path, monkeypatch):
         path = Path(path)
         shared = path.name == "prices.csv" or path.parent.name == "events"
         if shared and os.getpid() != parent:
-            raise AssertionError(f"pool worker {os.getpid()} parsed {path}")
+            raise AssertionError(f"forked child {os.getpid()} parsed {path}")
         return read_table(path, table)
 
-    # forked pool workers inherit the patch
+    # the children a stage forks inherit the patch, and an error raised in
+    # one reaches this process
     monkeypatch.setattr(storage, "read_table", parent_only)
     parallel = dataclasses.replace(cfg, workspace=tmp_path / "ws2", workers=2)
     run_pipeline(parallel)
     assert bundle(parallel.workspace) == bundle(cfg.workspace)
+
+
+# ---------------------------------------------------------------------------
+# a forked stage's failures: optimize reruns the three months of a built
+# workspace, dealt in turn to this process and its children, so at two and
+# at three workers this process runs the first month and a child the second
+
+
+def _fail_months(monkeypatch, cfg, fails: dict) -> list[str]:
+    """Make optimize call ``fails[i]()`` on the i-th of the months it
+    returns instead of solving it."""
+    months = sorted(p.stem for p in (cfg.workspace / "snapshots").glob("*.csv"))
+    assert len(months) == 3
+    body = numeric.optimize_month
+
+    def failing(prices, cfg, month):
+        index = months.index(month)
+        if index in fails:
+            fails[index]()
+        body(prices, cfg, month)
+
+    monkeypatch.setattr(numeric, "optimize_month", failing)
+    return months
+
+
+def _failed_optimize(cfg, tmp_path, workers: int) -> BaseException:
+    """The error an optimize run of every month raises, on a private copy
+    of the workspace; no child of this process is left unreaped."""
+    ws = tmp_path / f"workers{workers}"
+    shutil.copytree(cfg.workspace, ws)
+    for path in (ws / "solutions").glob("*.csv"):
+        path.unlink()
+    with pytest.raises(Exception) as info:
+        run_pipeline(dataclasses.replace(cfg, workspace=ws, workers=workers), ["optimize"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return info.value
+
+
+def _raise(exc: BaseException) -> Callable[[], None]:
+    def fail():
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_child_error_reaches_run_pipeline_as_in_a_serial_run(
+    built, tmp_path, monkeypatch, workers
+):
+    cfg, _ = built
+    _fail_months(monkeypatch, cfg, {1: _raise(InputError("snapshots/x.csv, line 2: bad"))})
+    serial = _failed_optimize(cfg, tmp_path, 1)
+    forked = _failed_optimize(cfg, tmp_path, workers)
+    assert type(serial) is type(forked) is InputError
+    assert str(forked) == str(serial) == "snapshots/x.csv, line 2: bad"
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_child_that_dies_is_an_error_naming_its_status(
+    built, tmp_path, monkeypatch, workers
+):
+    cfg, _ = built
+    _fail_months(monkeypatch, cfg, {1: lambda: os._exit(3)})
+    error = _failed_optimize(cfg, tmp_path, workers)
+    assert type(error) is RuntimeError
+    assert str(error).endswith("exited with status 3")
+
+
+class _NoLoadBack(Exception):
+    """Pickles, but does not load back: it takes two arguments and passes
+    one on."""
+
+    def __init__(self, month, reason):
+        super().__init__(f"{month}: {reason}")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("load_back", [False, True])
+def test_an_unpicklable_child_error_comes_back_as_its_repr(
+    built, tmp_path, monkeypatch, workers, load_back
+):
+    cfg, _ = built
+    # a lock does not pickle at all
+    exc = _NoLoadBack("m", "bad") if load_back else ValueError(threading.Lock())
+    _fail_months(monkeypatch, cfg, {1: _raise(exc)})
+    error = _failed_optimize(cfg, tmp_path, workers)
+    assert type(error) is RuntimeError
+    assert str(error) == repr(exc)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("child_fails", [False, True])
+def test_this_process_error_comes_first_and_every_child_is_reaped(
+    built, tmp_path, monkeypatch, workers, child_fails
+):
+    cfg, _ = built
+    fails = {0: _raise(InputError("first month"))}
+    if child_fails:
+        fails[1] = _raise(InputError("second month"))
+    months = _fail_months(monkeypatch, cfg, fails)
+    error = _failed_optimize(cfg, tmp_path, workers)
+    assert type(error) is InputError
+    assert str(error) == "first month"
+    # the children ran their months to the end; this process stopped at its first
+    solved = (tmp_path / f"workers{workers}" / "solutions").glob("*.csv")
+    assert sorted(p.stem for p in solved) == months[1 + child_fails : workers]
+
+
+def test_the_first_child_error_comes_before_the_next_childs(built, tmp_path, monkeypatch):
+    cfg, _ = built
+    # at three workers the second and third months are the two children's
+    _fail_months(
+        monkeypatch,
+        cfg,
+        {1: _raise(InputError("second month")), 2: _raise(InputError("third month"))},
+    )
+    error = _failed_optimize(cfg, tmp_path, 3)
+    assert type(error) is InputError
+    assert str(error) == "second month"
 
 
 def test_optimize_walks_each_homotopy_once(tmp_path, monkeypatch):
